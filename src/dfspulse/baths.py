@@ -10,12 +10,23 @@ Two bath registers are kept deliberately separate:
 The classical noise is a seeded sum of cosines with log-spaced frequencies,
 Gaussian amplitudes matched to the target spectral density, and uniform
 phases; free-evolution segments are integrated in closed form.
+
+Dephasing runs use the toggling frame.  Every named pulse is monomial on the
+code space: P and Q swap |0_L> and |1_L> up to a phase, PI and LAM add only
+a global phase.  The stored coherence therefore only picks up a phase, which
+each swap negates, and a run reduces to a sign s_k per free segment and one
+cumulative phase Phi = sum_k s_k (I1_k - I2_k) per trajectory.  The segment
+integrals factor as a sin(wt + phi)/w = sin(wt) (a cos(phi)/w)
++ cos(wt) (a sin(phi)/w), so one [sin wt | cos wt] table over the segment
+boundaries serves every trajectory, and a matmul applies each trajectory
+chunk's coefficients (the filter-function view of Cywinski et al., PRB 77,
+174509 (2008)).
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +37,8 @@ from .sequences import Drive, Free, PulseSequence, RawPulse, SmPulse, named_puls
 HBAR = 1.054571817e-34   # J s
 KB = 1.380649e-23        # J / K
 
-_TRAJ_CHUNK = 25  # fixed chunking keeps results independent of worker count
+_TRAJ_CHUNK = 25         # trajectories per matmul; bounds memory in n_traj
+_BOUNDARY_BLOCK = 4096   # segment boundaries per table; bounds memory in n_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +235,12 @@ class SpectralNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.omega_min < self.omega_max:
-            raise ValueError("require 0 < omega_min < omega_max")
+        if not 0 < self.omega_min < self.omega_max < math.inf:
+            raise ValueError("require 0 < omega_min < omega_max < inf")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be finite and nonnegative")
         if self.n_harmonics < 8:
             raise ValueError("n_harmonics must be at least 8")
 
@@ -238,9 +254,13 @@ class SpectralNoise:
         w = self.frequencies() ** (1.0 - self.alpha)
         return 2.0 * self.amplitude ** 2 * w / w.sum()
 
+    @cached_property
+    def _std(self) -> np.ndarray:
+        return np.sqrt(self.variances())
+
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """(amplitudes, phases) for one trajectory."""
-        amps = rng.normal(size=self.n_harmonics) * np.sqrt(self.variances())
+        amps = rng.normal(size=self.n_harmonics) * self._std
         phases = rng.uniform(0.0, 2 * np.pi, size=self.n_harmonics)
         return amps, phases
 
@@ -258,30 +278,6 @@ def sample_1f_trajectory(s: SpectralNoise, horizon: float,
     amps, phases = s.draw(s.trajectory_rng(0))
     values = np.cos(np.multiply.outer(t, s.frequencies()) + phases) @ amps
     return t, values
-
-
-def _segment_integrals(noise: SpectralNoise, boundaries: np.ndarray,
-                       amps: np.ndarray, phases: np.ndarray,
-                       block: int = 4096) -> np.ndarray:
-    """Exact integrals of the cosine-sum process over consecutive segments.
-
-    amps/phases have shape (ntraj, nh); returns (ntraj, nsegments).
-    Boundary evaluation is blocked to bound peak memory.
-    """
-    om = noise.frequencies()
-    weights = amps / om  # antiderivative coefficients
-    nb = boundaries.size
-    anti = np.empty((amps.shape[0], nb))
-    for lo in range(0, nb, block):
-        hi = min(lo + block, nb)
-        arg = np.multiply.outer(boundaries[lo:hi], om)[None, :, :] + phases[:, None, :]
-        anti[:, lo:hi] = np.einsum("tbk,tk->tb", np.sin(arg), weights)
-    return np.diff(anti, axis=1)
-
-
-# diagonal Z generators on the pair's 4-dim space, basis (uu, ud, du, dd)
-_Z1_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
-_Z2_DIAG = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -315,6 +311,25 @@ def _check_storage_sequence(seq: PulseSequence) -> list:
     return events
 
 
+def _swaps_code_states(ops, pair: tuple[int, int]) -> bool:
+    """Whether a named-pulse product exchanges |0_L> and |1_L>.
+
+    Raises ValueError unless its code-space block is monomial: only then does
+    the pulse act on the stored coherence as a sign flip of the phase.
+    """
+    mat = np.eye(4, dtype=complex)
+    for label, p in ops:
+        if set(p) != set(pair):
+            raise ValueError("storage pulses must act on the stored pair")
+        mat = mat @ named_pulse(label, (0, 1), 2)
+    code = [CODE_ZERO_INDEX, CODE_ONE_INDEX]
+    mag = np.abs(mat[np.ix_(code, code)])
+    for swap, perm in ((False, np.eye(2)), (True, np.eye(2)[::-1])):
+        if np.allclose(mag, perm, rtol=0.0, atol=1e-9):
+            return swap
+    raise ValueError("storage pulses must be monomial on the code space")
+
+
 def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
                   pair: tuple[int, int] = (0, 1), n_cycles: int = 200,
                   mode: str = "differential", seed: int | None = None,
@@ -325,6 +340,15 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
     mode: "collective" (same rate on both ions), "differential" (opposite),
     or "independent" (two independent processes).  Coherence is normalized to
     its initial value; the returned t2 is the interpolated 1/e crossing.
+    `jobs` is accepted for compatibility; the run is single-threaded and its
+    result never depends on it.
+
+    Toggling frame: free evolution multiplies the coherence by exp(-i dI_k),
+    with dI_k the segment integral of the rate difference c1 - c2, and a
+    swapping pulse conjugates it, so after k segments its phase is
+    Phi = sum_k s_k dI_k.  The boundaries are processed _BOUNDARY_BLOCK at a
+    time to bound peak memory; each trajectory's last antiderivative and Phi
+    carry across blocks.
     """
     if mode not in ("collective", "differential", "independent"):
         raise ValueError(f"unknown noise mode {mode!r}")
@@ -333,25 +357,17 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
     events = _check_storage_sequence(seq)
     master_seed = noise.seed if seed is None else seed
 
-    # per-cycle template: ('free', index) segments and pulse matrices
-    frees = [e.tau for e in events if isinstance(e, Free)]
-    pulses = {}
-    template = []
-    fidx = 0
+    # per-cycle template: free durations and the toggling sign of each
+    frees, signs = [], []
+    sign = 1.0
     for e in events:
         if isinstance(e, Free):
-            template.append(("free", fidx))
-            fidx += 1
-        else:
-            key = e.ops
-            if key not in pulses:
-                mat = np.eye(4, dtype=complex)
-                for label, p in e.ops:
-                    if set(p) != set(pair):
-                        raise ValueError("storage pulses must act on the stored pair")
-                    mat = mat @ named_pulse(label, (0, 1), 2)
-                pulses[key] = mat
-            template.append(("pulse", key))
+            frees.append(e.tau)
+            signs.append(sign)
+        elif _swaps_code_states(e.ops, pair):
+            sign = -sign
+    # an odd number of swaps per cycle flips the pattern of the next cycle
+    period = np.concatenate([signs, sign * np.array(signs)])
     cycle_time = sum(frees)
 
     # all segment boundaries across the run
@@ -359,66 +375,48 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
 
     record_idx = np.arange(0, n_cycles + 1, record_every)
     times = record_idx * cycle_time
+    record_bound = record_idx * len(frees)
 
     base = SpectralNoise(noise.alpha, noise.omega_min, noise.omega_max,
                          noise.amplitude, noise.n_harmonics, master_seed)
+    om = base.frequencies()
 
-    def run_chunk(start: int, stop: int) -> np.ndarray:
-        count = stop - start
-        if mode == "independent":
-            draws1 = [base.draw(base.trajectory_rng(i, 1)) for i in range(start, stop)]
-            draws2 = [base.draw(base.trajectory_rng(i, 2)) for i in range(start, stop)]
-            int1 = _segment_integrals(base, seg_times,
-                                      np.array([d[0] for d in draws1]),
-                                      np.array([d[1] for d in draws1]))
-            int2 = _segment_integrals(base, seg_times,
-                                      np.array([d[0] for d in draws2]),
-                                      np.array([d[1] for d in draws2]))
-        else:
-            draws = [base.draw(base.trajectory_rng(i)) for i in range(start, stop)]
-            ints = _segment_integrals(base, seg_times,
-                                      np.array([d[0] for d in draws]),
-                                      np.array([d[1] for d in draws]))
-            if mode == "collective":
-                int1, int2 = ints, ints
-            else:
-                int1, int2 = ints, -ints
-        # evolve (count, 4) states; initial (|0L> + |1L>)/sqrt(2)
-        psi = np.zeros((count, 4), dtype=complex)
-        psi[:, CODE_ZERO_INDEX] = 1 / np.sqrt(2)
-        psi[:, CODE_ONE_INDEX] = 1 / np.sqrt(2)
-        off = np.empty(record_idx.size, dtype=complex)
-        rec = 0
-        if record_idx[rec] == 0:
-            off[rec] = (psi[:, CODE_ZERO_INDEX] * psi[:, CODE_ONE_INDEX].conj()).sum()
-            rec += 1
-        seg = 0
-        for cyc in range(n_cycles):
-            for kind, key in template:
-                if kind == "free":
-                    phase = (np.outer(int1[:, seg], _Z1_DIAG)
-                             + np.outer(int2[:, seg], _Z2_DIAG)) / 2
-                    psi = psi * np.exp(-1j * phase)
-                    seg += 1
-                else:
-                    psi = psi @ pulses[key].T
-            if rec < record_idx.size and record_idx[rec] == cyc + 1:
-                off[rec] = (psi[:, CODE_ZERO_INDEX] * psi[:, CODE_ONE_INDEX].conj()).sum()
-                rec += 1
-        return off
+    def coefficients(stream: int) -> np.ndarray:
+        # a sin(wt + phi) / w = [sin wt | cos wt] . [a cos phi | a sin phi] / w
+        draws = [base.draw(base.trajectory_rng(i, stream)) for i in range(n_traj)]
+        weights = np.array([d[0] for d in draws]) / om
+        phases = np.array([d[1] for d in draws])
+        return np.hstack([weights * np.cos(phases), weights * np.sin(phases)])
 
-    starts = list(range(0, n_traj, _TRAJ_CHUNK))
-    bounds = [(s, min(s + _TRAJ_CHUNK, n_traj)) for s in starts]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda b: run_chunk(*b), bounds))
+    # antiderivative coefficients of the rate difference c1 - c2
+    if mode == "independent":
+        coef = coefficients(1) - coefficients(2)
+    elif mode == "differential":
+        coef = 2.0 * coefficients(0)
     else:
-        chunks = [run_chunk(*b) for b in bounds]
+        coef = np.zeros((n_traj, 2 * om.size))
+
+    bounds = [(s, min(s + _TRAJ_CHUNK, n_traj)) for s in range(0, n_traj, _TRAJ_CHUNK)]
+    last_anti = np.empty(n_traj)
+    phi = np.zeros(n_traj)
     total = np.zeros(record_idx.size, dtype=complex)
-    for c in chunks:  # fixed combination order keeps results jobs-independent
-        total += c
-    coherence = np.abs(total) / n_traj * 2.0
-    coherence = coherence / coherence[0]
+    for lo in range(0, seg_times.size, _BOUNDARY_BLOCK):
+        hi = min(lo + _BOUNDARY_BLOCK, seg_times.size)
+        wt = np.multiply.outer(seg_times[lo:hi], om)
+        table = np.hstack([np.sin(wt), np.cos(wt)])
+        # sign of the segment ending at each boundary; boundary 0 adds nothing
+        seg_sign = period[(np.arange(lo, hi) - 1) % period.size][:, None]
+        rec = slice(*np.searchsorted(record_bound, [lo, hi]))
+        rows = record_bound[rec] - lo
+        for start, stop in bounds:  # fixed chunk order fixes the summation
+            anti = table @ coef[start:stop].T
+            prev = anti[:1] if lo == 0 else last_anti[None, start:stop]
+            phase = phi[start:stop] + np.cumsum(
+                seg_sign * np.diff(anti, axis=0, prepend=prev), axis=0)
+            last_anti[start:stop] = anti[-1]
+            phi[start:stop] = phase[-1]
+            total[rec] += np.exp(-1j * phase[rows]).sum(axis=1)
+    coherence = np.abs(total) / n_traj
     return DephasingResult(times=times, coherence=coherence,
                            t2=_t2_from_curve(times, coherence))
 

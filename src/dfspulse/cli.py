@@ -240,6 +240,24 @@ def _json_default(v):
     return str(v)
 
 
+def _strict(v):
+    """`v` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(x) for x in v]
+    if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+        return None
+    return v
+
+
+def _write_json(path: Path, obj) -> None:
+    """Strict RFC 8259 JSON: unbounded values (an infinite T2) become null."""
+    text = json.dumps(_strict(obj), indent=2, sort_keys=True,
+                      default=_json_default, allow_nan=False)
+    path.write_text(text + "\n", newline="\n")
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -296,12 +314,11 @@ def _run_storage(sc: Scenario):
     noise = SpectralNoise(alpha=p["alpha"], omega_min=p["omega_min"],
                           omega_max=p["omega_max"], amplitude=p["amplitude"],
                           n_harmonics=p["n_harmonics"], seed=sc.seed)
-    jobs = sc.parameters.get("_jobs", 1)
     base_seq = PulseSequence((Free(p["dt"]),))
     base = dephasing_run(base_seq, noise, p["n_traj"], n_cycles=2 * p["n_cycles"],
-                         mode=p["mode"], jobs=jobs)
+                         mode=p["mode"])
     pulsed = dephasing_run(symmetrize_pair(p["dt"]), noise, p["n_traj"],
-                           n_cycles=p["n_cycles"], mode=p["mode"], jobs=jobs)
+                           n_cycles=p["n_cycles"], mode=p["mode"])
     gain = (pulsed.t2 / base.t2 if math.isfinite(pulsed.t2) and
             math.isfinite(base.t2) else math.inf)
     summary = {"t2_base": base.t2, "t2_pulsed": pulsed.t2, "gain": gain,
@@ -390,10 +407,8 @@ def _run_dtscan(sc: Scenario):
     noise = SpectralNoise(alpha=p["alpha"], omega_min=p["omega_min"],
                           omega_max=p["omega_max"], amplitude=p["amplitude"],
                           n_harmonics=p["n_harmonics"], seed=sc.seed)
-    jobs = sc.parameters.get("_jobs", 1)
     rows_raw = suppression_scan(symmetrize_pair, p["dt_grid"], noise,
-                                p["n_traj"], p["t_max"], mode=p["mode"],
-                                jobs=jobs)
+                                p["n_traj"], p["t_max"], mode=p["mode"])
     rows = [[r.dt, r.t2_base, r.t2_pulsed, r.gain, r.n_traj, r.seed]
             for r in rows_raw]
     checks = []
@@ -429,27 +444,20 @@ def run_scenario(sc: Scenario, out_dir: Path, jobs: int = 1) -> list[CheckResult
     """Execute one scenario, write its artifacts, return its checks.
 
     On an internal failure a partial artifact with ``"partial": true`` is
-    flushed and the exception propagates.
+    flushed and the exception propagates.  `jobs` is accepted for
+    compatibility; no runner is parallel, so artifacts never depend on it.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{sc.output_path}.json"
-    sc = Scenario(sc.name, sc.kind, sc.seed, sc.output_path,
-                  {**sc.parameters, "_jobs": jobs})
     try:
         checks, payload, table = _RUNNERS[sc.kind](sc)
     except Exception as exc:
-        partial = {"scenario": {k: v for k, v in sc.normalized().items()},
-                   "partial": True, "error": str(exc)}
-        partial["scenario"]["parameters"].pop("_jobs", None)
-        json_path.write_text(json.dumps(partial, indent=2, sort_keys=True,
-                                        default=str) + "\n", newline="\n")
+        partial = {"scenario": sc.normalized(), "partial": True, "error": str(exc)}
+        _write_json(json_path, partial)
         raise
-    norm = sc.normalized()
-    norm["parameters"].pop("_jobs", None)
-    report = {"scenario": norm, "partial": False, **payload,
+    report = {"scenario": sc.normalized(), "partial": False, **payload,
               "passed": all(c.passed for c in checks)}
-    json_path.write_text(json.dumps(report, indent=2, sort_keys=True,
-                                    default=_json_default) + "\n", newline="\n")
+    _write_json(json_path, report)
     if table is not None:
         _write_csv(out_dir / f"{sc.output_path}.csv", table[0], table[1])
     return checks
@@ -497,7 +505,7 @@ def main(argv=None) -> int:
                        help="override every scenario's seed")
         p.add_argument("--out-dir", type=Path, default=Path("."))
         p.add_argument("--jobs", type=int, default=1,
-                       help="trajectory worker threads (results invariant)")
+                       help="accepted for compatibility; results do not depend on it")
     args = parser.parse_args(argv)
 
     text = args.config.read_text() if args.command == "run" else VERIFY_CONFIG

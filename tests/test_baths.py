@@ -1,18 +1,24 @@
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dfspulse.baths as baths_mod
 from dfspulse.baths import (
     SpectralNoise, VibBath, bch_bound, dephasing_run, qubit_motional_error,
     sample_1f_trajectory, suppression_scan, thermal_numbers, timescale_check,
     total_excitation, vib_bindings, vib_hamiltonian,
 )
-from dfspulse.dfs import basis_operator, bucket_norms, classify
+from dfspulse.dfs import (
+    CODE_ONE_INDEX, CODE_ZERO_INDEX, basis_operator, bucket_norms, classify,
+)
 from dfspulse.pauli import OperatorSum, SIGMA, expm_i, generator_of, to_dense
 from dfspulse.sequences import (
-    EvolutionModel, Free, PulseSequence, leak_elim_cycle, propagator,
-    symmetrize_pair,
+    PULSE_LABELS, EvolutionModel, Free, NamedPulse, PulseSequence,
+    leak_elim_cycle, named_pulse, propagator, symmetrize_pair,
 )
 
 TWO_PI = 2 * np.pi
@@ -296,6 +302,161 @@ def test_suppression_scan_monotone_and_baseline():
         assert r.gain == pytest.approx(1.0, rel=0.15)
     with pytest.raises(ValueError):
         suppression_scan(symmetrize_pair, [1e-3, 2e-3], noise, 10, 1.0)
+
+
+def test_spectral_noise_draw_streams_unchanged():
+    # the per-harmonic standard deviation is computed once per noise model;
+    # every draw must still be bit-identical to normal * sqrt(variances)
+    noise = storage_noise(n_harmonics=24)
+    amps, phases = noise.draw(noise.trajectory_rng(4, 2))
+    rng = np.random.default_rng([noise.seed, 2, 4])
+    assert np.array_equal(amps, rng.normal(size=24) * np.sqrt(noise.variances()))
+    assert np.array_equal(phases, rng.uniform(0.0, 2 * np.pi, size=24))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("alpha", math.inf), ("amplitude", -1.0),
+    ("amplitude", math.nan), ("amplitude", math.inf), ("omega_max", math.inf),
+])
+def test_spectral_noise_rejects_non_finite_or_negative(field, value):
+    kw = dict(alpha=1.0, omega_min=1.0, omega_max=100.0, amplitude=1.0)
+    kw[field] = value
+    with pytest.raises(ValueError):
+        SpectralNoise(**kw)
+
+
+# --- toggling-frame engine against the 4-dim state evolution
+
+MODES = ("differential", "collective", "independent")
+_Z1_DIAG = np.array([1.0, 1.0, -1.0, -1.0])  # basis (uu, ud, du, dd)
+_Z2_DIAG = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def reference_coherence(seq, noise, n_traj, n_cycles, mode, record_every=1):
+    """Every trajectory's pair state evolved event by event: exact segment
+    integrals of each cosine, Z1/Z2 phases, dense named-pulse matrices."""
+    om = noise.frequencies()
+    frees = [e.tau for e in seq.events if isinstance(e, Free)]
+    bounds = np.concatenate([[0.0], np.tile(frees, n_cycles)]).cumsum()
+
+    def integrals(stream):
+        rows = []
+        for i in range(n_traj):
+            amps, phases = noise.draw(noise.trajectory_rng(i, stream))
+            anti = np.sin(np.multiply.outer(bounds, om) + phases) @ (amps / om)
+            rows.append(np.diff(anti))
+        return np.array(rows)
+
+    if mode == "independent":
+        int1, int2 = integrals(1), integrals(2)
+    else:
+        int1 = integrals(0)
+        int2 = int1 if mode == "collective" else -int1
+    psi = np.zeros((n_traj, 4), dtype=complex)
+    psi[:, [CODE_ZERO_INDEX, CODE_ONE_INDEX]] = 1 / np.sqrt(2)
+
+    def off_diagonal():
+        return abs((psi[:, CODE_ZERO_INDEX] * psi[:, CODE_ONE_INDEX].conj()).sum())
+
+    curve = [off_diagonal()]
+    seg = 0
+    for cyc in range(n_cycles):
+        for e in seq.events:
+            if isinstance(e, Free):
+                phase = (np.outer(int1[:, seg], _Z1_DIAG)
+                         + np.outer(int2[:, seg], _Z2_DIAG)) / 2
+                psi = psi * np.exp(-1j * phase)
+                seg += 1
+            else:
+                mat = reduce(np.matmul, [named_pulse(label) for label, _ in e.ops])
+                psi = psi @ mat.T
+        if (cyc + 1) % record_every == 0:
+            curve.append(off_diagonal())
+    return np.array(curve) / curve[0]
+
+
+def _pulse(*labels, pair=(0, 1)):
+    return NamedPulse(tuple((label, pair) for label in labels))
+
+
+ORACLE_SEQUENCES = {
+    "free": PulseSequence((Free(1e-3),)),
+    "pair": symmetrize_pair(1e-3),
+    "odd_swap": PulseSequence((Free(1e-3), _pulse("P"))),
+    "q_lam_pi": PulseSequence((Free(7e-4), _pulse("Q"), Free(3e-4),
+                               _pulse("LAM", "PI", pair=(1, 0)), Free(1e-3),
+                               _pulse("QDAG"))),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ORACLE_SEQUENCES)
+def test_dephasing_matches_state_evolution(name, mode):
+    noise = storage_noise(alpha=1.0, amplitude=TWO_PI * 50.0, n_harmonics=16)
+    seq = ORACLE_SEQUENCES[name]
+    for n_traj, n_cycles, record_every in ((37, 120, 3), (25, 40, 1)):
+        got = dephasing_run(seq, noise, n_traj, n_cycles=n_cycles, mode=mode,
+                            record_every=record_every)
+        want = reference_coherence(seq, noise, n_traj, n_cycles, mode, record_every)
+        np.testing.assert_allclose(got.coherence, want, rtol=0, atol=1e-9)
+
+
+_events = st.one_of(
+    st.sampled_from([2e-4, 5e-4, 1e-3]).map(Free),
+    st.lists(st.tuples(st.sampled_from(PULSE_LABELS), st.sampled_from([(0, 1), (1, 0)])),
+             min_size=1, max_size=2).map(lambda ops: NamedPulse(tuple(ops))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(events=st.lists(_events, min_size=1, max_size=6).filter(
+           lambda evs: any(isinstance(e, Free) for e in evs)),
+       mode=st.sampled_from(MODES), n_traj=st.integers(1, 30),
+       n_cycles=st.integers(1, 40), record_every=st.integers(1, 4))
+def test_dephasing_matches_state_evolution_on_random_sequences(
+        events, mode, n_traj, n_cycles, record_every):
+    noise = storage_noise(amplitude=TWO_PI * 50.0, n_harmonics=8)
+    seq = PulseSequence(tuple(events))
+    got = dephasing_run(seq, noise, n_traj, n_cycles=n_cycles, mode=mode,
+                        record_every=record_every)
+    want = reference_coherence(seq, noise, n_traj, n_cycles, mode, record_every)
+    np.testing.assert_allclose(got.coherence, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["pair", "odd_swap"])
+def test_dephasing_carries_phase_across_boundary_blocks(name, monkeypatch):
+    # blocks of 5 boundaries put a block seam inside almost every cycle
+    monkeypatch.setattr(baths_mod, "_BOUNDARY_BLOCK", 5)
+    noise = storage_noise(alpha=1.0, amplitude=TWO_PI * 50.0, n_harmonics=16)
+    seq = ORACLE_SEQUENCES[name]
+    got = dephasing_run(seq, noise, 30, n_cycles=60, record_every=3)
+    want = reference_coherence(seq, noise, 30, 60, "differential", 3)
+    np.testing.assert_allclose(got.coherence, want, rtol=0, atol=1e-9)
+
+
+def test_dephasing_collective_is_exactly_immune():
+    res = dephasing_run(symmetrize_pair(1e-3), storage_noise(), 30,
+                        n_cycles=200, mode="collective")
+    assert np.all(res.coherence == 1.0) and math.isinf(res.t2)
+
+
+def test_dephasing_rejects_non_monomial_pulse(monkeypatch):
+    half = expm_i(to_dense(basis_operator("Xbar")), np.pi / 4)
+    monkeypatch.setattr(baths_mod, "named_pulse", lambda label, pair, width: half)
+    with pytest.raises(ValueError, match="monomial"):
+        dephasing_run(symmetrize_pair(1e-3), storage_noise(), 5, n_cycles=3)
+
+
+def test_dephasing_peak_memory_bounded_in_cycles():
+    # 200001 boundaries x 128 table columns would take 205 MB unblocked
+    noise = storage_noise(n_harmonics=64)
+    tracemalloc.start()
+    try:
+        dephasing_run(symmetrize_pair(1e-4), noise, 50, n_cycles=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 # --- BCH bound

@@ -121,6 +121,46 @@ def test_storage_scenario_collective(tmp_path):
     assert lines[0] == "t,coherence_base,coherence_pulsed"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_artifacts_are_strict_json(tmp_path, monkeypatch):
+    import dfspulse.cli as cli_mod
+
+    # collective storage never decays (T2 and gain unbounded); gamma_damp 0
+    # gives t_dec = inf; dt = Infinity is echoed in the scenario block
+    text = json.dumps([
+        {"name": "st", "kind": "storage-sim", "seed": 7, "parameters": {
+            "mode": "collective", "n_traj": 10, "n_cycles": 50, "n_harmonics": 16}},
+        {"name": "hw", "kind": "formulas", "parameters": {
+            "gamma_damp": 0.0, "dt": float("inf")}},
+        {"name": "scan", "kind": "dt-scan", "seed": 3, "parameters": {
+            "mode": "collective", "n_traj": 8, "n_harmonics": 16, "t_max": 0.5,
+            "expect_monotone": False}},
+        {"name": "boom", "kind": "block4-sim", "parameters": {"tau": float("inf")}},
+    ])
+
+    def boom(sc):
+        raise RuntimeError("bath dimension blew up")
+
+    monkeypatch.setitem(cli_mod._RUNNERS, "block4-sim", boom)
+    for sc in parse_config(text):
+        try:
+            run_scenario(sc, tmp_path)
+        except RuntimeError:
+            assert sc.name == "boom"
+    paths = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in paths] == ["boom.json", "hw.json", "scan.json", "st.json"]
+    reports = {p.stem: json.loads(p.read_text(), parse_constant=_reject_constant)
+               for p in paths}
+    summary = reports["st"]["summary"]
+    assert summary["gain"] is None and summary["t2_base"] is None
+    assert reports["hw"]["values"]["t_dec"] is None
+    assert reports["boom"]["partial"] is True
+    assert reports["boom"]["scenario"]["parameters"]["tau"] is None
+
+
 def _scan_config(out_name):
     return json.dumps([{
         "name": out_name, "kind": "dt-scan", "seed": 11,
