@@ -31,7 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from .dfs import CODE_ONE_INDEX, CODE_ZERO_INDEX
-from .pauli import OperatorSum, PauliTerm, spectral_norm, to_dense
+from .pauli import (
+    OperatorSum, PauliTerm, is_hermitian_matrix, kron_all, spectral_norm, to_dense,
+)
 from .sequences import Drive, Free, PulseSequence, RawPulse, SmPulse, named_pulse
 
 HBAR = 1.054571817e-34   # J s
@@ -56,7 +58,7 @@ class DephasingBath:
     def __post_init__(self):
         for name in ("b1", "b2"):
             m = np.asarray(getattr(self, name), dtype=complex)
-            if np.abs(m - m.conj().T).max() > 1e-10 * max(1.0, np.abs(m).max()):
+            if not is_hermitian_matrix(m):
                 raise ValueError(f"{name} must be Hermitian")
             object.__setattr__(self, name, m)
         if self.h_bath is not None:
@@ -165,23 +167,16 @@ def vib_bindings(v: VibBath) -> tuple[tuple[int, ...], dict[str, np.ndarray]]:
     a = _ladder(n)
     num = a.conj().T @ a
 
-    def embed(op, which):
+    def embed(*placed):
         mats = [np.eye(n, dtype=complex)] * modes
-        mats[which] = op
-        out = np.array([[1]], dtype=complex)
-        for m in mats:
-            out = np.kron(out, m)
-        return out
+        for which, op in placed:
+            mats[which] = op
+        return kron_all(*mats)
 
-    bindings = {"num_sys": embed(num, 0)}
+    bindings = {"num_sys": embed((0, num))}
     for k in range(len(v.mode_freqs)):
-        bindings[f"num_bath{k}"] = embed(num, 1 + k)
-        mats = [np.eye(n, dtype=complex)] * modes
-        mats[0] = a
-        mats[1 + k] = a.conj().T
-        down_up = np.array([[1]], dtype=complex)
-        for m in mats:
-            down_up = np.kron(down_up, m)
+        bindings[f"num_bath{k}"] = embed((1 + k, num))
+        down_up = embed((0, a), (1 + k, a.conj().T))
         bindings[f"exchange{k}"] = down_up + down_up.conj().T
     return (n,) * modes, bindings
 

@@ -23,9 +23,9 @@ from .baths import (
     SpectralNoise, dephasing_run, suppression_scan, thermal_numbers,
     timescale_check, VibBath,
 )
-from .pauli import OperatorSum, expm_i, to_dense
+from .pauli import OperatorSum, expm_i, generator_of, kron_all, to_dense
 from .sequences import EvolutionModel, Free, PulseSequence, propagator, symmetrize_pair
-from .verification import CheckResult
+from .verification import CheckResult, _rand_herm
 
 KINDS = ("verify-algebra", "storage-sim", "gate-sim", "block4-sim",
          "dt-scan", "formulas")
@@ -33,6 +33,19 @@ KINDS = ("verify-algebra", "storage-sim", "gate-sim", "block4-sim",
 # parameter schema per kind: name -> (type, default, validator or None)
 _POS = ("must be positive", lambda v: v > 0)
 _NONNEG = ("must be nonnegative", lambda v: v >= 0)
+
+# the classical 1/f noise shared by storage-sim and dt-scan; all but "mode"
+# are SpectralNoise fields
+_NOISE_SCHEMA = {
+    "alpha": (float, 2.0, _NONNEG),
+    "omega_min": (float, 2 * np.pi * 0.05, _POS),
+    "omega_max": (float, 2 * np.pi * 50.0, _POS),
+    "amplitude": (float, 2 * np.pi * 200.0, _POS),
+    "n_harmonics": (int, 64, ("must be >= 8", lambda v: v >= 8)),
+    "mode": (str, "differential", ("must be collective/differential/independent",
+                                   lambda v: v in ("collective", "differential",
+                                                   "independent"))),
+}
 
 SCHEMAS: dict[str, dict] = {
     "verify-algebra": {},
@@ -54,17 +67,10 @@ SCHEMAS: dict[str, dict] = {
                                        lambda v: v in ("rad/s", "Hz"))),
     },
     "storage-sim": {
-        "alpha": (float, 2.0, _NONNEG),
-        "omega_min": (float, 2 * np.pi * 0.05, _POS),
-        "omega_max": (float, 2 * np.pi * 50.0, _POS),
-        "amplitude": (float, 2 * np.pi * 200.0, _POS),
-        "n_harmonics": (int, 64, ("must be >= 8", lambda v: v >= 8)),
+        **_NOISE_SCHEMA,
         "dt": (float, 4e-3, _POS),
         "n_cycles": (int, 400, _POS),
         "n_traj": (int, 100, _POS),
-        "mode": (str, "differential", ("must be collective/differential/independent",
-                                       lambda v: v in ("collective", "differential",
-                                                       "independent"))),
         "min_gain": (float, 1.0, _NONNEG),
     },
     "gate-sim": {
@@ -81,21 +87,14 @@ SCHEMAS: dict[str, dict] = {
         "tolerance": (float, 1e-10, _POS),
     },
     "dt-scan": {
-        "alpha": (float, 2.0, _NONNEG),
-        "omega_min": (float, 2 * np.pi * 0.05, _POS),
-        "omega_max": (float, 2 * np.pi * 50.0, _POS),
-        "amplitude": (float, 2 * np.pi * 200.0, _POS),
-        "n_harmonics": (int, 64, ("must be >= 8", lambda v: v >= 8)),
+        **_NOISE_SCHEMA,
         "dt_grid": (list, [8e-3, 4e-3, 2e-3, 1e-3], ("need >= 4 positive points",
                     lambda v: len(v) >= 4 and all(x > 0 for x in v))),
         "n_traj": (int, 200, _POS),
         "t_max": (float, 3.0, _POS),
-        "mode": (str, "differential", ("must be collective/differential/independent",
-                                       lambda v: v in ("collective", "differential",
-                                                       "independent"))),
         "expect_monotone": (bool, True, None),
-        "slope_window": (list, [], ("need [lo, hi]",
-                         lambda v: len(v) in (0, 2))),
+        "slope_window": (list, [], ("need [lo, hi] with lo <= hi",
+                         lambda v: not v or (len(v) == 2 and v[0] <= v[1]))),
     },
 }
 
@@ -127,6 +126,32 @@ class Scenario:
         }
 
 
+def _finite(x, reason: str) -> float:
+    """`x` as a finite float; ValueError(reason) for anything else, bools included."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(reason)
+    try:
+        x = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError("must be finite") from None
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
+def _coerce(typ, value):
+    """A parameter value as `typ`; floats and list entries are finite numbers."""
+    if typ is float:
+        return _finite(value, "expected float")
+    if typ is list:
+        if not isinstance(value, list):
+            raise ValueError("expected list")
+        return [_finite(x, "entries must be numbers") for x in value]
+    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
+        raise ValueError(f"expected {typ.__name__}")
+    return value
+
+
 def _validate_scenario(obj: dict, where: str, errors: list) -> Scenario | None:
     if not isinstance(obj, dict):
         errors.append((where, "-", "scenario must be a JSON object"))
@@ -144,12 +169,16 @@ def _validate_scenario(obj: dict, where: str, errors: list) -> Scenario | None:
         errors.append((where, "kind", f"unknown kind {kind!r}"))
         return None
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append((where, "seed", "must be an integer"))
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        errors.append((where, "seed", "must be a nonnegative integer"))
         return None
     out = obj.get("output_path", name)
     if not isinstance(out, str) or not out:
         errors.append((where, "output_path", "must be a non-empty string"))
+        return None
+    # artifacts are written as <out-dir>/<output_path>.json; keep them there
+    if out in (".", "..") or any(c in out for c in "/\\\0"):
+        errors.append((where, "output_path", "must be a file name, not a path"))
         return None
     schema = SCHEMAS[kind]
     params_in = obj.get("parameters", {})
@@ -164,17 +193,10 @@ def _validate_scenario(obj: dict, where: str, errors: list) -> Scenario | None:
             ok = False
     for key, (typ, default, validator) in schema.items():
         if key in params_in:
-            value = params_in[key]
-            if typ in (int, float) and isinstance(value, bool):
-                errors.append((where, key, f"expected {typ.__name__}"))
-                ok = False
-                continue
-            if typ is float and isinstance(value, int):
-                value = float(value)
-            if typ is list and isinstance(value, list):
-                value = [float(x) if isinstance(x, (int, float)) else x for x in value]
-            if not isinstance(value, typ):
-                errors.append((where, key, f"expected {typ.__name__}"))
+            try:
+                value = _coerce(typ, params_in[key])
+            except ValueError as exc:
+                errors.append((where, key, str(exc)))
                 ok = False
                 continue
             if validator is not None and not validator[1](value):
@@ -184,6 +206,9 @@ def _validate_scenario(obj: dict, where: str, errors: list) -> Scenario | None:
         else:
             value = default
         params[key] = value
+    if ok and "omega_min" in params and not params["omega_min"] < params["omega_max"]:
+        errors.append((where, "omega_max", "must exceed omega_min"))
+        ok = False
     if not ok:
         return None
     return Scenario(name=name, kind=kind, seed=seed, output_path=out,
@@ -196,6 +221,8 @@ def parse_config(text: str) -> list[Scenario]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([(f"line {exc.lineno}", "-", exc.msg)]) from exc
+    except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
+        raise ConfigError([("top level", "-", str(exc))]) from exc
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
@@ -266,9 +293,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _rand_herm(rng, d):
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (m + m.conj().T) / 2
+def _noise(sc: Scenario) -> SpectralNoise:
+    return SpectralNoise(**{k: sc.parameters[k] for k in _NOISE_SCHEMA if k != "mode"},
+                         seed=sc.seed)
 
 
 def _run_verify(sc: Scenario):
@@ -311,9 +338,7 @@ def _run_formulas(sc: Scenario):
 
 def _run_storage(sc: Scenario):
     p = sc.parameters
-    noise = SpectralNoise(alpha=p["alpha"], omega_min=p["omega_min"],
-                          omega_max=p["omega_max"], amplitude=p["amplitude"],
-                          n_harmonics=p["n_harmonics"], seed=sc.seed)
+    noise = _noise(sc)
     base_seq = PulseSequence((Free(p["dt"]),))
     base = dephasing_run(base_seq, noise, p["n_traj"], n_cycles=2 * p["n_cycles"],
                          mode=p["mode"])
@@ -381,10 +406,7 @@ def _run_block4(sc: Scenario):
     def embed_bath(op, k):
         mats = [np.eye(d, dtype=complex)] * 4
         mats[k] = op
-        out = np.array([[1]], dtype=complex)
-        for m in mats:
-            out = np.kron(out, m)
-        return out
+        return kron_all(*mats)
 
     h = np.zeros((16 * bdim, 16 * bdim), dtype=complex)
     for q in range(4):
@@ -393,7 +415,6 @@ def _run_block4(sc: Scenario):
     model = EvolutionModel(4, bdim, h)
     seq = sequences.symmetrize_block4(p["tau"], 4)
     u = propagator(seq, model)
-    from .pauli import generator_of
     g = generator_of(u, 4 * p["tau"])
     resid = dfs.block_collective_residual(g, 4, bdim, ((0, 1, 2, 3),))
     checks = [CheckResult("block4_residual", float(resid), 0.0,
@@ -404,9 +425,7 @@ def _run_block4(sc: Scenario):
 
 def _run_dtscan(sc: Scenario):
     p = sc.parameters
-    noise = SpectralNoise(alpha=p["alpha"], omega_min=p["omega_min"],
-                          omega_max=p["omega_max"], amplitude=p["amplitude"],
-                          n_harmonics=p["n_harmonics"], seed=sc.seed)
+    noise = _noise(sc)
     rows_raw = suppression_scan(symmetrize_pair, p["dt_grid"], noise,
                                 p["n_traj"], p["t_max"], mode=p["mode"])
     rows = [[r.dt, r.t2_base, r.t2_pulsed, r.gain, r.n_traj, r.seed]

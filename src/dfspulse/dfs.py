@@ -8,6 +8,10 @@ Any Hermitian two-qubit coupling splits over a 16-operator basis into
 three buckets: operators that act trivially on the code space (DFS),
 operators that map the code space to its complement (leakage), and the
 logical triple Xbar/Ybar/Zbar (unwanted encoded rotations).
+
+`BASIS_TEMPLATES` is the only definition of that split.  The basis is
+trace-orthogonal, so every coefficient, symbolic part and dense bucket
+below is a projection onto its templates; nothing restates them.
 """
 from __future__ import annotations
 
@@ -15,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import (
-    SIGMA, OperatorSum, PauliTerm, kron_all, spectral_norm, to_dense,
-)
+from .pauli import OperatorSum, PauliTerm, spectral_norm, to_dense
 
 CODE_ZERO_INDEX = 2  # |down, up>
 CODE_ONE_INDEX = 1   # |up, down>
@@ -39,6 +41,9 @@ BASIS_TEMPLATES: dict[str, tuple[tuple[str, complex], ...]] = {
     "Zbar": (("ZI", 0.5), ("IZ", -0.5)),
     **{lab: ((lab, 1.0),) for lab in LEAK_LABELS},
 }
+_BUCKET = {lab: bucket for bucket, labels in (
+    ("DFS", DFS_LABELS), ("Logi", LOGI_LABELS), ("Leak", LEAK_LABELS))
+    for lab in labels}
 
 
 class SupportError(ValueError):
@@ -124,11 +129,15 @@ class ErrorDecomposition:
         return self.dfs_part + self.leak_part + self.logi_part
 
     def bucket_of(self, label: str) -> str:
-        if label in DFS_LABELS:
-            return "DFS"
-        if label in LOGI_LABELS:
-            return "Logi"
-        return "Leak"
+        return _BUCKET[label]
+
+
+def _component_sum(coeffs: dict, labels, pair: tuple[int, int],
+                   width: int) -> OperatorSum:
+    """Sum of the basis components whose label is in `labels`."""
+    return OperatorSum(width, [
+        t for (lab, slot), v in coeffs.items() if lab in labels and v != 0
+        for t in _embed_template(lab, pair, width, v, slot).terms])
 
 
 def classify(h: OperatorSum, pair: tuple[int, int] | None = None) -> ErrorDecomposition:
@@ -155,34 +164,17 @@ def classify(h: OperatorSum, pair: tuple[int, int] | None = None) -> ErrorDecomp
         key = (t.factors[i] + t.factors[j], t.bath_slot)
         two_site[key] = two_site.get(key, 0j) + t.coefficient
     slots = sorted({s for _, s in two_site}, key=lambda s: (s is not None, s or ""))
-
-    def c(lab, slot):
-        return two_site.get((lab, slot), 0j)
-
+    # trace projection onto each template: sum conj(w) c / sum |w|^2
     for slot in slots:
-        coeffs[("II", slot)] = c("II", slot)
-        coeffs[("ZZ", slot)] = c("ZZ", slot)
-        coeffs[("Zsum", slot)] = c("ZI", slot) + c("IZ", slot)
-        coeffs[("Zbar", slot)] = c("ZI", slot) - c("IZ", slot)
-        coeffs[("Xbar", slot)] = c("XX", slot) + c("YY", slot)
-        coeffs[("Xtilde", slot)] = c("XX", slot) - c("YY", slot)
-        coeffs[("Ybar", slot)] = c("YX", slot) - c("XY", slot)
-        coeffs[("Ytilde", slot)] = c("YX", slot) + c("XY", slot)
-        for lab in LEAK_LABELS:
-            coeffs[(lab, slot)] = c(lab, slot)
-
-    def bucket(labels):
-        out = OperatorSum.zero(h.width)
-        for (lab, slot), v in coeffs.items():
-            if lab in labels and v != 0:
-                out = out + _embed_template(lab, pair, h.width, v, slot)
-        return out
-
+        for lab, template in BASIS_TEMPLATES.items():
+            coeffs[(lab, slot)] = sum(
+                w.conjugate() * two_site.get((ts, slot), 0j) for ts, w in template
+            ) / sum(abs(w) ** 2 for _, w in template)
     return ErrorDecomposition(
         pair=pair, width=h.width,
-        dfs_part=bucket(DFS_LABELS),
-        leak_part=bucket(LEAK_LABELS),
-        logi_part=bucket(LOGI_LABELS),
+        dfs_part=_component_sum(coeffs, DFS_LABELS, pair, h.width),
+        leak_part=_component_sum(coeffs, LEAK_LABELS, pair, h.width),
+        logi_part=_component_sum(coeffs, LOGI_LABELS, pair, h.width),
         coefficients=coeffs,
     )
 
@@ -192,10 +184,7 @@ def logical_error_norms(dec: ErrorDecomposition, bath_dim: int = 1,
     """Spectral norms of the Xbar/Ybar/Zbar components and the leakage part."""
     out = {}
     for lab in LOGI_LABELS:
-        op = OperatorSum.zero(dec.width)
-        for (l, slot), v in dec.coefficients.items():
-            if l == lab and v != 0:
-                op = op + _embed_template(lab, dec.pair, dec.width, v, slot)
+        op = _component_sum(dec.coefficients, (lab,), dec.pair, dec.width)
         out[lab] = spectral_norm(to_dense(op, bath_dim, bindings))
     out["Leak"] = spectral_norm(to_dense(dec.leak_part, bath_dim, bindings))
     return out
@@ -249,42 +238,23 @@ def leakage_probability(state: np.ndarray, register: DfsRegister,
 # ---------------------------------------------------------------------------
 # dense generator analysis
 
-_TWO_SITE_DENSE = {
-    a + b: kron_all(SIGMA[a], SIGMA[b]) for a in "IXYZ" for b in "IXYZ"
-}
-
-
-def pauli_bath_blocks(h: np.ndarray, bath_dim: int) -> dict[str, np.ndarray]:
-    """Write a two-qubit (x) bath operator as sum_P P (x) M_P; return the M_P."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (4 * bath_dim, 4 * bath_dim):
-        raise ValueError("expected a (4*bath_dim) square matrix")
-    h4 = h.reshape(4, bath_dim, 4, bath_dim)
-    return {lab: np.einsum("ji,jaib->ab", p.conj(), h4) / 4
-            for lab, p in _TWO_SITE_DENSE.items()}
+def _bath_block(h4: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Bath factor of the system operator p in h, Tr_sys[(p^dag (x) 1) h] / Tr(p^dag p);
+    h4 is h reshaped to (dim_sys, bath_dim, dim_sys, bath_dim)."""
+    return np.einsum("ji,jaib->ab", p.conj(), h4) / np.vdot(p, p).real
 
 
 def bucket_operators(h: np.ndarray, bath_dim: int) -> dict[str, np.ndarray]:
     """Dense DFS/Leak/Xbar/Ybar/Zbar components of a two-qubit (x) bath operator."""
-    m = pauli_bath_blocks(h, bath_dim)
-
-    def lift(label_weights):
-        out = np.zeros_like(np.asarray(h, dtype=complex))
-        for lab, w in label_weights:
-            out += np.kron(_TWO_SITE_DENSE[lab], w)
-        return out
-
-    xbar = lift([("XX", (m["XX"] + m["YY"]) / 2), ("YY", (m["XX"] + m["YY"]) / 2)])
-    ybar = lift([("YX", (m["YX"] - m["XY"]) / 2), ("XY", -(m["YX"] - m["XY"]) / 2)])
-    zbar = lift([("ZI", (m["ZI"] - m["IZ"]) / 2), ("IZ", -(m["ZI"] - m["IZ"]) / 2)])
-    leak = lift([(lab, m[lab]) for lab in LEAK_LABELS])
-    dfs = lift([
-        ("II", m["II"]), ("ZZ", m["ZZ"]),
-        ("ZI", (m["ZI"] + m["IZ"]) / 2), ("IZ", (m["ZI"] + m["IZ"]) / 2),
-        ("XX", (m["XX"] - m["YY"]) / 2), ("YY", -(m["XX"] - m["YY"]) / 2),
-        ("YX", (m["YX"] + m["XY"]) / 2), ("XY", (m["YX"] + m["XY"]) / 2),
-    ])
-    return {"DFS": dfs, "Leak": leak, "Xbar": xbar, "Ybar": ybar, "Zbar": zbar}
+    h = np.asarray(h, dtype=complex)
+    if h.shape != (4 * bath_dim, 4 * bath_dim):
+        raise ValueError("expected a (4*bath_dim) square matrix")
+    h4 = h.reshape(4, bath_dim, 4, bath_dim)
+    out = {k: np.zeros_like(h) for k in ("DFS", "Leak") + LOGI_LABELS}
+    for lab in ALL_LABELS:
+        b = to_dense(basis_operator(lab))
+        out[lab if lab in LOGI_LABELS else _BUCKET[lab]] += np.kron(b, _bath_block(h4, b))
+    return out
 
 
 def bucket_norms(h: np.ndarray, bath_dim: int) -> dict[str, float]:
@@ -299,11 +269,9 @@ def block_collective_residual(h: np.ndarray, width: int, bath_dim: int,
     h = np.asarray(h, dtype=complex)
     dim_sys = 2 ** width
     h4 = h.reshape(dim_sys, bath_dim, dim_sys, bath_dim)
-    resid = h.copy()
-    m_i = np.einsum("iaib->ab", h4) / dim_sys
-    resid = resid - np.kron(np.eye(dim_sys, dtype=complex), m_i)
+    eye = np.eye(dim_sys, dtype=complex)
+    resid = h - np.kron(eye, _bath_block(h4, eye))
     for block in blocks:
         zs = sum(to_dense(OperatorSum.single(width, q, "Z")) for q in block)
-        m_s = np.einsum("ji,jaib->ab", zs.conj(), h4) / np.trace(zs @ zs).real
-        resid = resid - np.kron(zs, m_s)
+        resid = resid - np.kron(zs, _bath_block(h4, zs))
     return spectral_norm(resid)

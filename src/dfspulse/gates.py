@@ -17,8 +17,8 @@ import numpy as np
 
 from .dfs import DfsRegister, _pair_register, code_isometry, logical_operators
 from .pauli import (
-    SIGMA, OperatorSum, PauliTerm, embed_sites, kron_all, spectral_norm,
-    to_dense,
+    SIGMA, OperatorSum, PauliTerm, embed_sites, expm_i, kron_all,
+    spectral_norm, to_dense,
 )
 
 
@@ -172,8 +172,7 @@ def u4_dfs_target(spec: SmGateSpec) -> np.ndarray:
         return v.conj().T @ m @ v
 
     gen = np.kron(xbar_code(spec.delta_phi), xbar_code(spec.delta_phi_34))
-    vals, vecs = np.linalg.eigh(gen)
-    return (vecs * np.exp(-1j * spec.theta * vals)) @ vecs.conj().T
+    return expm_i(gen, spec.theta)
 
 
 def u4_encoded(spec: SmGateSpec) -> np.ndarray:
@@ -191,8 +190,7 @@ def u4_encoded(spec: SmGateSpec) -> np.ndarray:
         return np.cos(dphi) * to_dense(xb) + np.sin(dphi) * to_dense(yb)
 
     gen = xbar_dphi((0, 1), spec.delta_phi) @ xbar_dphi((2, 3), spec.delta_phi_34)
-    vals, vecs = np.linalg.eigh(gen)
-    mat = (vecs * np.exp(-1j * spec.theta * vals)) @ vecs.conj().T
+    mat = expm_i(gen, spec.theta)
     if spec.ions != (0, 1, 2, 3):
         mat = embed_sites(mat, spec.ions, max(spec.ions) + 1)
     return mat

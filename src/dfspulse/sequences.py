@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,8 +51,12 @@ class Free:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        _check_tau(self.tau)
+
+
+def _check_tau(tau: float) -> None:
+    if not 0 <= tau < math.inf:
+        raise ValueError("tau must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,8 @@ class NamedPulse:
         for label, pair in self.ops:
             if label not in PULSE_LABELS:
                 raise ValueError(f"unknown pulse label {label!r}")
-            if len(pair) != 2:
-                raise ValueError("pulse pair must have two ions")
+            if len(pair) != 2 or pair[0] == pair[1]:
+                raise ValueError("pulse pair must have two distinct ions")
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,7 @@ class Drive:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        _check_tau(self.tau)
 
 
 Event = Free | NamedPulse | SmPulse | RawPulse | Drive
@@ -418,43 +421,74 @@ def seq_to_text(seq: PulseSequence) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def seq_from_text(text: str, width: int = 2) -> PulseSequence:
-    """Parse the text form produced by seq_to_text."""
+def seq_from_text(text: str, width: int | None = None) -> PulseSequence:
+    """Parse the text form produced by seq_to_text.
+
+    `width` is the register the drives act on and every ion must lie in; by
+    default it is the smallest one (at least 2 qubits) holding every ion the
+    text names.  Raises ValueError for malformed text, missing fields and
+    ions outside the register.
+    """
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError("sequence text must be bracketed")
     body = text[1:-1].strip()
-    events: list = []
     if not body:
         return PulseSequence(())
+    events = []
     for token in _split_top(body):
         token = token.strip()
-        if token.startswith("tau="):
-            events.append(Free(float(token[4:])))
-        elif token.startswith("DRIVE("):
-            fields = dict(kv.split("=", 1) for kv in token[6:-1].split(";"))
-            pi, pj = fields["pair"].split(":")
-            pair = (int(pi), int(pj))
-            axis = fields["axis"]
-            phi = float(fields.get("phi", "0"))
-            h = _drive_hamiltonian(axis, pair, width, phi)
-            events.append(Drive(h, float(fields["tau"]), float(fields["amp"]),
-                                axis=axis, pair=pair, phi=phi))
-        elif token.startswith("SM("):
-            fields = dict(kv.split("=", 1) for kv in token[3:-1].split(";"))
-            events.append(SmPulse(SmGateSpec(
-                float(fields["theta"]),
-                tuple(float(x) for x in fields["phis"].split(",")),
-                tuple(int(x) for x in fields["ions"].split(",")))))
-        else:
-            ops = []
-            for factor in token.split("*"):
-                m = _PULSE_RE.match(factor.strip())
-                if not m:
-                    raise ValueError(f"cannot parse pulse token {factor!r}")
-                ops.append((m.group(1), (int(m.group(2)), int(m.group(3)))))
-            events.append(NamedPulse(tuple(ops)))
-    return PulseSequence(tuple(events))
+        try:
+            events.append(_event_from_text(token))
+        except KeyError as exc:
+            raise ValueError(f"{token!r} lacks the field {exc.args[0]!r}") from None
+    sites = [q for e in events for q in _sites(e)]
+    if width is None:
+        width = max([2] + [q + 1 for q in sites])
+    if any(q >= width for q in sites):
+        raise ValueError(f"ion {max(sites)} lies outside a {width}-qubit register")
+    return PulseSequence(tuple(
+        replace(e, h_sys=_drive_hamiltonian(e.axis, e.pair, width, e.phi))
+        if isinstance(e, Drive) else e for e in events))
+
+
+def _sites(event) -> tuple[int, ...]:
+    if isinstance(event, NamedPulse):
+        return tuple(q for _, pair in event.ops for q in pair)
+    if isinstance(event, SmPulse):
+        return event.spec.ions
+    if isinstance(event, Drive):
+        return event.pair
+    return ()
+
+
+def _event_from_text(token: str):
+    if token.startswith("tau="):
+        return Free(float(token[4:]))
+    if token.startswith("DRIVE("):
+        fields = dict(kv.split("=", 1) for kv in token[6:-1].split(";"))
+        pair = tuple(int(q) for q in fields["pair"].split(":"))
+        axis = fields["axis"]
+        if axis not in ("X", "Y") or len(pair) != 2 or min(pair) < 0 or pair[0] == pair[1]:
+            raise ValueError(f"cannot parse drive {token!r}")
+        # h_sys depends on the register width, set once every event is read
+        return Drive(None, float(fields["tau"]), float(fields["amp"]),
+                     axis=axis, pair=pair, phi=float(fields.get("phi", "0")))
+    if token.startswith("SM("):
+        fields = dict(kv.split("=", 1) for kv in token[3:-1].split(";"))
+        ions = tuple(int(x) for x in fields["ions"].split(","))
+        if min(ions) < 0 or len(set(ions)) != len(ions):
+            raise ValueError(f"ions of {token!r} must be distinct and nonnegative")
+        return SmPulse(SmGateSpec(
+            float(fields["theta"]),
+            tuple(float(x) for x in fields["phis"].split(",")), ions))
+    ops = []
+    for factor in token.split("*"):
+        m = _PULSE_RE.match(factor.strip())
+        if not m:
+            raise ValueError(f"cannot parse pulse token {factor!r}")
+        ops.append((m.group(1), (int(m.group(2)), int(m.group(3)))))
+    return NamedPulse(tuple(ops))
 
 
 def _split_top(body: str) -> list[str]:

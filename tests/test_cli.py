@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfspulse.cli import (
-    ConfigError, main, parse_config, report, run_scenario, serialize_config,
+    SCHEMAS, ConfigError, Scenario, main, parse_config, report, run_scenario,
+    serialize_config,
 )
 from dfspulse.verification import CheckResult
 
@@ -35,6 +37,95 @@ def test_parse_rejects_bad_values():
     with pytest.raises(ConfigError) as err:
         parse_config('[{"name": "f", "kind": "formulas", "extra": 1}]')
     assert any(k == "extra" for _, k, _ in err.value.errors)
+
+
+def _param_errors(kind, params_json):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f'[{{"name": "s", "kind": "{kind}", "parameters": {params_json}}}]')
+    return {k for _, k, _ in err.value.errors}
+
+
+@pytest.mark.parametrize("kind, params_json, key", [
+    ("formulas", '{"dt": Infinity}', "dt"),
+    ("formulas", '{"eta": NaN}', "eta"),
+    ("formulas", '{"eta": true}', "eta"),
+    ("formulas", '{"cutoff": ' + "9" * 400 + "}", "cutoff"),
+    ("block4-sim", '{"tau": Infinity}', "tau"),
+    ("dt-scan", '{"dt_grid": [8e-3, 4e-3, 2e-3, Infinity]}', "dt_grid"),
+    ("dt-scan", '{"dt_grid": ["a", 1, 2, 3]}', "dt_grid"),
+    ("dt-scan", '{"dt_grid": 0.5}', "dt_grid"),
+    ("dt-scan", '{"slope_window": ["x", "y"]}', "slope_window"),
+    ("dt-scan", '{"slope_window": [2.0, 1.0]}', "slope_window"),
+    ("gate-sim", '{"gamma_grid": [true]}', "gamma_grid"),
+    ("gate-sim", '{"gamma_grid": [0.01, -Infinity]}', "gamma_grid"),
+])
+def test_parse_rejects_non_finite_and_non_numeric(kind, params_json, key):
+    assert _param_errors(kind, params_json) == {key}
+
+
+@pytest.mark.parametrize("kind", ["storage-sim", "dt-scan"])
+def test_parse_rejects_inverted_noise_band(kind, tmp_path, capsys):
+    assert _param_errors(kind, '{"omega_min": 5.0, "omega_max": 1.0}') == {"omega_max"}
+    assert _param_errors(kind, '{"omega_min": 5.0, "omega_max": 5.0}') == {"omega_max"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"name": "n", "kind": kind, "parameters": {
+        "omega_min": 5.0, "omega_max": 1.0}}]))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "omega_max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", ["../../etc/x", "/tmp/x", "a/b", "..", "."])
+def test_output_path_stays_inside_out_dir(path, tmp_path, capsys):
+    cfg = [{"name": "f", "kind": "formulas", "output_path": path}]
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(cfg))
+    assert [k for _, k, _ in err.value.errors] == ["output_path"]
+    out = tmp_path / "deep" / "er" / "out"
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "cfg.json"), "--out-dir", str(out)]) == 2
+    assert "CONFIG ERROR" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+
+def test_parse_rejects_negative_seed():
+    with pytest.raises(ConfigError) as err:
+        parse_config('[{"name": "g", "kind": "gate-sim", "seed": -1}]')
+    assert [k for _, k, _ in err.value.errors] == ["seed"]
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10)
+
+
+@st.composite
+def _scenarios(draw):
+    """Scenario objects whose keys are mostly real and whose values are any JSON."""
+    kind = draw(st.sampled_from(sorted(SCHEMAS) + ["no-such-kind"]))
+    keys = sorted(SCHEMAS.get(kind, {})) + ["bogus"]
+    obj = {"name": draw(st.text(max_size=4) | _json), "kind": kind,
+           "parameters": draw(st.dictionaries(st.sampled_from(keys), _json, max_size=5)
+                              | _json)}
+    for key in ("seed", "output_path"):
+        if draw(st.booleans()):
+            obj[key] = draw(_json | st.sampled_from(["..", "/tmp/x", "a/b"]))
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.lists(_scenarios(), max_size=3) | _json)
+def test_parse_config_raises_only_config_error(data):
+    # json.dumps writes NaN and Infinity, which json.loads accepts
+    try:
+        scenarios = parse_config(json.dumps(data))
+    except ConfigError:
+        return
+    for sc in scenarios:
+        assert serialize_config([sc]) == serialize_config(
+            parse_config(serialize_config([sc])))
 
 
 def test_parse_rejects_duplicate_output_paths():
@@ -129,23 +220,28 @@ def test_artifacts_are_strict_json(tmp_path, monkeypatch):
     import dfspulse.cli as cli_mod
 
     # collective storage never decays (T2 and gain unbounded); gamma_damp 0
-    # gives t_dec = inf; dt = Infinity is echoed in the scenario block
-    text = json.dumps([
+    # gives t_dec = inf; dt = Infinity is echoed in the scenario block.
+    # parse_config rejects non-finite values, so the two scenarios that
+    # carry one are built directly.
+    st, scan = parse_config(json.dumps([
         {"name": "st", "kind": "storage-sim", "seed": 7, "parameters": {
             "mode": "collective", "n_traj": 10, "n_cycles": 50, "n_harmonics": 16}},
-        {"name": "hw", "kind": "formulas", "parameters": {
-            "gamma_damp": 0.0, "dt": float("inf")}},
         {"name": "scan", "kind": "dt-scan", "seed": 3, "parameters": {
             "mode": "collective", "n_traj": 8, "n_harmonics": 16, "t_max": 0.5,
             "expect_monotone": False}},
-        {"name": "boom", "kind": "block4-sim", "parameters": {"tau": float("inf")}},
-    ])
+    ]))
+    defaults = {kind: {k: d for k, (_, d, _) in cli_mod.SCHEMAS[kind].items()}
+                for kind in ("formulas", "block4-sim")}
+    hw = Scenario("hw", "formulas", 0, "hw", {
+        **defaults["formulas"], "gamma_damp": 0.0, "dt": float("inf")})
+    boom_sc = Scenario("boom", "block4-sim", 0, "boom", {
+        **defaults["block4-sim"], "tau": float("inf")})
 
     def boom(sc):
         raise RuntimeError("bath dimension blew up")
 
     monkeypatch.setitem(cli_mod._RUNNERS, "block4-sim", boom)
-    for sc in parse_config(text):
+    for sc in (st, hw, scan, boom_sc):
         try:
             run_scenario(sc, tmp_path)
         except RuntimeError:

@@ -4,9 +4,9 @@ import pytest
 from dfspulse.dfs import (
     ALL_LABELS, CODE_ONE_INDEX, CODE_ZERO_INDEX, DFS_LABELS, DfsRegister,
     LEAK_LABELS, LOGI_LABELS, SupportError, basis_operator,
-    block_collective_residual, bucket_norms, classify, code_isometry, encode,
-    leakage_probability, logical_error_norms, logical_operators,
-    tilde_operators,
+    block_collective_residual, bucket_norms, bucket_operators, classify,
+    code_isometry, encode, leakage_probability, logical_error_norms,
+    logical_operators, tilde_operators,
 )
 from dfspulse.pauli import OperatorSum, PauliTerm, SIGMA, to_dense
 
@@ -200,6 +200,36 @@ def test_bucket_norms_dense():
     norms = bucket_norms(h, bath_dim=2)
     assert norms["Zbar"] == pytest.approx(2.0, abs=1e-12)
     assert norms["Leak"] < 1e-14 and norms["Xbar"] < 1e-14
+
+
+def test_classify_matches_dense_buckets_oracle():
+    # the symbolic parts and the dense projections are both derived from
+    # BASIS_TEMPLATES; each checks the other, and together they recompose h
+    rng = np.random.default_rng(12)
+    labels = [a + b for a in "IXYZ" for b in "IXYZ"]
+    bath_dim = 3
+    for _ in range(200):
+        bindings = {}
+        for slot in ("b1", "b2"):
+            m = (rng.normal(size=(bath_dim, bath_dim))
+                 + 1j * rng.normal(size=(bath_dim, bath_dim)))
+            bindings[slot] = (m + m.conj().T) / 2
+        h = OperatorSum(2, [PauliTerm.from_label(rng.choice(labels),
+                                                 rng.normal() + 1j * rng.normal(),
+                                                 rng.choice([None, "b1", "b2"]))
+                            for _ in range(int(rng.integers(1, 12)))])
+        dense_h = to_dense(h, bath_dim, bindings)
+        dec = classify(h)
+        buckets = bucket_operators(dense_h, bath_dim)
+        logi = buckets["Xbar"] + buckets["Ybar"] + buckets["Zbar"]
+        for part, want in ((dec.dfs_part, buckets["DFS"]),
+                           (dec.leak_part, buckets["Leak"]), (dec.logi_part, logi)):
+            np.testing.assert_allclose(to_dense(part, bath_dim, bindings), want,
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sum(buckets.values()), dense_h, rtol=0, atol=1e-12)
+    for lab in ALL_LABELS:
+        want = "DFS" if lab in DFS_LABELS else "Logi" if lab in LOGI_LABELS else "Leak"
+        assert dec.bucket_of(lab) == want
 
 
 def test_block_collective_residual_flags_noncollective():

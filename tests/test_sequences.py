@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfspulse.baths import DephasingBath
 from dfspulse.dfs import (
@@ -11,7 +12,7 @@ from dfspulse.pauli import (
     OperatorSum, SIGMA, expm_i, generator_of, spectral_norm, to_dense,
 )
 from dfspulse.sequences import (
-    Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
+    PULSE_LABELS, Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
     SerializationError, SmPulse, combined_gate, euler_angles_xyx,
     euler_rotation, four_pulse_cycle, leak_elim_cycle, named_pulse,
     parity_kick, propagator, seq_from_text, seq_to_text, symmetrize_block4,
@@ -467,6 +468,66 @@ def test_text_roundtrip_sm_pulse():
     txt = seq_to_text(seq)
     back = seq_from_text(txt)
     assert seq_to_text(back) == txt
+
+
+@pytest.mark.parametrize("text, width", [
+    ("[DRIVE(axis=X)]", None),
+    ("[DRIVE(axis=Z;pair=0:1;tau=0.1;amp=1.0)]", None),
+    ("[DRIVE(axis=X;pair=0:2;tau=0.1;amp=1.0)]", 2),
+    ("[SM(theta=0.3;phis=0.1)]", None),
+    ("[SM(theta=0.3;phis=0.1,0.2;ions=1,1)]", None),
+    ("[tau=nan]", None),
+    ("[tau=inf]", None),
+    ("[tau=-1.0]", None),
+    ("[P@1:1]", None),
+    ("[P@0:7]", 2),
+    ("[PI@0:1*Q@2:3]", 3),
+    ("[X@0:1]", None),
+])
+def test_text_boundary_rejects_bad_input(text, width):
+    with pytest.raises(ValueError):
+        seq_from_text(text, width)
+
+
+def test_text_width_defaults_to_the_ions_named():
+    assert seq_from_text("[P@0:7]") == PulseSequence((NamedPulse((("P", (0, 7)),)),))
+    back = seq_from_text("[DRIVE(axis=X;pair=2:3;tau=0.1;amp=1.0;phi=0.0), P@0:1]")
+    assert back.events[0].h_sys.width == 4
+    assert seq_from_text("[P@0:1]", width=4).events == (NamedPulse((("P", (0, 1)),)),)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1e-9])
+def test_timed_events_need_finite_nonnegative_tau(tau):
+    with pytest.raises(ValueError):
+        Free(tau)
+    with pytest.raises(ValueError):
+        Drive(OperatorSum.from_label("XX"), tau, 1.0)
+
+
+def test_named_pulse_needs_distinct_ions():
+    with pytest.raises(ValueError):
+        NamedPulse((("P", (1, 1)),))
+
+
+_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1])
+_text_events = st.one_of(
+    st.floats(0.0, 1e6, allow_nan=False).map(Free),
+    st.lists(st.tuples(st.sampled_from(PULSE_LABELS), _pairs), min_size=1,
+             max_size=3).map(lambda ops: NamedPulse(tuple(ops))),
+)
+
+
+def _has_cycle_time(events):
+    taus = [e.tau for e in events if isinstance(e, Free)]
+    return not taus or sum(taus) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=st.lists(_text_events, max_size=8).filter(_has_cycle_time))
+def test_text_roundtrip_property(events):
+    seq = PulseSequence(tuple(events))
+    assert seq_from_text(seq_to_text(seq), width=6) == seq
+    assert seq_from_text(seq_to_text(seq)) == seq
 
 
 def test_raw_pulse_has_no_text_form():
