@@ -527,7 +527,17 @@ def main(argv=None) -> int:
                        help="accepted for compatibility; results do not depend on it")
     args = parser.parse_args(argv)
 
-    text = args.config.read_text() if args.command == "run" else VERIFY_CONFIG
+    if args.seed is not None and args.seed < 0:
+        print("CONFIG ERROR --seed: seed: must be a nonnegative integer",
+              file=sys.stderr)
+        return 2
+    text = VERIFY_CONFIG
+    if args.command == "run":
+        try:
+            text = args.config.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"CONFIG ERROR {args.config}: cannot read: {exc}", file=sys.stderr)
+            return 2
     try:
         scenarios = parse_config(text)
     except ConfigError as exc:

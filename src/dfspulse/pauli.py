@@ -5,6 +5,12 @@ with an optional abstract bath-operator slot per term (`PauliTerm`,
 `OperatorSum`); numerically, as plain complex numpy arrays over the joint
 system-bath space.
 
+The dense kernels (`expm_i`, `generator_of`, `spectral_norm`) split their
+input into the connected components of its exact nonzero pattern and work
+block by block.  A matrix that is block diagonal under a permutation is
+exactly the direct sum of its blocks, so the split needs no tolerance; a
+matrix with one component is handled as a single dense block.
+
 Conventions, fixed globally:
   * qubit 0 is the slowest-varying tensor factor,
   * bath factors are appended after all qubit factors,
@@ -305,7 +311,12 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m), 2))
+    """Largest singular value; a square input is split into its blocks."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return float(np.linalg.norm(m, 2))
+    return max((float(np.linalg.svd(m[_stacked(idx)], compute_uv=False).max())
+                for idx in _blocks(m)), default=0.0)
 
 
 def is_hermitian_matrix(m: np.ndarray, tol: float = 1e-10) -> bool:
@@ -331,13 +342,53 @@ def is_valid_state(state: np.ndarray, tol: float = 1e-10) -> bool:
     return False
 
 
+def _blocks(m: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the exact nonzero pattern of m | m.T.
+
+    One (count, size) index array per component size, sizes ascending; the
+    rows of an array are the components of that size, each in ascending
+    index order.  Components come from min-label propagation with pointer
+    jumping, O(n^2) per sweep.
+    """
+    n = m.shape[0]
+    if n == 0:
+        return []
+    link = m != 0
+    link |= link.T
+    if link.all():
+        return [np.arange(n)[None]]
+    lab = np.arange(n)
+    while True:
+        # a label only falls, and always names a node of its own component
+        # that is not above it; so a fixed point has equal labels on each edge
+        new = np.minimum(lab, np.where(link, lab, n).min(axis=1))
+        new = new[new]
+        if (new == lab).all():
+            break
+        lab = new
+    size = np.bincount(lab, minlength=n)[lab]
+    order = np.lexsort((lab, size))
+    size = size[order]
+    cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), n]
+    return [order[a:b].reshape(-1, size[a]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _stacked(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the (count, size, size) stack of blocks on the components `idx`."""
+    return idx[:, :, None], idx[:, None, :]
+
+
 def expm_i(h: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition (exact, unitary)."""
     h = np.asarray(h, dtype=complex)
     if not is_hermitian_matrix(h, tol):
         raise NonHermitianError("expm_i requires a Hermitian generator")
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * t)) @ dag(vecs)
+    out = np.zeros_like(h)
+    for idx in _blocks(h):
+        ix = _stacked(idx)
+        vals, vecs = np.linalg.eigh(h[ix])
+        out[ix] = (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    return out
 
 
 def generator_of(u: np.ndarray, total_time: float,
@@ -345,20 +396,31 @@ def generator_of(u: np.ndarray, total_time: float,
     """Effective Hermitian generator H with u = exp(-i H total_time).
 
     Uses the principal matrix logarithm; eigenphases must stay away from
-    the +-pi branch cut by `branch_tol`.
+    the +-pi branch cut by `branch_tol`.  Each block's Schur form T = Q^+ u Q
+    checks the result: u - exp(-i H total_time) = Q (T - diag e^{i phase}) Q^+.
     """
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, 1e-10):
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise NonUnitaryError("generator_of requires a unitary input")
+    groups = [(ix, u[ix]) for ix in map(_stacked, _blocks(u))]
+    # u u^+ - 1 is exactly zero between blocks, so this is the full check
+    if not all(max_abs(g @ g.conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= 1e-10
+               for _, g in groups):
         raise NonUnitaryError("generator_of requires a unitary input")
     if total_time == 0:
         raise ValueError("total_time must be nonzero")
-    tmat, q = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diag(tmat))
-    if np.any(np.pi - np.abs(phases) < branch_tol):
-        raise BranchCutError(
-            "eigenphase within branch_tol of +-pi; shorten total_time")
-    h = (q * (-phases / total_time)) @ dag(q)
-    h = 0.5 * (h + dag(h))
-    if max_abs(expm_i(h, total_time) - u) > 1e-8:
-        raise ArithmeticError("principal log failed to reproduce the unitary")
+    h = np.zeros_like(u)
+    for ix, g in groups:
+        hg = np.empty_like(g)
+        for k, ub in enumerate(g):
+            tmat, q = scipy.linalg.schur(ub, output="complex")
+            phases = np.angle(np.diag(tmat))
+            if np.any(np.pi - np.abs(phases) < branch_tol):
+                raise BranchCutError(
+                    "eigenphase within branch_tol of +-pi; shorten total_time")
+            if max_abs(tmat - np.diag(np.exp(1j * phases))) > 1e-8:
+                raise ArithmeticError("principal log failed to reproduce the unitary")
+            hb = (q * (-phases / total_time)) @ dag(q)
+            hg[k] = 0.5 * (hb + dag(hb))
+        h[ix] = hg
     return h

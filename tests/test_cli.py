@@ -301,6 +301,26 @@ def test_seed_override(tmp_path):
     assert rows.split(",")[-1] == "99"
 
 
+def test_main_rejects_negative_seed_override(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('[{"name": "g", "kind": "gate-sim"}]')
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out), "--seed", "-1"]) == 2
+    assert main(["verify", "--out-dir", str(out), "--seed", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("CONFIG ERROR --seed: seed:") == 2
+    assert not out.exists()
+
+
+def test_main_missing_config_is_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert main(["run", str(missing), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"CONFIG ERROR {missing}: cannot read:")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_partial_artifact_on_runtime_failure(tmp_path, capsys, monkeypatch):
     import dfspulse.cli as cli_mod
 

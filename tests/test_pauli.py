@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from dfspulse.pauli import (
-    BathSlotError, BranchCutError, NonHermitianError, OperatorSum, PauliTerm,
-    WidthMismatchError, commutator, commutes, embed_sites, expm_i,
-    generator_of, kron_all, pauli_mul, to_dense, SIGMA,
+    BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
+    OperatorSum, PauliTerm, WidthMismatchError, _blocks, commutator, commutes,
+    embed_sites, expm_i, generator_of, kron_all, pauli_mul, spectral_norm,
+    to_dense, SIGMA,
 )
 
 LABELS1 = ["I", "X", "Y", "Z"]
@@ -208,3 +212,142 @@ def test_is_valid_state():
     assert is_valid_state(rho)
     assert not is_valid_state(rho + 0.5j * np.eye(2))
     assert not is_valid_state(np.ones((2, 3)))
+
+
+# --- block-structured dense kernels against dense oracles
+
+BLOCK_SIZES = [(1,), (2, 1), (1, 1, 1, 1), (3, 1, 2, 3, 1, 5), (4, 4, 1, 6, 2),
+               (1, 7, 1, 1, 3, 3, 2)]
+
+
+def hidden_blocks(rng, sizes, hermitian=True):
+    """A random matrix that is block diagonal with the given block sizes
+    under a random symmetric permutation of its rows and columns."""
+    n = sum(sizes)
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for s in sizes:
+        b = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+        m[start:start + s, start:start + s] = (b + b.conj().T) / 2 if hermitian else b
+        start += s
+    p = rng.permutation(n)
+    return m[np.ix_(p, p)]
+
+
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
+def test_blocks_are_the_connected_components(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    m = hidden_blocks(rng, sizes, hermitian=False)
+    m[np.abs(m) < 0.3] = 0  # sparser blocks, possibly split further
+    groups = _blocks(m)
+    found = sorted(tuple(row) for idx in groups for row in idx.tolist())
+    n_comp, lab = connected_components(m != 0, directed=True, connection="weak")
+    want = sorted(tuple(np.flatnonzero(lab == k)) for k in range(n_comp))
+    assert found == want
+    assert [idx.shape[1] for idx in groups] == sorted({len(c) for c in want})
+
+
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
+def test_expm_i_on_hidden_blocks_matches_expm(sizes):
+    rng = np.random.default_rng(10 + sum(sizes))
+    h = hidden_blocks(rng, sizes)
+    for t in (0.0, 0.37, -2.1):
+        u = expm_i(h, t)
+        np.testing.assert_allclose(u, scipy.linalg.expm(-1j * t * h), atol=1e-12)
+        # the blocks are dense, so h == 0 exactly off the blocks, and so is u
+        assert np.all(u[h == 0] == 0)
+
+
+def test_dense_kernels_on_the_zero_matrix():
+    z = np.zeros((5, 5), dtype=complex)
+    np.testing.assert_array_equal(expm_i(z, 1.3), np.eye(5))
+    np.testing.assert_array_equal(generator_of(np.eye(5), 0.4), z)
+    assert spectral_norm(z) == 0.0
+    assert expm_i(np.zeros((0, 0)), 1.0).shape == (0, 0)
+
+
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
+def test_generator_roundtrip_on_hidden_blocks(sizes):
+    rng = np.random.default_rng(20 + sum(sizes))
+    h = hidden_blocks(rng, sizes)
+    for _ in range(5):
+        t = rng.uniform(0.05, 2.8) / np.linalg.norm(h, 2)
+        np.testing.assert_allclose(generator_of(expm_i(h, t), t), h, atol=1e-8)
+
+
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
+def test_spectral_norm_matches_dense_norm(sizes):
+    rng = np.random.default_rng(30 + sum(sizes))
+    for hermitian in (True, False):
+        m = hidden_blocks(rng, sizes, hermitian)
+        assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+    n = sum(sizes)
+    wide = rng.normal(size=(n, n + 2)) * (rng.random((n, n + 2)) < 0.3)
+    assert spectral_norm(wide) == pytest.approx(np.linalg.norm(wide, 2), rel=1e-12)
+    assert spectral_norm(wide.T) == pytest.approx(np.linalg.norm(wide, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_spectral_norm_of_empty_input(shape):
+    assert spectral_norm(np.zeros(shape)) == np.linalg.norm(np.zeros(shape), 2) == 0.0
+
+
+def test_branch_cut_found_in_one_small_block():
+    rng = np.random.default_rng(40)
+    h = hidden_blocks(rng, (6, 1, 4, 2, 5))
+    t = 0.5 / np.linalg.norm(h, 2)
+    u = expm_i(h, t)
+    generator_of(u, t)  # far from the cut
+    lone = int(np.flatnonzero(np.count_nonzero(h, axis=1) == 1)[0])
+    u[lone, lone] = -1.0  # eigenphase pi on the 1x1 block only
+    with pytest.raises(BranchCutError):
+        generator_of(u, t)
+    pair = next(idx for idx in _blocks(h) if idx.shape[1] == 2)[0]
+    u[np.ix_(pair, pair)] = np.diag([1.0, -1.0])  # and on the 2x2 block
+    u[lone, lone] = 1.0
+    with pytest.raises(BranchCutError):
+        generator_of(u, t)
+
+
+def test_generator_rejects_non_unitary_block():
+    rng = np.random.default_rng(41)
+    h = hidden_blocks(rng, (3, 1, 4))
+    u = expm_i(h, 0.2)
+    lone = int(np.flatnonzero(np.count_nonzero(h, axis=1) == 1)[0])
+    for bad in (1.001 * u[lone, lone], np.nan):
+        v = u.copy()
+        v[lone, lone] = bad
+        with pytest.raises(NonUnitaryError):
+            generator_of(v, 0.2)
+    with pytest.raises(NonUnitaryError):
+        generator_of(u[:, :-1], 0.2)
+    with pytest.raises(ValueError):
+        generator_of(u, 0.0)
+
+
+# --- OperatorSum algebra against the dense matrices
+
+_coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                  allow_infinity=False)
+
+
+@st.composite
+def _operator_sums(draw):
+    width = draw(st.integers(1, 3))
+    labels = st.text(alphabet="IXYZ", min_size=width, max_size=width)
+    a, b = (OperatorSum(width, [
+        PauliTerm.from_label(label, c)
+        for label, c in draw(st.lists(st.tuples(labels, _coefficient), max_size=5))])
+        for _ in range(2))
+    return a, b, draw(_coefficient)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operator_sums())
+def test_operator_sum_algebra_matches_dense(ops):
+    a, b, c = ops
+    da, db = to_dense(a), to_dense(b)
+    for got, want in ((a + b, da + db), (a - b, da - db), (c * a, c * da),
+                      (a @ b, da @ db), (a.dagger(), da.conj().T),
+                      (commutator(a, b), da @ db - db @ da)):
+        np.testing.assert_allclose(to_dense(got), want, rtol=0, atol=1e-12)

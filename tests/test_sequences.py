@@ -13,10 +13,10 @@ from dfspulse.pauli import (
 )
 from dfspulse.sequences import (
     PULSE_LABELS, Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
-    SerializationError, SmPulse, combined_gate, euler_angles_xyx,
-    euler_rotation, four_pulse_cycle, leak_elim_cycle, named_pulse,
-    parity_kick, propagator, seq_from_text, seq_to_text, symmetrize_block4,
-    symmetrize_pair, ten_pulse_cycle,
+    RawPulse, SerializationError, SmPulse, combined_gate, euler_angles_xyx,
+    euler_rotation, event_unitary, four_pulse_cycle, leak_elim_cycle,
+    named_pulse, parity_kick, propagator, seq_from_text, seq_to_text,
+    symmetrize_block4, symmetrize_pair, ten_pulse_cycle,
 )
 
 
@@ -504,6 +504,12 @@ def test_timed_events_need_finite_nonnegative_tau(tau):
         Drive(OperatorSum.from_label("XX"), tau, 1.0)
 
 
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
+def test_drive_needs_finite_amplitude(amplitude):
+    with pytest.raises(ValueError, match="amplitude"):
+        Drive(OperatorSum.from_label("XX"), 0.1, amplitude)
+
+
 def test_named_pulse_needs_distinct_ions():
     with pytest.raises(ValueError):
         NamedPulse((("P", (1, 1)),))
@@ -549,3 +555,42 @@ def test_cycle_time_validation():
         PulseSequence((Free(0.0),))
     with pytest.raises(ValueError):
         Free(-1.0)
+
+
+def _mixed_events(rng, width):
+    """Free, Drive, NamedPulse, SmPulse and RawPulse events on `width` qubits;
+    the SM and raw pulses are not symmetric matrices."""
+    q, _ = np.linalg.qr(rng.normal(size=(2 ** width,) * 2)
+                        + 1j * rng.normal(size=(2 ** width,) * 2))
+    ions = (0, 1) if width == 2 else (3, 0, 2, 1)
+    pair = (0, 1) if width == 2 else (1, 3)
+    return [
+        Free(0.31),
+        Drive(OperatorSum.from_label("XX" + "I" * (width - 2))
+              + OperatorSum.from_label("Y" * width, 0.4), 0.2, 1.7),
+        NamedPulse((("P", pair),) if width == 2 else (("PDAG", (0, 1)), ("Q", (2, 3)))),
+        SmPulse(SmGateSpec(0.7, tuple(rng.uniform(0, 2 * np.pi, len(ions))), ions)),
+        RawPulse(q),
+        NamedPulse((("PI", pair),)),
+    ]
+
+
+@pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.parametrize("h_kind", ["dense", "collective"])
+def test_propagator_is_the_ordered_product_of_event_unitaries(width, h_kind):
+    rng = np.random.default_rng(width)
+    bath_dim = 3
+    if h_kind == "dense":
+        model = EvolutionModel(width, bath_dim, rand_herm(rng, 2 ** width * bath_dim))
+    else:  # block diagonal: each system basis state its own bath block
+        zsum = sum(to_dense(OperatorSum.single(width, q, "Z")) for q in range(width))
+        model = EvolutionModel(width, bath_dim, np.kron(zsum, rand_herm(rng, bath_dim)))
+    events = _mixed_events(rng, width)
+    orders = [events, events[2:] + events[:2], events[::-1],
+              [events[4], events[4], events[0]], [events[3]], []]
+    for order in orders:
+        want = np.eye(model.dim, dtype=complex)
+        for e in order:
+            want = want @ event_unitary(e, model)
+        got = propagator(PulseSequence(tuple(order)), model)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
