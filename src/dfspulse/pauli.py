@@ -3,7 +3,8 @@
 Operators live in two registers: symbolically, as weighted Pauli strings
 with an optional abstract bath-operator slot per term (`PauliTerm`,
 `OperatorSum`); numerically, as plain complex numpy arrays over the joint
-system-bath space.
+system-bath space.  `to_dense` writes each Pauli string straight into its
+matrix as the exact monomial i^{#Y} X^x Z^z, with no Kronecker chain.
 
 The dense kernels (`expm_i`, `generator_of`, `spectral_norm`) split their
 input into the connected components of its exact nonzero pattern and work
@@ -31,6 +32,9 @@ SIGMA = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+# i^k, exactly
+_I_POW = (1, 1j, -1, -1j)
 
 # single-site products (left, right) -> (phase, label)
 _PRODUCT = {
@@ -260,14 +264,18 @@ def to_dense(op: OperatorSum, bath_dim: int = 1,
     """Dense matrix of `op` on the (2^width * bath_dim)-dimensional space.
 
     Every bath slot referenced by a term must have a Hermitian binding of
-    dimension `bath_dim`; slot-free terms get the bath identity.
+    dimension `bath_dim`; slot-free terms get the bath identity.  A string
+    is the monomial i^{#Y} X^x Z^z: column c holds its one entry in row
+    c ^ x, with sign (-1)^{popcount(c & z)}.
     """
     bindings = bindings or {}
-    dim = (2 ** op.width) * bath_dim
-    out = np.zeros((dim, dim), dtype=complex)
+    n = 2 ** op.width
+    out = np.zeros((n, bath_dim, n, bath_dim), dtype=complex)
     eye_b = np.eye(bath_dim, dtype=complex)
+    cols = np.arange(n)
+    # bits[:, k] is the bit of qubit k in each basis index (qubit 0 slowest)
+    bits = (cols[:, None] >> np.arange(op.width - 1, -1, -1)) & 1
     for t in op.terms:
-        sys = kron_all(*(SIGMA[f] for f in t.factors)) if op.width else np.array([[1]], dtype=complex)
         if t.bath_slot is None:
             bath = eye_b
         else:
@@ -278,8 +286,12 @@ def to_dense(op: OperatorSum, bath_dim: int = 1,
                 raise BathSlotError(
                     f"binding for {t.bath_slot!r} has shape {bath.shape}, "
                     f"expected {(bath_dim, bath_dim)}")
-        out += t.coefficient * np.kron(sys, bath)
-    return out
+        x = sum(1 << (op.width - 1 - k) for k, f in enumerate(t.factors) if f in "XY")
+        parity = bits[:, [k for k, f in enumerate(t.factors) if f in "ZY"]].sum(axis=1) & 1
+        sys = _I_POW[t.factors.count("Y") % 4] * (1 - 2 * parity)
+        # rounds exactly as coefficient * kron(sys, bath) does
+        out[cols ^ x, :, cols, :] += t.coefficient * (sys[:, None, None] * bath)
+    return out.reshape(n * bath_dim, n * bath_dim)
 
 
 def embed_sites(mat: np.ndarray, sites: tuple[int, ...], width: int) -> np.ndarray:
@@ -327,7 +339,8 @@ def is_hermitian_matrix(m: np.ndarray, tol: float = 1e-10) -> bool:
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     m = np.asarray(m)
-    return max_abs(m @ dag(m) - np.eye(m.shape[0])) <= tol
+    return (m.ndim == 2 and m.shape[0] == m.shape[1]
+            and max_abs(m @ dag(m) - np.eye(m.shape[0])) <= tol)
 
 
 def is_valid_state(state: np.ndarray, tol: float = 1e-10) -> bool:

@@ -10,6 +10,10 @@ Instantaneous pulses are the idealized encoded exponentials
     PI  = exp(+-i pi Xbar) = Z1 Z2
     Q   = exp(-i pi/2 Ybar)      QDAG = exp(+i pi/2 Ybar)
     LAM = exp(+-i pi Ybar) = Z1 Z2
+Each is built in closed form as an exact monomial matrix (entries 0, +-1,
++-i), so a pulse permutes the exact block structure of a propagator
+instead of filling it in with rounding-level entries.
+
 Drives model weak continuous gate Hamiltonians that act together with the
 system-bath coupling.
 """
@@ -24,19 +28,21 @@ import numpy as np
 from .dfs import logical_operators
 from .gates import SmGateSpec, sm_gate_dense, x_phi
 from .pauli import (
-    OperatorSum, PauliTerm, NonUnitaryError, expm_i, is_unitary, to_dense,
+    OperatorSum, PauliTerm, NonUnitaryError, _blocks, _stacked, expm_i,
+    is_unitary, to_dense,
 )
 
 PULSE_LABELS = ("P", "PDAG", "PI", "Q", "QDAG", "LAM")
 
 _LABEL_GENERATOR = {
-    # label -> (generator picker, time argument of expm_i)
-    "P": ("Xbar", np.pi / 2),
-    "PDAG": ("Xbar", -np.pi / 2),
-    "PI": ("Xbar", np.pi),
-    "Q": ("Ybar", np.pi / 2),
-    "QDAG": ("Ybar", -np.pi / 2),
-    "LAM": ("Ybar", np.pi),
+    # label -> (generator picker, cos t, sin t) of exp(-i t G); t is a
+    # multiple of pi/2, so the exact values keep every pulse a monomial
+    "P": ("Xbar", 0, 1),        # t = pi/2
+    "PDAG": ("Xbar", 0, -1),    # t = -pi/2
+    "PI": ("Xbar", -1, 0),      # t = pi
+    "Q": ("Ybar", 0, 1),
+    "QDAG": ("Ybar", 0, -1),
+    "LAM": ("Ybar", -1, 0),
 }
 
 
@@ -69,8 +75,8 @@ class NamedPulse:
         for label, pair in self.ops:
             if label not in PULSE_LABELS:
                 raise ValueError(f"unknown pulse label {label!r}")
-            if len(pair) != 2 or pair[0] == pair[1]:
-                raise ValueError("pulse pair must have two distinct ions")
+            if len(pair) != 2 or pair[0] == pair[1] or min(pair) < 0:
+                raise ValueError("pulse pair must have two distinct nonnegative ions")
 
 
 @dataclass(frozen=True)
@@ -136,13 +142,22 @@ class PulseSequence:
 
 def named_pulse(label: str, pair: tuple[int, int] = (0, 1),
                 width: int = 2) -> np.ndarray:
-    """Dense system unitary of a named encoded pulse."""
+    """Dense system unitary of a named encoded pulse, an exact monomial.
+
+    G = Xbar or Ybar has eigenvalues 0 and +-1, so G^3 = G and
+    exp(-i t G) = 1 + (cos t - 1) G^2 - i sin t G; with the exact cos t and
+    sin t of `_LABEL_GENERATOR` every entry is 0, +-1 or +-i.
+    """
     if label not in _LABEL_GENERATOR:
         raise KeyError(f"unknown pulse label {label!r}")
-    which, t = _LABEL_GENERATOR[label]
+    if len(set(pair)) != 2 or not all(0 <= q < width for q in pair):
+        raise ValueError(f"pulse pair {pair} is not two distinct ions of a "
+                         f"{width}-qubit register")
+    which, cos_t, sin_t = _LABEL_GENERATOR[label]
     xb, yb, _ = logical_operators(pair, width)
-    gen = xb if which == "Xbar" else yb
-    return expm_i(to_dense(gen), t)
+    g = xb if which == "Xbar" else yb
+    return (np.eye(2 ** width, dtype=complex) + (cos_t - 1) * to_dense(g @ g)
+            - 1j * sin_t * to_dense(g))
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +358,14 @@ class EvolutionModel:
                        np.eye(self.bath_dim, dtype=complex))
 
 
-def event_unitary(event, model: EvolutionModel, cache: dict | None = None) -> np.ndarray:
+def event_unitary(event, model: EvolutionModel) -> np.ndarray:
     """Dense propagator of a single event under the model."""
-    key = None
-    if cache is not None:
-        key = _cache_key(event)
-        if key in cache:
-            return cache[key]
     if isinstance(event, Free):
-        u = expm_i(model.h_static, event.tau)
-    elif isinstance(event, Drive):
+        return expm_i(model.h_static, event.tau)
+    if isinstance(event, Drive):
         h = model.h_static + event.amplitude * model.lift(to_dense(event.h_sys))
-        u = expm_i(h, event.tau)
-    else:
-        u = model.lift(_pulse_unitary(event, model.width))
-    if cache is not None and key is not None:
-        cache[key] = u
-    return u
+        return expm_i(h, event.tau)
+    return model.lift(_pulse_unitary(event, model.width))
 
 
 def _pulse_unitary(event, width: int) -> np.ndarray:
@@ -368,12 +374,16 @@ def _pulse_unitary(event, width: int) -> np.ndarray:
         sys = np.eye(2 ** width, dtype=complex)
         for label, pair in event.ops:
             sys = sys @ named_pulse(label, pair, width)
-        return sys
-    if isinstance(event, SmPulse):
-        return sm_gate_dense(event.spec, width)
-    if isinstance(event, RawPulse):
-        return np.array(event.matrix, dtype=complex)
-    raise TypeError(f"unknown event {event!r}")
+    elif isinstance(event, SmPulse):
+        sys = sm_gate_dense(event.spec, width)
+    elif isinstance(event, RawPulse):
+        sys = np.array(event.matrix, dtype=complex)
+    else:
+        raise TypeError(f"unknown event {event!r}")
+    if sys.shape != (2 ** width, 2 ** width):
+        raise ValueError(f"pulse matrix of shape {sys.shape} does not act on "
+                         f"a {width}-qubit register")
+    return sys
 
 
 def _cache_key(event):
@@ -389,29 +399,49 @@ def _cache_key(event):
     return ("raw", id(event))
 
 
+def _row_action(u: np.ndarray):
+    """out -> u @ out as one stacked matmul per block size of u's components."""
+    blocks = _blocks(u)
+    if len(blocks) == 1 and len(blocks[0]) == 1:
+        return u.__matmul__
+    groups = [(idx, u[_stacked(idx)]) for idx in blocks]
+
+    def act(out: np.ndarray) -> np.ndarray:
+        new = np.empty_like(out)
+        for idx, ub in groups:
+            new[idx] = ub @ out[idx]
+        return new
+    return act
+
+
+def _system_action(s: np.ndarray):
+    """out -> (S (x) I_B) @ out, contracting the system factor of the rows."""
+    return lambda out: (s @ out.reshape(len(s), -1)).reshape(out.shape)
+
+
 def propagator(seq: PulseSequence, model: EvolutionModel) -> np.ndarray:
     """Ordered product of event propagators (first event leftmost).
 
-    A pulse S (x) I_B multiplies the running product by contracting its
-    system factor, O(dim^2 2^width) instead of a dense O(dim^3) matmul.
+    The product is accumulated from the right, so every event acts on the
+    rows of the running product: a pulse S (x) I_B through its system
+    factor, O(dim^2 2^width), and a free or driven segment block by block
+    over the components of its exact nonzero pattern, O(dim b^2) for blocks
+    of size b, instead of a dense O(dim^3) matmul.
     """
-    timed: dict = {}
-    pulses: dict = {}
+    acts: dict = {}
     out = None
-    for event in seq.events:
-        if isinstance(event, (Free, Drive)):
-            u = event_unitary(event, model, timed)
-            out = u if out is None else out @ u
-            continue
+    for event in reversed(seq.events):
         key = _cache_key(event)
-        if key not in pulses:
-            pulses[key] = _pulse_unitary(event, model.width)
-        s = pulses[key]
-        if out is None:
-            out = model.lift(s)
+        if key in acts:
+            out = acts[key](out)
+        elif isinstance(event, (Free, Drive)):
+            u = event_unitary(event, model)
+            acts[key] = _row_action(u)
+            out = u if out is None else acts[key](out)
         else:
-            out = np.matmul(s.T, out.reshape(model.dim, len(s), model.bath_dim)
-                            ).reshape(model.dim, model.dim)
+            s = _pulse_unitary(event, model.width)
+            acts[key] = _system_action(s)
+            out = model.lift(s) if out is None else acts[key](out)
     return np.eye(model.dim, dtype=complex) if out is None else out
 
 

@@ -7,8 +7,8 @@ from scipy.sparse.csgraph import connected_components
 from dfspulse.pauli import (
     BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
     OperatorSum, PauliTerm, WidthMismatchError, _blocks, commutator, commutes,
-    embed_sites, expm_i, generator_of, kron_all, pauli_mul, spectral_norm,
-    to_dense, SIGMA,
+    embed_sites, expm_i, generator_of, is_unitary, kron_all, pauli_mul,
+    spectral_norm, to_dense, SIGMA,
 )
 
 LABELS1 = ["I", "X", "Y", "Z"]
@@ -351,3 +351,44 @@ def test_operator_sum_algebra_matches_dense(ops):
                       (a @ b, da @ db), (a.dagger(), da.conj().T),
                       (commutator(a, b), da @ db - db @ da)):
         np.testing.assert_allclose(to_dense(got), want, rtol=0, atol=1e-12)
+
+
+# --- to_dense against a Kronecker-chain oracle
+
+
+def _kron_chain(op, bath_dim=1, bindings=None):
+    """Each term as coefficient * kron(sigma_1, ..., sigma_w, bath)."""
+    out = np.zeros(((2 ** op.width) * bath_dim,) * 2, dtype=complex)
+    for t in op.terms:
+        bath = (np.eye(bath_dim, dtype=complex) if t.bath_slot is None
+                else np.asarray(bindings[t.bath_slot], dtype=complex))
+        out += t.coefficient * np.kron(kron_all(*(SIGMA[f] for f in t.factors)), bath)
+    return out
+
+
+@st.composite
+def _slotted_sums(draw):
+    width = draw(st.integers(0, 5))
+    bath_dim = draw(st.integers(1, 3))
+    slots = st.sampled_from([None, "b1", "b2"]) if draw(st.booleans()) else st.none()
+    labels = st.text(alphabet="IXYZ", min_size=width, max_size=width)
+    op = OperatorSum(width, [
+        PauliTerm.from_label(label, c, slot) for label, c, slot in
+        draw(st.lists(st.tuples(labels, _coefficient, slots), max_size=6))])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bindings = {slot: hidden_blocks(rng, (bath_dim,)) for slot in ("b1", "b2")}
+    return op, bath_dim, bindings
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slotted_sums())
+def test_to_dense_equals_the_kron_chain(case):
+    op, bath_dim, bindings = case
+    assert np.array_equal(to_dense(op, bath_dim, bindings),
+                          _kron_chain(op, bath_dim, bindings))
+
+
+def test_is_unitary_requires_a_square_matrix():
+    assert not is_unitary(np.array([[1, 0, 0], [0, 1, 0]]))
+    assert not is_unitary(np.ones(3))
+    assert is_unitary(np.eye(3)[::-1])

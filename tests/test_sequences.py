@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,8 @@ from dfspulse.dfs import (
 )
 from dfspulse.gates import SmGateSpec, dfs_restrict
 from dfspulse.pauli import (
-    OperatorSum, SIGMA, expm_i, generator_of, spectral_norm, to_dense,
+    NonUnitaryError, OperatorSum, SIGMA, _blocks, expm_i, generator_of,
+    kron_all, spectral_norm, to_dense,
 )
 from dfspulse.sequences import (
     PULSE_LABELS, Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
@@ -43,6 +46,40 @@ def test_named_pulse_identities():
     np.testing.assert_allclose(q @ q, lam, atol=1e-12)
     np.testing.assert_allclose(np.linalg.matrix_power(p, 4), np.eye(4), atol=1e-12)
     np.testing.assert_allclose(named_pulse("PDAG"), p.conj().T, atol=1e-14)
+
+
+# label -> (generator, t) with named_pulse(label) = exp(-i t G)
+_EXPONENTS = {"P": ("Xbar", np.pi / 2), "PDAG": ("Xbar", -np.pi / 2),
+              "PI": ("Xbar", np.pi), "Q": ("Ybar", np.pi / 2),
+              "QDAG": ("Ybar", -np.pi / 2), "LAM": ("Ybar", np.pi)}
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_named_pulses_are_exact_monomials(width):
+    assert set(_EXPONENTS) == set(PULSE_LABELS)
+    for label, (which, t) in _EXPONENTS.items():
+        for pair in itertools.permutations(range(width), 2):
+            m = named_pulse(label, pair, width)
+            assert (np.count_nonzero(m, axis=0) == 1).all()
+            assert (np.count_nonzero(m, axis=1) == 1).all()
+            assert (np.abs(m[m != 0]) == 1).all()
+            xb, yb, _ = logical_operators(pair, width)
+            g = to_dense(xb if which == "Xbar" else yb)
+            np.testing.assert_allclose(m, expm_i(g, t), rtol=0, atol=1e-15)
+
+
+def test_block4_cycle_propagator_is_sixteen_blocks():
+    # the block4-sim Hamiltonian at bath_factor_dim=2: sum_q Z_q (x) B_q is
+    # 16 bath blocks of 16, and exact monomial pulses only permute them
+    rng = np.random.default_rng(5)
+    d = 2
+    h = sum(np.kron(to_dense(OperatorSum.single(4, q, "Z")),
+                    kron_all(*(rand_herm(rng, d) if k == q else np.eye(d)
+                               for k in range(4))))
+            for q in range(4))
+    model = EvolutionModel(4, d ** 4, h)
+    u = propagator(symmetrize_block4(0.3, 4), model)
+    assert [idx.shape for idx in _blocks(u)] == [(16, 16)]
 
 
 def test_pdag_q_is_encoded_z_but_not_an_sm_gate():
@@ -513,6 +550,39 @@ def test_drive_needs_finite_amplitude(amplitude):
 def test_named_pulse_needs_distinct_ions():
     with pytest.raises(ValueError):
         NamedPulse((("P", (1, 1)),))
+
+
+def test_named_pulse_rejects_negative_ions():
+    for pair in ((0, -1), (-2, 1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            NamedPulse((("P", pair),))
+
+
+def test_named_pulse_pair_must_fit_the_register():
+    with pytest.raises(ValueError, match="2-qubit"):
+        named_pulse("P", (0, 3), 2)
+    with pytest.raises(ValueError, match="4-qubit"):
+        named_pulse("LAM", (4, 1), 4)
+    with pytest.raises(ValueError, match="distinct"):
+        named_pulse("P", (1, 1), 2)
+    seq = PulseSequence((Free(0.1), NamedPulse((("P", (0, 3)),))))
+    with pytest.raises(ValueError, match="2-qubit"):
+        propagator(seq, EvolutionModel(2, 2))
+
+
+def test_pulse_must_act_on_the_whole_register():
+    model = EvolutionModel(2, 2)
+    small = RawPulse(np.eye(2))
+    for events in ((small,), (Free(0.1), small, Free(0.2)), (small, Free(0.1))):
+        with pytest.raises(ValueError, match="2-qubit register"):
+            propagator(PulseSequence(events), model)
+    with pytest.raises(ValueError, match="2-qubit register"):
+        event_unitary(small, model)
+
+
+def test_raw_pulse_must_be_square():
+    with pytest.raises(NonUnitaryError):
+        RawPulse(np.array([[1, 0, 0], [0, 1, 0]]))
 
 
 _pairs = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1])
