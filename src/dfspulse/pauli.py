@@ -6,11 +6,14 @@ with an optional abstract bath-operator slot per term (`PauliTerm`,
 system-bath space.  `to_dense` writes each Pauli string straight into its
 matrix as the exact monomial i^{#Y} X^x Z^z, with no Kronecker chain.
 
-The dense kernels (`expm_i`, `generator_of`, `spectral_norm`) split their
-input into the connected components of its exact nonzero pattern and work
-block by block.  A matrix that is block diagonal under a permutation is
-exactly the direct sum of its blocks, so the split needs no tolerance; a
-matrix with one component is handled as a single dense block.
+The dense kernels (`expm_i`, `generator_of`, `spectral_norm`) use numpy
+alone.  They split their input into the connected components of its exact
+nonzero pattern and work on one stack of blocks per block size.  A matrix
+that is block diagonal under a permutation is exactly the direct sum of its
+blocks, so the split needs no tolerance; a matrix with one component is
+handled as a single dense block.  `generator_of` diagonalizes a unitary
+through its Cayley transform, a Hermitian matrix with the same
+eigenvectors, so `eigh` serves for both exponential and logarithm.
 
 Conventions, fixed globally:
   * qubit 0 is the slowest-varying tensor factor,
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -396,6 +398,8 @@ def expm_i(h: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if not is_hermitian_matrix(h, tol):
         raise NonHermitianError("expm_i requires a Hermitian generator")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     out = np.zeros_like(h)
     for idx in _blocks(h):
         ix = _stacked(idx)
@@ -409,8 +413,16 @@ def generator_of(u: np.ndarray, total_time: float,
     """Effective Hermitian generator H with u = exp(-i H total_time).
 
     Uses the principal matrix logarithm; eigenphases must stay away from
-    the +-pi branch cut by `branch_tol`.  Each block's Schur form T = Q^+ u Q
-    checks the result: u - exp(-i H total_time) = Q (T - diag e^{i phase}) Q^+.
+    the +-pi branch cut by `branch_tol`.  Each block g of u is diagonalized
+    through its Cayley transform A = i (1 + g)^-1 (1 - g), which is
+    Hermitian with eigenvalue tan(phase/2) for each eigenphase of g, one to
+    one on (-pi, pi): so `eigh` of A gives an orthonormal eigenbasis Q of g,
+    for all blocks of one size in one stacked call.  A singular 1 + g is an
+    eigenphase exactly at pi.  T = Q^+ g Q checks the result:
+    g - exp(-i H total_time) = Q (T - diag e^{i phase}) Q^+.  The basis
+    loses accuracy as 1/(pi - |phase|), to about 1e-9 in H at the default
+    `branch_tol`; a `branch_tol` below about 1e-7 can make that check fail
+    with ArithmeticError.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -420,20 +432,25 @@ def generator_of(u: np.ndarray, total_time: float,
     if not all(max_abs(g @ g.conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= 1e-10
                for _, g in groups):
         raise NonUnitaryError("generator_of requires a unitary input")
-    if total_time == 0:
-        raise ValueError("total_time must be nonzero")
+    if total_time == 0 or not np.isfinite(total_time):
+        raise ValueError(f"total_time must be finite and nonzero, got {total_time}")
     h = np.zeros_like(u)
     for ix, g in groups:
-        hg = np.empty_like(g)
-        for k, ub in enumerate(g):
-            tmat, q = scipy.linalg.schur(ub, output="complex")
-            phases = np.angle(np.diag(tmat))
-            if np.any(np.pi - np.abs(phases) < branch_tol):
-                raise BranchCutError(
-                    "eigenphase within branch_tol of +-pi; shorten total_time")
-            if max_abs(tmat - np.diag(np.exp(1j * phases))) > 1e-8:
-                raise ArithmeticError("principal log failed to reproduce the unitary")
-            hb = (q * (-phases / total_time)) @ dag(q)
-            hg[k] = 0.5 * (hb + dag(hb))
-        h[ix] = hg
+        one = np.eye(g.shape[1])
+        try:
+            a = 1j * np.linalg.solve(one + g, one - g)
+        except np.linalg.LinAlgError:
+            raise BranchCutError(
+                "eigenphase at +-pi; shorten total_time") from None
+        q = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(1, 2)))[1]
+        qh = q.conj().swapaxes(1, 2)
+        tmat = qh @ g @ q
+        phases = np.angle(np.diagonal(tmat, axis1=1, axis2=2))
+        if np.any(np.pi - np.abs(phases) < branch_tol):
+            raise BranchCutError(
+                "eigenphase within branch_tol of +-pi; shorten total_time")
+        if max_abs(tmat - np.exp(1j * phases)[:, :, None] * one) > 1e-8:
+            raise ArithmeticError("principal log failed to reproduce the unitary")
+        hg = (q * (-phases / total_time)[:, None, :]) @ qh
+        h[ix] = 0.5 * (hg + hg.conj().swapaxes(1, 2))
     return h

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +12,7 @@ from dfspulse.cli import (
     SCHEMAS, ConfigError, Scenario, main, parse_config, report, run_scenario,
     serialize_config,
 )
+import dfspulse
 from dfspulse.verification import CheckResult
 
 
@@ -188,6 +194,30 @@ def test_block4_scenario(tmp_path):
     sc = parse_config('[{"name": "b4", "kind": "block4-sim", "seed": 5}]')[0]
     checks = run_scenario(sc, tmp_path)
     assert all(c.passed for c in checks)
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # a fresh interpreter in which every import of scipy raises ImportError
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        from pathlib import Path
+        from dfspulse.cli import parse_config, run_scenario
+        config = ('[{"name": "b4", "kind": "block4-sim", "seed": 5,'
+                  ' "parameters": {"bath_factor_dim": 2}},'
+                  ' {"name": "algebra", "kind": "verify-algebra"}]')
+        for sc in parse_config(config):
+            checks = run_scenario(sc, Path(sys.argv[1]))
+            assert checks and all(c.passed for c in checks), sc.name
+    """)
+    src = str(Path(dfspulse.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    for name in ("b4", "algebra"):
+        assert json.loads((tmp_path / f"{name}.json").read_text())["passed"] is True
 
 
 def test_gate_scenario(tmp_path):

@@ -325,6 +325,100 @@ def test_generator_rejects_non_unitary_block():
         generator_of(u, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_dense_kernels_reject_non_finite_times(bad):
+    h = hidden_blocks(np.random.default_rng(42), (3, 1, 4))
+    with pytest.raises(ValueError, match="finite"):
+        generator_of(expm_i(h, 0.2), bad)
+    with pytest.raises(ValueError, match="finite"):
+        expm_i(h, bad)
+
+
+# --- generator_of against a Schur-form oracle
+
+
+def schur_generator(u, total_time):
+    """The principal-log generator of u from its complex Schur form."""
+    tmat, q = scipy.linalg.schur(u, output="complex")
+    h = (q * (-np.angle(np.diag(tmat)) / total_time)) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def hidden_unitary(rng, blocks):
+    """A unitary with hidden blocks of the given eigenphases, and its
+    generator at total_time 1; the rows and columns are permuted as in
+    `hidden_blocks`."""
+    n = sum(len(phases) for phases in blocks)
+    u = np.zeros((n, n), dtype=complex)
+    h = np.zeros((n, n), dtype=complex)
+    start = 0
+    for phases in blocks:
+        s = slice(start, start + len(phases))
+        v = haar_unitary(rng, len(phases))
+        u[s, s] = (v * np.exp(1j * np.asarray(phases))) @ v.conj().T
+        h[s, s] = (v * -np.asarray(phases)) @ v.conj().T
+        start += len(phases)
+    p = rng.permutation(n)
+    return u[np.ix_(p, p)], h[np.ix_(p, p)]
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 3, 3), (4, 4, 1, 6, 2), (5, 2, 5, 1, 2, 5, 1)])
+def test_generator_matches_schur_oracle_on_stacked_blocks(sizes):
+    rng = np.random.default_rng(50 + sum(sizes))
+    h = hidden_blocks(rng, sizes)
+    assert any(idx.shape[0] > 1 for idx in _blocks(h))  # a stack of equal sizes
+    for _ in range(5):
+        t = rng.uniform(0.05, 2.8) / np.linalg.norm(h, 2)
+        u = expm_i(h, t)
+        np.testing.assert_allclose(generator_of(u, t), schur_generator(u, t), atol=1e-10)
+
+
+@pytest.mark.parametrize("distance", [1e-1, 1e-3, 1e-5, 1.2e-6])
+def test_generator_near_the_branch_cut(distance):
+    # one eigenphase `distance` inside +pi and one inside -pi, each in a
+    # block of a stack of equal sizes, beside a single larger block
+    rng = np.random.default_rng(60)
+    blocks = [rng.uniform(-2.5, 2.5, s) for s in (40, 40, 81)]
+    blocks[0][0] = np.pi - distance
+    blocks[1][0] = distance - np.pi
+    u, h = hidden_unitary(rng, blocks)
+    g = generator_of(u, 1.0)
+    np.testing.assert_allclose(g, h, atol=1e-8)
+    np.testing.assert_allclose(g, schur_generator(u, 1.0), atol=1e-8)
+
+
+def test_generator_branch_cut_in_one_block_of_a_stack():
+    rng = np.random.default_rng(61)
+    u, _ = hidden_unitary(rng, [rng.uniform(-2.5, 2.5, 4) for _ in range(3)])
+    group = _blocks(u)
+    assert [idx.shape for idx in group] == [(3, 4)]
+    # a reflection with eigenphases (pi, 0, 0, 0), exact in floating point,
+    # so 1 + u is exactly singular on that block
+    u[np.ix_(group[0][1], group[0][1])] = np.eye(4) - 0.5
+    with pytest.raises(BranchCutError):
+        generator_of(u, 1.0)
+
+
+@pytest.mark.parametrize("distance", [1e-8, 1e-11])
+def test_generator_is_exact_or_refuses_inside_branch_tol(distance):
+    # closer to the cut than the default branch_tol: a lowered branch_tol
+    # lets the phase through, and the answer is right or ArithmeticError
+    rng = np.random.default_rng(62)
+    phases = rng.uniform(-2.5, 2.5, 12)
+    phases[0] = np.pi - distance
+    u, h = hidden_unitary(rng, [phases])
+    try:
+        g = generator_of(u, 1.0, branch_tol=1e-14)
+    except ArithmeticError:
+        return
+    np.testing.assert_allclose(g, h, atol=1e-8)
+
+
 # --- OperatorSum algebra against the dense matrices
 
 _coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
