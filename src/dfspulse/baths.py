@@ -79,12 +79,13 @@ class DephasingBath:
     def hamiltonian(self, pair: tuple[int, int] = (0, 1), width: int = 2) -> np.ndarray:
         """Dense H_SB + H_B on the width-qubit (x) bath space."""
         i, j = pair
-        z_i = to_dense(OperatorSum.single(width, i, "Z"))
-        z_j = to_dense(OperatorSum.single(width, j, "Z"))
-        h = np.kron(z_i, self.b1) + np.kron(z_j, self.b2)
+        op = (OperatorSum.single(width, i, "Z", 1.0, "b1")
+              + OperatorSum.single(width, j, "Z", 1.0, "b2"))
+        bindings = {"b1": self.b1, "b2": self.b2}
         if self.h_bath is not None:
-            h = h + np.kron(np.eye(2 ** width, dtype=complex), self.h_bath)
-        return h
+            op = op + OperatorSum.from_label("I" * width, 1.0, "h_bath")
+            bindings["h_bath"] = self.h_bath
+        return to_dense(op, self.dim, bindings)
 
 
 @dataclass(frozen=True)
@@ -345,12 +346,43 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
     time to bound peak memory; each trajectory's last antiderivative and Phi
     carry across blocks.
     """
+    return _toggling_run(seq, pair, n_cycles, record_every,
+                         *_rate_coefficients(noise, n_traj, mode, seed))
+
+
+def _rate_coefficients(noise: SpectralNoise, n_traj: int, mode: str,
+                       seed: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The harmonic frequencies, and per trajectory the coefficients of the
+    antiderivative of the rate difference c1 - c2 on [sin wt | cos wt]."""
     if mode not in ("collective", "differential", "independent"):
         raise ValueError(f"unknown noise mode {mode!r}")
     if n_traj < 1:
         raise ValueError("n_traj must be positive")
+    base = SpectralNoise(noise.alpha, noise.omega_min, noise.omega_max,
+                         noise.amplitude, noise.n_harmonics,
+                         noise.seed if seed is None else seed)
+    om = base.frequencies()
+
+    def coefficients(stream: int) -> np.ndarray:
+        # a sin(wt + phi) / w = [sin wt | cos wt] . [a cos phi | a sin phi] / w
+        draws = [base.draw(base.trajectory_rng(i, stream)) for i in range(n_traj)]
+        weights = np.array([d[0] for d in draws]) / om
+        phases = np.array([d[1] for d in draws])
+        return np.hstack([weights * np.cos(phases), weights * np.sin(phases)])
+
+    if mode == "independent":
+        return om, coefficients(1) - coefficients(2)
+    if mode == "differential":
+        return om, 2.0 * coefficients(0)
+    return om, np.zeros((n_traj, 2 * om.size))
+
+
+def _toggling_run(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
+                  record_every: int, om: np.ndarray,
+                  coef: np.ndarray) -> DephasingResult:
+    """`dephasing_run` for drawn coefficients `coef` at frequencies `om`."""
     events = _check_storage_sequence(seq)
-    master_seed = noise.seed if seed is None else seed
+    n_traj = len(coef)
 
     # per-cycle template: free durations and the toggling sign of each
     frees, signs = [], []
@@ -371,25 +403,6 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
     record_idx = np.arange(0, n_cycles + 1, record_every)
     times = record_idx * cycle_time
     record_bound = record_idx * len(frees)
-
-    base = SpectralNoise(noise.alpha, noise.omega_min, noise.omega_max,
-                         noise.amplitude, noise.n_harmonics, master_seed)
-    om = base.frequencies()
-
-    def coefficients(stream: int) -> np.ndarray:
-        # a sin(wt + phi) / w = [sin wt | cos wt] . [a cos phi | a sin phi] / w
-        draws = [base.draw(base.trajectory_rng(i, stream)) for i in range(n_traj)]
-        weights = np.array([d[0] for d in draws]) / om
-        phases = np.array([d[1] for d in draws])
-        return np.hstack([weights * np.cos(phases), weights * np.sin(phases)])
-
-    # antiderivative coefficients of the rate difference c1 - c2
-    if mode == "independent":
-        coef = coefficients(1) - coefficients(2)
-    elif mode == "differential":
-        coef = 2.0 * coefficients(0)
-    else:
-        coef = np.zeros((n_traj, 2 * om.size))
 
     bounds = [(s, min(s + _TRAJ_CHUNK, n_traj)) for s in range(0, n_traj, _TRAJ_CHUNK)]
     last_anti = np.empty(n_traj)
@@ -432,12 +445,15 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
     """T2 gain of `seq_family(dt)` over a pulse-interval grid.
 
     The baseline is pulse-free storage on a fine recording grid; t_max caps
-    every run's simulated horizon.
+    every run's simulated horizon.  Every run sees the same `n_traj`
+    trajectories, drawn once.  `jobs` is accepted for compatibility.
     """
     dt_grid = list(dt_grid)
     if len(dt_grid) < 4:
         raise ValueError("dt grid needs at least 4 points")
     master_seed = noise.seed if seed is None else seed
+    # every run sees the same trajectories, so they are drawn once
+    drawn = _rate_coefficients(noise, n_traj, mode, master_seed)
     dt_base = min(dt_grid)
     base_seq = PulseSequence((Free(dt_base),))
     # grow the pulse-free horizon until the 1/e crossing is resolved
@@ -445,9 +461,7 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
     base = None
     while True:
         n_base = max(4, int(math.ceil(horizon / dt_base)))
-        base = dephasing_run(base_seq, noise, n_traj, n_cycles=n_base, mode=mode,
-                             seed=master_seed, jobs=jobs,
-                             record_every=max(1, n_base // 4000))
+        base = _toggling_run(base_seq, (0, 1), n_base, max(1, n_base // 4000), *drawn)
         if math.isfinite(base.t2) or horizon >= t_max:
             break
         horizon = min(t_max, 4 * horizon)
@@ -456,9 +470,7 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
         seq = seq_family(dt)
         cyc = seq.cycle_time
         n_cycles = max(4, int(math.ceil(t_max / cyc)))
-        res = dephasing_run(seq, noise, n_traj, n_cycles=n_cycles, mode=mode,
-                            seed=master_seed, jobs=jobs,
-                            record_every=max(1, n_cycles // 4000))
+        res = _toggling_run(seq, (0, 1), n_cycles, max(1, n_cycles // 4000), *drawn)
         gain = res.t2 / base.t2 if math.isfinite(res.t2) and math.isfinite(base.t2) else math.inf
         rows.append(ScanRow(dt=dt, t2_base=base.t2, t2_pulsed=res.t2,
                             gain=gain, n_traj=n_traj, seed=master_seed))

@@ -408,11 +408,10 @@ def _run_block4(sc: Scenario):
         mats[k] = op
         return kron_all(*mats)
 
-    h = np.zeros((16 * bdim, 16 * bdim), dtype=complex)
-    for q in range(4):
-        h += np.kron(to_dense(OperatorSum.single(4, q, "Z")),
-                     embed_bath(_rand_herm(rng, d), q))
-    model = EvolutionModel(4, bdim, h)
+    bindings = {f"b{q}": embed_bath(_rand_herm(rng, d), q) for q in range(4)}
+    h = sum((OperatorSum.single(4, q, "Z", 1.0, f"b{q}") for q in range(4)),
+            OperatorSum.zero(4))
+    model = EvolutionModel(4, bdim, to_dense(h, bdim, bindings))
     seq = sequences.symmetrize_block4(p["tau"], 4)
     u = propagator(seq, model)
     g = generator_of(u, 4 * p["tau"])

@@ -15,11 +15,13 @@ below is a projection onto its templates; nothing restates them.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import OperatorSum, PauliTerm, spectral_norm, to_dense
+from .pauli import OperatorSum, _from_masks, _masks, _place, spectral_norm, to_dense
 
 CODE_ZERO_INDEX = 2  # |down, up>
 CODE_ONE_INDEX = 1   # |up, down>
@@ -44,10 +46,17 @@ BASIS_TEMPLATES: dict[str, tuple[tuple[str, complex], ...]] = {
 _BUCKET = {lab: bucket for bucket, labels in (
     ("DFS", DFS_LABELS), ("Logi", LOGI_LABELS), ("Leak", LEAK_LABELS))
     for lab in labels}
+# each template as ((x, z), weight) over the pair, its first ion the high
+# bit, and the template's squared norm sum |w|^2
+_TEMPLATE_MASKS = {lab: tuple((_masks(ts), w) for ts, w in template)
+                   for lab, template in BASIS_TEMPLATES.items()}
+_TEMPLATE_NORM = {lab: sum(abs(w) ** 2 for _, w in template)
+                  for lab, template in BASIS_TEMPLATES.items()}
 
 
 class SupportError(ValueError):
-    """Operator support extends beyond the declared pair."""
+    """Operator support extends beyond the declared pair, or the pair is not
+    two distinct sites of the register."""
 
 
 @dataclass(frozen=True)
@@ -76,16 +85,26 @@ def _pair_register(pair) -> DfsRegister:
     return DfsRegister(((min(i, j), max(i, j)),), max(i, j) + 1)
 
 
+def _checked_pair(pair, width: int) -> tuple[int, int]:
+    i, j = (operator.index(q) for q in pair)
+    if i == j or not (0 <= i < width and 0 <= j < width):
+        raise SupportError(
+            f"pair {tuple(pair)} is not two distinct sites of a {width}-qubit register")
+    return i, j
+
+
+@functools.cache  # 16 labels for each (pair, width) a program uses
+def _template(label: str, pair: tuple[int, int], width: int) -> tuple:
+    """(x, z, weight) of each string of a basis template embedded at `pair`."""
+    return tuple((_place(x, pair, width), _place(z, pair, width), w)
+                 for (x, z), w in _TEMPLATE_MASKS[label])
+
+
 def _embed_template(label: str, pair: tuple[int, int], width: int,
                     coefficient: complex = 1.0,
                     bath_slot: str | None = None) -> OperatorSum:
-    i, j = pair
-    terms = []
-    for two_site, c in BASIS_TEMPLATES[label]:
-        factors = ["I"] * width
-        factors[i], factors[j] = two_site[0], two_site[1]
-        terms.append(PauliTerm(tuple(factors), c * coefficient, bath_slot))
-    return OperatorSum(width, terms)
+    return _from_masks(width, (((x, z, bath_slot), w * coefficient) for x, z, w
+                               in _template(label, _checked_pair(pair, width), width)))
 
 
 def basis_operator(label: str, pair: tuple[int, int] = (0, 1),
@@ -135,46 +154,53 @@ class ErrorDecomposition:
 def _component_sum(coeffs: dict, labels, pair: tuple[int, int],
                    width: int) -> OperatorSum:
     """Sum of the basis components whose label is in `labels`."""
-    return OperatorSum(width, [
-        t for (lab, slot), v in coeffs.items() if lab in labels and v != 0
-        for t in _embed_template(lab, pair, width, v, slot).terms])
+    return _from_masks(width, (
+        ((x, z, slot), w * v) for (lab, slot), v in coeffs.items() if lab in labels and v != 0
+        for x, z, w in _template(lab, pair, width)))
 
 
 def classify(h: OperatorSum, pair: tuple[int, int] | None = None) -> ErrorDecomposition:
     """Exact decomposition of a coupling supported on one pair.
 
-    Raises SupportError if any term touches qubits outside the pair.
+    Raises SupportError if any term touches qubits outside the pair, or if
+    the pair is not two distinct sites of h's register.
     """
+    width = h.width
     if pair is None:
-        support = sorted({q for t in h.terms for q, f in enumerate(t.factors) if f != "I"})
-        if len(support) == 2:
-            pair = (support[0], support[1])
-        elif h.width == 2:
+        support = 0
+        for x, z, _ in h._keys:
+            support |= x | z
+        sites = [q for q in range(width) if support >> (width - 1 - q) & 1]
+        if len(sites) == 2:
+            pair = (sites[0], sites[1])
+        elif width == 2:
             pair = (0, 1)
         else:
             raise SupportError(
                 "cannot infer the pair; pass it explicitly")
-    i, j = pair
-    coeffs: dict[tuple[str, str | None], complex] = {}
-    two_site: dict[tuple[str, str | None], complex] = {}
-    for t in h.terms:
-        for q, f in enumerate(t.factors):
-            if f != "I" and q not in (i, j):
-                raise SupportError(f"term {t!r} is supported outside pair {pair}")
-        key = (t.factors[i] + t.factors[j], t.bath_slot)
-        two_site[key] = two_site.get(key, 0j) + t.coefficient
-    slots = sorted({s for _, s in two_site}, key=lambda s: (s is not None, s or ""))
+    pair = _checked_pair(pair, width)
+    si, sj = (width - 1 - q for q in pair)
+    outside = ((1 << width) - 1) ^ (1 << si) ^ (1 << sj)
+    # each term's two-site (x, z) masks, as in _TEMPLATE_MASKS
+    two_site: dict[tuple[int, int, str | None], complex] = {}
+    for (x, z, slot), c in zip(h._keys, h._coefs):
+        if (x | z) & outside:
+            raise SupportError(f"{h!r} is supported outside pair {pair}")
+        key = ((x >> si & 1) << 1 | x >> sj & 1, (z >> si & 1) << 1 | z >> sj & 1, slot)
+        two_site[key] = two_site.get(key, 0j) + c
+    slots = sorted({s for *_, s in two_site}, key=lambda s: (s is not None, s or ""))
     # trace projection onto each template: sum conj(w) c / sum |w|^2
+    coeffs: dict[tuple[str, str | None], complex] = {}
     for slot in slots:
-        for lab, template in BASIS_TEMPLATES.items():
+        for lab, template in _TEMPLATE_MASKS.items():
             coeffs[(lab, slot)] = sum(
-                w.conjugate() * two_site.get((ts, slot), 0j) for ts, w in template
-            ) / sum(abs(w) ** 2 for _, w in template)
+                w.conjugate() * two_site.get((x, z, slot), 0j) for (x, z), w in template
+            ) / _TEMPLATE_NORM[lab]
     return ErrorDecomposition(
-        pair=pair, width=h.width,
-        dfs_part=_component_sum(coeffs, DFS_LABELS, pair, h.width),
-        leak_part=_component_sum(coeffs, LEAK_LABELS, pair, h.width),
-        logi_part=_component_sum(coeffs, LOGI_LABELS, pair, h.width),
+        pair=pair, width=width,
+        dfs_part=_component_sum(coeffs, DFS_LABELS, pair, width),
+        leak_part=_component_sum(coeffs, LEAK_LABELS, pair, width),
+        logi_part=_component_sum(coeffs, LOGI_LABELS, pair, width),
         coefficients=coeffs,
     )
 

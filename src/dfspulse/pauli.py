@@ -3,8 +3,18 @@
 Operators live in two registers: symbolically, as weighted Pauli strings
 with an optional abstract bath-operator slot per term (`PauliTerm`,
 `OperatorSum`); numerically, as plain complex numpy arrays over the joint
-system-bath space.  `to_dense` writes each Pauli string straight into its
-matrix as the exact monomial i^{#Y} X^x Z^z, with no Kronecker chain.
+system-bath space.
+
+A Pauli string on `width` sites is the pair of integer masks (x, z), site 0
+in the most significant bit, standing for i^{#Y} X^x Z^z with #Y the
+popcount of x & z (the symplectic form of Dehaene and De Moor, PRA 68,
+042318 (2003), and Aaronson and Gottesman, PRA 70, 052328 (2004)).  The
+product of two strings has masks x_a ^ x_b and z_a ^ z_b and the phase
+i^{y_a + y_b - y_ab} (-1)^{|z_a & x_b|}; they commute iff
+|x_a & z_b| + |z_a & x_b| is even.  Letters exist only at the boundary:
+`PauliTerm` parses them and shows them as `factors` and `label`.
+`to_dense` writes all strings of a sum into the matrix in one scatter, each
+as its exact monomial, with no Kronecker chain.
 
 The dense kernels (`expm_i`, `generator_of`, `spectral_norm`) use numpy
 alone.  They split their input into the connected components of its exact
@@ -22,7 +32,7 @@ Conventions, fixed globally:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -37,14 +47,14 @@ SIGMA = {
 
 # i^k, exactly
 _I_POW = (1, 1j, -1, -1j)
+_I_POW_ARRAY = np.array(_I_POW)
 
-# single-site products (left, right) -> (phase, label)
-_PRODUCT = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
+# the x and z bit of each letter, and the letter of the bits x | z << 1
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+_LETTER = "IXZY"
+# _SPREAD[b] moves bit k of the byte b to bit 2k
+_SPREAD = tuple(sum(((b >> k) & 1) << (2 * k) for k in range(8)) for b in range(256))
 
 
 class WidthMismatchError(ValueError):
@@ -67,40 +77,104 @@ class BranchCutError(ValueError):
     """Matrix logarithm has an eigenphase at the principal branch cut."""
 
 
-@dataclass(frozen=True)
+def _masks(label: str) -> tuple[int, int]:
+    """(x, z) masks of a string of Pauli letters, site 0 the most significant bit."""
+    bad = label.strip("IXYZ")
+    if bad:
+        raise ValueError(f"unknown Pauli label {bad[0]!r}")
+    return int("0" + label.translate(_X_BITS), 2), int("0" + label.translate(_Z_BITS), 2)
+
+
+def _joined(factors) -> str:
+    """The string of a sequence of one-letter factors."""
+    factors = tuple(factors)
+    try:
+        label = "".join(factors)
+    except TypeError:
+        label = None
+    if label is None or len(label) != len(factors):
+        raise ValueError(f"unknown Pauli label in {factors!r}")
+    return label
+
+
 class PauliTerm:
-    """One weighted Pauli string, optionally tensored with a named bath slot."""
+    """One weighted Pauli string, optionally tensored with a named bath slot.
 
-    factors: tuple[str, ...]
-    coefficient: complex = 1.0 + 0j
-    bath_slot: str | None = None
+    The string is stored as two integer masks over `width` sites, site 0 in
+    the most significant bit: it is i^{#Y} X^x Z^z, so a site's (x, z) bits
+    are (0, 0) for I, (1, 0) for X, (1, 1) for Y and (0, 1) for Z.
+    `factors` and `label` are views of the masks.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        for f in self.factors:
-            if f not in PAULI_LABELS:
-                raise ValueError(f"unknown Pauli label {f!r}")
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
+    __slots__ = ("width", "x", "z", "coefficient", "bath_slot")
+
+    def __init__(self, factors, coefficient: complex = 1.0 + 0j,
+                 bath_slot: str | None = None):
+        label = factors if isinstance(factors, str) else _joined(factors)
+        _fill(self, len(label), *_masks(label), complex(coefficient), bath_slot)
 
     @classmethod
     def from_label(cls, label: str, coefficient: complex = 1.0,
                    bath_slot: str | None = None) -> "PauliTerm":
-        return cls(tuple(label), coefficient, bath_slot)
-
-    @property
-    def width(self) -> int:
-        return len(self.factors)
+        return cls(label, coefficient, bath_slot)
 
     @property
     def label(self) -> str:
-        return "".join(self.factors)
+        x, z = self.x, self.z
+        return "".join(_LETTER[(x >> s & 1) | (z >> s & 1) << 1]
+                       for s in range(self.width - 1, -1, -1))
 
-    def key(self):
-        return (self.factors, self.bath_slot is not None, self.bath_slot or "")
+    @property
+    def factors(self) -> tuple[str, ...]:
+        return tuple(self.label)
+
+    def __setattr__(self, *_):
+        raise AttributeError("PauliTerm is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, PauliTerm):
+            return NotImplemented
+        return (self.x == other.x and self.z == other.z and self.width == other.width
+                and self.coefficient == other.coefficient
+                and self.bath_slot == other.bath_slot)
+
+    def __hash__(self):
+        return hash((self.factors, self.coefficient, self.bath_slot))
+
+    def __reduce__(self):  # pickle and copy through the constructor
+        return PauliTerm, (self.factors, self.coefficient, self.bath_slot)
 
     def __repr__(self):
         slot = f"[{self.bath_slot}]" if self.bath_slot else ""
         return f"({self.coefficient:+g})*{self.label}{slot}"
+
+
+_SET_WIDTH, _SET_X, _SET_Z, _SET_COEFFICIENT, _SET_SLOT = (
+    vars(PauliTerm)[name].__set__ for name in PauliTerm.__slots__)
+
+
+def _fill(t: PauliTerm, width: int, x: int, z: int, coefficient: complex,
+          bath_slot: str | None) -> None:
+    # slot setters write past the raising __setattr__
+    _SET_WIDTH(t, width)
+    _SET_X(t, x)
+    _SET_Z(t, z)
+    _SET_COEFFICIENT(t, coefficient)
+    _SET_SLOT(t, bath_slot)
+
+
+def _term(width: int, x: int, z: int, coefficient: complex,
+          bath_slot: str | None) -> PauliTerm:
+    t = object.__new__(PauliTerm)
+    _fill(t, width, x, z, coefficient, bath_slot)
+    return t
+
+
+def _phase(ax: int, az: int, bx: int, bz: int) -> int:
+    """k with P_a P_b = i^k P_ab: X^x Z^z products collect (-1)^{|z_a & x_b|},
+    and the i^{#Y} prefactors leave i^{y_a + y_b - y_ab}."""
+    return ((ax & az).bit_count() + (bx & bz).bit_count()
+            - ((ax ^ bx) & (az ^ bz)).bit_count() + 2 * (az & bx).bit_count()) & 3
 
 
 def pauli_mul(a: PauliTerm, b: PauliTerm) -> PauliTerm:
@@ -109,50 +183,98 @@ def pauli_mul(a: PauliTerm, b: PauliTerm) -> PauliTerm:
         raise WidthMismatchError(f"widths differ: {a.width} vs {b.width}")
     if a.bath_slot is not None and b.bath_slot is not None:
         raise BathSlotError("cannot multiply two bath-coupled terms symbolically")
-    phase = 1 + 0j
-    out = []
-    for fa, fb in zip(a.factors, b.factors):
-        ph, fc = _PRODUCT[fa, fb]
-        phase *= ph
-        out.append(fc)
-    return PauliTerm(tuple(out), phase * a.coefficient * b.coefficient,
-                     a.bath_slot or b.bath_slot)
+    return _term(a.width, a.x ^ b.x, a.z ^ b.z,
+                 _I_POW[_phase(a.x, a.z, b.x, b.z)] * a.coefficient * b.coefficient,
+                 a.bath_slot or b.bath_slot)
 
 
 def commutes(a: PauliTerm, b: PauliTerm) -> bool:
     """True iff the Pauli strings commute (the only alternative is ab = -ba)."""
     if a.width != b.width:
         raise WidthMismatchError(f"widths differ: {a.width} vs {b.width}")
-    anti = sum(1 for fa, fb in zip(a.factors, b.factors)
-               if fa != "I" and fb != "I" and fa != fb)
-    return anti % 2 == 0
+    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
+
+
+def _place(mask: int, pair: tuple[int, int], width: int) -> int:
+    """A two-site mask, bit 1 for pair[0] and bit 0 for pair[1], placed into
+    a width-site mask."""
+    i, j = pair
+    return (mask >> 1) << (width - 1 - i) | (mask & 1) << (width - 1 - j)
+
+
+def _order(item: tuple) -> tuple:
+    """Canonical sort key of an item ((x, z, bath_slot), coefficient).
+
+    Strings sort I < X < Y < Z site by site, site 0 first: the site digit
+    2 z + (x ^ z) runs 0..3 in that order, so the masks interleaved into
+    one base-4 number compare as the strings do.  Slot-free terms come
+    before slotted ones, and slots sort by name.
+    """
+    (x, z, slot), _ = item
+    d = x ^ z
+    rank = shift = 0
+    while z or d:
+        rank |= (_SPREAD[z & 255] << 1 | _SPREAD[d & 255]) << shift
+        z >>= 8
+        d >>= 8
+        shift += 16
+    return rank, slot is not None, slot or ""
+
+
+def _canonical(items) -> tuple[tuple, tuple]:
+    """Keys and coefficients of the sum of ((x, z, bath_slot), coefficient)
+    items: merged per key in input order, sorted, exact zeros dropped."""
+    acc: dict = {}
+    for key, c in items:
+        acc[key] = acc.get(key, 0j) + c
+    kept = [item for item in sorted(acc.items(), key=_order) if item[1] != 0]
+    return tuple(key for key, _ in kept), tuple(c for _, c in kept)
+
+
+def _from_masks(width: int, items) -> "OperatorSum":
+    """The OperatorSum of ((x, z, bath_slot), coefficient) items."""
+    return _new_sum(width, *_canonical(items))
+
+
+def _new_sum(width: int, keys: tuple, coefs: tuple) -> "OperatorSum":
+    op = object.__new__(OperatorSum)
+    op._set(width, keys, coefs)
+    return op
 
 
 class OperatorSum:
     """Canonical weighted sum of Pauli terms over a fixed-width register.
 
-    Canonical form: at most one term per (factors, bath_slot) key, terms
-    sorted lexicographically, exact-zero coefficients dropped.  Instances
-    are immutable.
+    Canonical form: at most one term per (string, bath_slot) key, terms
+    sorted lexicographically by string (I < X < Y < Z per site) and then by
+    slot, exact-zero coefficients dropped.  The sum is stored as the keys
+    (x, z, bath_slot), with the masks of `PauliTerm`, and their
+    coefficients; `terms` is a view.  Instances are immutable.
     """
 
-    __slots__ = ("width", "terms")
+    __slots__ = ("width", "_keys", "_coefs")
 
     def __init__(self, width: int, terms=()):
-        acc: dict = {}
+        items = []
         for t in terms:
             if t.width != width:
                 raise WidthMismatchError(
                     f"term width {t.width} != register width {width}")
-            acc[t.key()] = acc.get(t.key(), 0j) + t.coefficient
-        canon = tuple(
-            PauliTerm(k[0], c, k[2] if k[1] else None)
-            for k, c in sorted(acc.items()) if c != 0)
+            items.append(((t.x, t.z, t.bath_slot), t.coefficient))
+        self._set(width, *_canonical(items))
+
+    def _set(self, width: int, keys: tuple, coefs: tuple) -> None:
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_coefs", coefs)
 
     def __setattr__(self, *_):
         raise AttributeError("OperatorSum is immutable")
+
+    @property
+    def terms(self) -> tuple[PauliTerm, ...]:
+        return tuple(_term(self.width, x, z, c, slot)
+                     for (x, z, slot), c in zip(self._keys, self._coefs))
 
     @classmethod
     def zero(cls, width: int) -> "OperatorSum":
@@ -160,7 +282,7 @@ class OperatorSum:
 
     @classmethod
     def identity(cls, width: int) -> "OperatorSum":
-        return cls(width, (PauliTerm(("I",) * width),))
+        return cls(width, (_term(width, 0, 0, 1 + 0j, None),))
 
     @classmethod
     def from_label(cls, label: str, coefficient: complex = 1.0,
@@ -170,28 +292,35 @@ class OperatorSum:
     @classmethod
     def single(cls, width: int, site: int, label: str,
                coefficient: complex = 1.0, bath_slot: str | None = None) -> "OperatorSum":
-        factors = ["I"] * width
-        factors[site] = label
-        return cls(width, (PauliTerm(tuple(factors), coefficient, bath_slot),))
+        site = operator.index(site)
+        if not 0 <= site < width:
+            raise ValueError(f"site {site} is outside a {width}-qubit register")
+        if label not in PAULI_LABELS:
+            raise ValueError(f"unknown Pauli label {label!r}")
+        x, z = _masks(label)
+        shift = width - 1 - site
+        return cls(width, (_term(width, x << shift, z << shift, complex(coefficient),
+                                 bath_slot),))
 
     def coefficient(self, label: str, bath_slot: str | None = None) -> complex:
-        for t in self.terms:
-            if t.label == label and t.bath_slot == bath_slot:
-                return t.coefficient
-        return 0j
+        if not isinstance(label, str) or len(label) != self.width or label.strip("IXYZ"):
+            return 0j
+        return dict(zip(self._keys, self._coefs)).get((*_masks(label), bath_slot), 0j)
 
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         if self.width != other.width:
             raise WidthMismatchError("widths differ")
-        return OperatorSum(self.width, self.terms + other.terms)
+        return _from_masks(self.width, zip(self._keys + other._keys,
+                                           self._coefs + other._coefs))
 
     def __sub__(self, other: "OperatorSum") -> "OperatorSum":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "OperatorSum":
-        return OperatorSum(self.width, tuple(
-            PauliTerm(t.factors, scalar * t.coefficient, t.bath_slot)
-            for t in self.terms))
+        # the keys and so their order stay; only a coefficient can become zero
+        scaled = [(key, 0j + complex(scalar * c)) for key, c in zip(self._keys, self._coefs)]
+        return _new_sum(self.width, tuple(key for key, c in scaled if c != 0),
+                        tuple(c for _, c in scaled if c != 0))
 
     def __mul__(self, scalar: complex) -> "OperatorSum":
         return self.__rmul__(scalar)
@@ -202,41 +331,46 @@ class OperatorSum:
     def __matmul__(self, other: "OperatorSum") -> "OperatorSum":
         if self.width != other.width:
             raise WidthMismatchError("widths differ")
-        prods = [pauli_mul(a, b) for a in self.terms for b in other.terms]
-        return OperatorSum(self.width, prods)
+        items = []
+        for (ax, az, a_slot), ac in zip(self._keys, self._coefs):
+            for (bx, bz, b_slot), bc in zip(other._keys, other._coefs):
+                if a_slot is not None and b_slot is not None:
+                    raise BathSlotError(
+                        "cannot multiply two bath-coupled terms symbolically")
+                items.append(((ax ^ bx, az ^ bz, a_slot or b_slot),
+                              _I_POW[_phase(ax, az, bx, bz)] * ac * bc))
+        return _from_masks(self.width, items)
 
     def dagger(self) -> "OperatorSum":
         # Pauli strings are Hermitian and bath bindings are required Hermitian,
         # so conjugation acts on coefficients only.
-        return OperatorSum(self.width, tuple(
-            PauliTerm(t.factors, t.coefficient.conjugate(), t.bath_slot)
-            for t in self.terms))
+        return _new_sum(self.width, self._keys,
+                        tuple(0j + c.conjugate() for c in self._coefs))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(t.coefficient.imag) <= tol * max(1.0, abs(t.coefficient))
-                   for t in self.terms)
+        return all(abs(c.imag) <= tol * max(1.0, abs(c)) for c in self._coefs)
 
     def bath_slots(self) -> tuple[str, ...]:
-        return tuple(sorted({t.bath_slot for t in self.terms if t.bath_slot}))
+        return tuple(sorted({slot for *_, slot in self._keys if slot}))
 
     def isclose(self, other: "OperatorSum", tol: float = 1e-12) -> bool:
         if self.width != other.width:
             return False
-        keys = {t.key() for t in self.terms} | {t.key() for t in other.terms}
-        ca = {t.key(): t.coefficient for t in self.terms}
-        cb = {t.key(): t.coefficient for t in other.terms}
+        ca = dict(zip(self._keys, self._coefs))
+        cb = dict(zip(other._keys, other._coefs))
         scale = max([1.0] + [abs(c) for c in ca.values()] + [abs(c) for c in cb.values()])
-        return all(abs(ca.get(k, 0j) - cb.get(k, 0j)) <= tol * scale for k in keys)
+        return all(abs(ca.get(k, 0j) - cb.get(k, 0j)) <= tol * scale
+                   for k in ca.keys() | cb.keys())
 
     def __eq__(self, other):
         return (isinstance(other, OperatorSum) and self.width == other.width
-                and self.terms == other.terms)
+                and self._keys == other._keys and self._coefs == other._coefs)
 
     def __hash__(self):
         return hash((self.width, self.terms))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._keys:
             return f"OperatorSum(width={self.width}, 0)"
         return f"OperatorSum(width={self.width}, " + " + ".join(map(repr, self.terms)) + ")"
 
@@ -268,32 +402,48 @@ def to_dense(op: OperatorSum, bath_dim: int = 1,
     Every bath slot referenced by a term must have a Hermitian binding of
     dimension `bath_dim`; slot-free terms get the bath identity.  A string
     is the monomial i^{#Y} X^x Z^z: column c holds its one entry in row
-    c ^ x, with sign (-1)^{popcount(c & z)}.
+    c ^ x, with sign (-1)^{popcount(c & z)}.  All terms are scattered in
+    one pass, and each entry sums its terms in term order, so the result
+    equals the sum of coefficient * kron(string, bath) term by term.
     """
     bindings = bindings or {}
     n = 2 ** op.width
-    out = np.zeros((n, bath_dim, n, bath_dim), dtype=complex)
-    eye_b = np.eye(bath_dim, dtype=complex)
+    dim = n * bath_dim
+    # the distinct bath factors, and the one of each term
+    baths, slot_index = [np.eye(bath_dim, dtype=complex)], {None: 0}
+    for *_, slot in op._keys:
+        if slot in slot_index:
+            continue
+        if slot not in bindings:
+            raise BathSlotError(f"unbound bath slot {slot!r}")
+        bath = np.asarray(bindings[slot], dtype=complex)
+        if bath.shape != (bath_dim, bath_dim):
+            raise BathSlotError(
+                f"binding for {slot!r} has shape {bath.shape}, "
+                f"expected {(bath_dim, bath_dim)}")
+        slot_index[slot] = len(baths)
+        baths.append(bath)
+    # the result first: it outlives the temporaries below, so freeing them
+    # leaves no hole under it in the heap
+    out = np.zeros(dim * dim, dtype=complex)
+    if not op._keys:
+        return out.reshape(dim, dim)
+    x, z, n_y, which = np.array([(kx, kz, (kx & kz).bit_count(), slot_index[slot])
+                                 for kx, kz, slot in op._keys]).T
+    coef = np.array(op._coefs)
     cols = np.arange(n)
-    # bits[:, k] is the bit of qubit k in each basis index (qubit 0 slowest)
-    bits = (cols[:, None] >> np.arange(op.width - 1, -1, -1)) & 1
-    for t in op.terms:
-        if t.bath_slot is None:
-            bath = eye_b
-        else:
-            if t.bath_slot not in bindings:
-                raise BathSlotError(f"unbound bath slot {t.bath_slot!r}")
-            bath = np.asarray(bindings[t.bath_slot], dtype=complex)
-            if bath.shape != (bath_dim, bath_dim):
-                raise BathSlotError(
-                    f"binding for {t.bath_slot!r} has shape {bath.shape}, "
-                    f"expected {(bath_dim, bath_dim)}")
-        x = sum(1 << (op.width - 1 - k) for k, f in enumerate(t.factors) if f in "XY")
-        parity = bits[:, [k for k, f in enumerate(t.factors) if f in "ZY"]].sum(axis=1) & 1
-        sys = _I_POW[t.factors.count("Y") % 4] * (1 - 2 * parity)
-        # rounds exactly as coefficient * kron(sys, bath) does
-        out[cols ^ x, :, cols, :] += t.coefficient * (sys[:, None, None] * bath)
-    return out.reshape(n * bath_dim, n * bath_dim)
+    # the entry in column c is i^{#Y} (-1)^{popcount(c & z)}
+    odd = np.array([c.bit_count() & 1 for c in range(n)])
+    sys = _I_POW_ARRAY[(n_y[:, None] + 2 * odd[cols & z[:, None]]) & 3]
+    bath = np.stack(baths)[which].reshape(len(which), 1, bath_dim ** 2)
+    # rounds exactly as coefficient * kron(sys, bath) does
+    vals = (coef[:, None, None] * (sys[:, :, None] * bath)).ravel()
+    # entry (row c ^ x, bath a; column c, bath b) of each value
+    a = np.arange(bath_dim)
+    flat = np.ravel_multi_index(((cols ^ x[:, None])[:, :, None, None], a[:, None],
+                                 cols[:, None, None], a), (n, bath_dim, n, bath_dim)).ravel()
+    np.add.at(out, flat, vals)  # unbuffered, in the order of `flat`
+    return out.reshape(dim, dim)
 
 
 def embed_sites(mat: np.ndarray, sites: tuple[int, ...], width: int) -> np.ndarray:
@@ -400,8 +550,13 @@ def expm_i(h: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
         raise NonHermitianError("expm_i requires a Hermitian generator")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    blocks = _blocks(h)
+    if len(blocks) == 1 and len(blocks[0]) == 1:
+        # one component: the whole matrix is the block, in any order
+        vals, vecs = np.linalg.eigh(h)
+        return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     out = np.zeros_like(h)
-    for idx in _blocks(h):
+    for idx in blocks:
         ix = _stacked(idx)
         vals, vecs = np.linalg.eigh(h[ix])
         out[ix] = (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)

@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dfs import logical_operators
+from .dfs import _checked_pair, logical_operators
 from .gates import SmGateSpec, sm_gate_dense, x_phi
 from .pauli import (
-    OperatorSum, PauliTerm, NonUnitaryError, _blocks, _stacked, expm_i,
+    OperatorSum, NonUnitaryError, _blocks, _from_masks, _place, _stacked, expm_i,
     is_unitary, to_dense,
 )
 
@@ -146,13 +146,11 @@ def named_pulse(label: str, pair: tuple[int, int] = (0, 1),
 
     G = Xbar or Ybar has eigenvalues 0 and +-1, so G^3 = G and
     exp(-i t G) = 1 + (cos t - 1) G^2 - i sin t G; with the exact cos t and
-    sin t of `_LABEL_GENERATOR` every entry is 0, +-1 or +-i.
+    sin t of `_LABEL_GENERATOR` every entry is 0, +-1 or +-i.  A `pair` that
+    is not two distinct ions of the register raises ValueError.
     """
     if label not in _LABEL_GENERATOR:
         raise KeyError(f"unknown pulse label {label!r}")
-    if len(set(pair)) != 2 or not all(0 <= q < width for q in pair):
-        raise ValueError(f"pulse pair {pair} is not two distinct ions of a "
-                         f"{width}-qubit register")
     which, cos_t, sin_t = _LABEL_GENERATOR[label]
     xb, yb, _ = logical_operators(pair, width)
     g = xb if which == "Xbar" else yb
@@ -230,17 +228,12 @@ def _drive_hamiltonian(axis: str, pair: tuple[int, int], width: int,
                        phi: float) -> OperatorSum:
     """X_phi (x) X_phi for axis X (encoded +Xbar); for axis Y the first ion
     gets phi + pi/2 so dphi = +pi/2 and the encoded generator is +Ybar."""
+    pair = _checked_pair(pair, width)
     phi_i = phi if axis == "X" else phi + np.pi / 2
-    a = x_phi(phi_i)
-    b = x_phi(phi)
-    i, j = pair
-    terms = []
-    for ta in a.terms:
-        for tb in b.terms:
-            factors = ["I"] * width
-            factors[i], factors[j] = ta.factors[0], tb.factors[0]
-            terms.append(PauliTerm(tuple(factors), ta.coefficient * tb.coefficient))
-    return OperatorSum(width, terms)
+    return _from_masks(width, (
+        ((_place(ta.x << 1 | tb.x, pair, width), _place(ta.z << 1 | tb.z, pair, width), None),
+         ta.coefficient * tb.coefficient)
+        for ta in x_phi(phi_i).terms for tb in x_phi(phi).terms))
 
 
 def combined_gate(axis: str, t: float, omega_drive: float,

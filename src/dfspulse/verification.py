@@ -49,16 +49,15 @@ def check_su2_algebra() -> list[CheckResult]:
 
 
 def check_pauli_products() -> list[CheckResult]:
-    labels = [a + b for a in "IXYZ" for b in "IXYZ"]
+    terms = [pauli.PauliTerm.from_label(a + b) for a in "IXYZ" for b in "IXYZ"]
+    mats = [to_dense(OperatorSum(2, (t,))) for t in terms]
     worst = 0.0
     xor_ok = True
-    for la in labels:
-        for lb in labels:
-            ta = pauli.PauliTerm.from_label(la)
-            tb = pauli.PauliTerm.from_label(lb)
+    for ta, ma in zip(terms, mats):
+        for tb, mb in zip(terms, mats):
             prod = pauli.pauli_mul(ta, tb)
-            ab = to_dense(OperatorSum(2, (ta,))) @ to_dense(OperatorSum(2, (tb,)))
-            ba = to_dense(OperatorSum(2, (tb,))) @ to_dense(OperatorSum(2, (ta,)))
+            ab = ma @ mb
+            ba = mb @ ma
             worst = max(worst, np.abs(to_dense(OperatorSum(2, (prod,))) - ab).max())
             if pauli.commutes(ta, tb):
                 if np.abs(ab - ba).max() > 1e-14:
@@ -74,6 +73,8 @@ def check_pauli_products() -> list[CheckResult]:
 def check_sm_closed_form(n_samples: int = 100, seed: int = 11) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     worst_exp = worst_blk = worst_shift = 0.0
+    xb, yb, _ = (to_dense(op) for op in dfs.logical_operators((0, 1), 2))
+    v = dfs.code_isometry(dfs.DfsRegister(((0, 1),), 2))
     for _ in range(n_samples):
         th, p1, p2, c = rng.uniform(-np.pi, np.pi, size=4)
         spec = gates.SmGateSpec(th, (p1, p2))
@@ -81,8 +82,6 @@ def check_sm_closed_form(n_samples: int = 100, seed: int = 11) -> list[CheckResu
         gen = np.kron(gates.x_phi_dense(p1), gates.x_phi_dense(p2))
         worst_exp = max(worst_exp, np.abs(u - expm_i(gen, -th)).max())
         blk = gates.dfs_restrict(u, (0, 1))
-        xb, yb, _ = (to_dense(op) for op in dfs.logical_operators((0, 1), 2))
-        v = dfs.code_isometry(dfs.DfsRegister(((0, 1),), 2))
         xbar_d = v.conj().T @ (np.cos(p1 - p2) * xb + np.sin(p1 - p2) * yb) @ v
         target = np.cos(th) * np.eye(2) + 1j * np.sin(th) * xbar_d
         worst_blk = max(worst_blk, np.abs(blk - target).max())
@@ -122,11 +121,10 @@ def check_classification() -> list[CheckResult]:
     stacked = np.stack([o.ravel() for o in ops])
     rank = np.linalg.matrix_rank(stacked)
     pi = to_dense(OperatorSum.from_label("ZZ"))
-    anti_ok = all(np.abs(pi @ to_dense(dfs.basis_operator(l)) +
-                         to_dense(dfs.basis_operator(l)) @ pi).max() < 1e-14
+    by_label = dict(zip(dfs.ALL_LABELS, ops))
+    anti_ok = all(np.abs(pi @ by_label[l] + by_label[l] @ pi).max() < 1e-14
                   for l in dfs.LEAK_LABELS)
-    comm_ok = all(np.abs(pi @ to_dense(dfs.basis_operator(l)) -
-                         to_dense(dfs.basis_operator(l)) @ pi).max() < 1e-14
+    comm_ok = all(np.abs(pi @ by_label[l] - by_label[l] @ pi).max() < 1e-14
                   for l in dfs.DFS_LABELS + dfs.LOGI_LABELS)
     rng = np.random.default_rng(5)
     worst = 0.0

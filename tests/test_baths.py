@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import dfspulse.baths as baths_mod
 from dfspulse.baths import (
-    SpectralNoise, VibBath, bch_bound, dephasing_run, qubit_motional_error,
-    sample_1f_trajectory, suppression_scan, thermal_numbers, timescale_check,
-    total_excitation, vib_bindings, vib_hamiltonian,
+    DephasingBath, SpectralNoise, VibBath, bch_bound, dephasing_run,
+    qubit_motional_error, sample_1f_trajectory, suppression_scan, thermal_numbers,
+    timescale_check, total_excitation, vib_bindings, vib_hamiltonian,
 )
 from dfspulse.dfs import (
     CODE_ONE_INDEX, CODE_ZERO_INDEX, basis_operator, bucket_norms, classify,
@@ -302,6 +302,36 @@ def test_suppression_scan_monotone_and_baseline():
         assert r.gain == pytest.approx(1.0, rel=0.15)
     with pytest.raises(ValueError):
         suppression_scan(symmetrize_pair, [1e-3, 2e-3], noise, 10, 1.0)
+
+
+@pytest.mark.parametrize("mode, streams", [("differential", 1), ("independent", 2),
+                                           ("collective", 0)])
+def test_suppression_scan_draws_once_and_matches_single_runs(monkeypatch, mode, streams):
+    noise = storage_noise(n_harmonics=16)
+    dt_grid, n_traj, t_max = [8e-3, 4e-3, 2e-3, 1e-3], 12, 0.6
+    draws = []
+    draw = SpectralNoise.draw
+    monkeypatch.setattr(SpectralNoise, "draw",
+                        lambda self, rng: draws.append(1) or draw(self, rng))
+    rows = suppression_scan(symmetrize_pair, dt_grid, noise, n_traj, t_max, mode=mode)
+    assert len(draws) == streams * n_traj
+    for dt, row in zip(dt_grid, rows):
+        n_cycles = max(4, math.ceil(t_max / (2 * dt)))
+        res = dephasing_run(symmetrize_pair(dt), noise, n_traj, n_cycles=n_cycles,
+                            mode=mode, record_every=max(1, n_cycles // 4000))
+        assert row.t2_pulsed == res.t2
+
+
+def test_dephasing_bath_hamiltonian_is_the_kron_sum():
+    rng = np.random.default_rng(8)
+    b1, b2, hb = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3))
+    b1, b2, hb = ((m + m.conj().T) / 2 for m in (b1, b2, hb))
+    z0, z2 = (to_dense(OperatorSum.single(3, q, "Z")) for q in (0, 2))
+    want = np.kron(z0, b1) + np.kron(z2, b2) + np.kron(np.eye(8), hb)
+    got = DephasingBath(b1, b2, hb).hamiltonian((0, 2), 3)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)  # a few ulps; the sum order differs
+    assert np.array_equal(DephasingBath(b1, b2).hamiltonian((0, 2), 3),
+                          np.kron(z0, b1) + np.kron(z2, b2))
 
 
 def test_spectral_noise_draw_streams_unchanged():

@@ -238,3 +238,9 @@ def test_block_collective_residual_flags_noncollective():
     zsum = to_dense(sum((OperatorSum.single(4, q, "Z") for q in range(4)),
                         OperatorSum.zero(4)))
     assert block_collective_residual(zsum, 4, 1, ((0, 1, 2, 3),)) < 1e-12
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (-1, 0), (0, 5), (0, 2)])
+def test_classify_rejects_a_pair_outside_the_register(pair):
+    with pytest.raises(SupportError):
+        classify(OperatorSum.from_label("XI"), pair)

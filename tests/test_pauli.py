@@ -486,3 +486,107 @@ def test_is_unitary_requires_a_square_matrix():
     assert not is_unitary(np.array([[1, 0, 0], [0, 1, 0]]))
     assert not is_unitary(np.ones(3))
     assert is_unitary(np.eye(3)[::-1])
+
+
+# --- the symbolic algebra against the letter-table algebra it replaced
+
+# single-site products (left, right) -> (phase, letter)
+_LETTER_PRODUCT = {
+    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
+    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
+    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
+    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
+}
+
+
+def _letter_mul(a, b):
+    """Product of two (factors, coefficient, slot) terms, site by site."""
+    if a[2] is not None and b[2] is not None:
+        raise BathSlotError("two bath-coupled terms")
+    phase, out = 1 + 0j, []
+    for fa, fb in zip(a[0], b[0]):
+        ph, fc = _LETTER_PRODUCT[fa, fb]
+        phase *= ph
+        out.append(fc)
+    return tuple(out), complex(phase * a[1] * b[1]), a[2] or b[2]
+
+
+def _letter_commutes(a, b):
+    return sum(1 for fa, fb in zip(a[0], b[0]) if "I" not in (fa, fb) and fa != fb) % 2 == 0
+
+
+def _letter_sum(terms):
+    """Canonical (factors, coefficient, slot) terms: merged per key in input
+    order, sorted by (factors, slot), exact zeros dropped."""
+    acc = {}
+    for f, c, slot in terms:
+        key = (f, slot is not None, slot or "")
+        acc[key] = acc.get(key, 0j) + c
+    return tuple((k[0], c, k[2] if k[1] else None) for k, c in sorted(acc.items()) if c != 0)
+
+
+def _letter_terms(op):
+    return tuple((t.factors, t.coefficient, t.bath_slot) for t in op.terms)
+
+
+def _same_as_letters(op, want):
+    """op has the oracle's terms, in its order, and the same hash and repr."""
+    assert _letter_terms(op) == want
+    assert hash(op) == hash((op.width, want))
+    body = " + ".join(f"({c:+g})*{''.join(f)}{f'[{s}]' if s else ''}" for f, c, s in want)
+    assert repr(op) == f"OperatorSum(width={op.width}, {body or 0})"
+
+
+_oracle_coefficient = st.one_of(
+    _coefficient, st.sampled_from([0.0, 1.0, -1.0, 1j, -1j, 0.5, -0.0]))
+
+
+@st.composite
+def _oracle_cases(draw):
+    width = draw(st.integers(0, 5))
+    labels = st.text(alphabet="IXYZ", min_size=width, max_size=width)
+    slots = st.sampled_from([None, "b1", "b2"])
+    a, b = (draw(st.lists(st.tuples(labels, _oracle_coefficient, slots), max_size=6))
+            for _ in range(2))
+    return width, a, b, draw(_oracle_coefficient)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_cases())
+def test_symbolic_algebra_matches_the_letter_table(case):
+    width, a_spec, b_spec, scalar = case
+    a_terms = [PauliTerm.from_label(lab, c, s) for lab, c, s in a_spec]
+    b_terms = [PauliTerm.from_label(lab, c, s) for lab, c, s in b_spec]
+    a, b = OperatorSum(width, a_terms), OperatorSum(width, b_terms)
+    la = _letter_sum((tuple(lab), complex(c), s) for lab, c, s in a_spec)
+    lb = _letter_sum((tuple(lab), complex(c), s) for lab, c, s in b_spec)
+    _same_as_letters(a, la)
+    _same_as_letters(b, lb)
+    _same_as_letters(a + b, _letter_sum(la + lb))
+    minus_b = _letter_sum((f, complex(-1.0 * c), s) for f, c, s in lb)
+    _same_as_letters(a - b, _letter_sum(la + minus_b))
+    scaled = _letter_sum((f, complex(scalar * c), s) for f, c, s in la)
+    _same_as_letters(scalar * a, scaled)
+    _same_as_letters(a * scalar, scaled)
+    _same_as_letters(a.dagger(), _letter_sum((f, c.conjugate(), s) for f, c, s in la))
+    try:
+        want = _letter_sum([_letter_mul(p, q) for p in la for q in lb])
+    except BathSlotError:
+        with pytest.raises(BathSlotError):
+            a @ b
+    else:
+        _same_as_letters(a @ b, want)
+    for p, q in zip(a_terms, b_terms):
+        q = PauliTerm(q.factors, q.coefficient)  # at most one bath-coupled factor
+        lp, lq = (p.factors, p.coefficient, p.bath_slot), (q.factors, q.coefficient, None)
+        assert commutes(p, q) == _letter_commutes(lp, lq)
+        prod = pauli_mul(p, q)
+        want = _letter_mul(lp, lq)
+        assert (prod.factors, prod.coefficient, prod.bath_slot) == want
+        assert hash(prod) == hash(want) and prod.width == width
+
+
+@pytest.mark.parametrize("site, label", [(-1, "X"), (2, "X"), (5, "X"), (0, "XX")])
+def test_single_rejects_a_site_outside_the_register(site, label):
+    with pytest.raises(ValueError, match="outside|unknown Pauli label"):
+        OperatorSum.single(2, site, label)

@@ -418,6 +418,12 @@ def test_combined_gate_bath_off_rotation():
             np.testing.assert_allclose(blk, target, atol=1e-10)
 
 
+@pytest.mark.parametrize("pair", [(0, 2), (1, 1)])
+def test_combined_gate_rejects_a_pair_outside_the_register(pair):
+    with pytest.raises(ValueError, match="not two distinct sites"):
+        combined_gate("X", 1.0, 1.0, pair=pair, width=2)
+
+
 def test_combined_gate_pulses_commute_with_drive():
     for axis, labels in (("X", ("P", "PI")), ("Y", ("Q", "LAM"))):
         seq = combined_gate(axis, 1.0, 1.0)
