@@ -291,13 +291,21 @@ def bucket_norms(h: np.ndarray, bath_dim: int) -> dict[str, float]:
 def block_collective_residual(h: np.ndarray, width: int, bath_dim: int,
                               blocks: tuple[tuple[int, ...], ...]) -> float:
     """Norm of what remains after removing bath-only and per-block collective
-    dephasing components from a width-qubit (x) bath operator."""
+    dephasing components from a width-qubit (x) bath operator.
+
+    The identity and the Z sums are diagonal, so p (x) B_p is p[i, i] B_p on
+    the (i, i) system block and zero elsewhere: it is subtracted there, in
+    place, in the order and with the products of the Kronecker form.
+    """
     h = np.asarray(h, dtype=complex)
     dim_sys = 2 ** width
     h4 = h.reshape(dim_sys, bath_dim, dim_sys, bath_dim)
     eye = np.eye(dim_sys, dtype=complex)
-    resid = h - np.kron(eye, _bath_block(h4, eye))
-    for block in blocks:
-        zs = sum(to_dense(OperatorSum.single(width, q, "Z")) for q in block)
-        resid = resid - np.kron(zs, _bath_block(h4, zs))
+    resid = h.copy()
+    r4, i = resid.reshape(h4.shape), np.arange(dim_sys)
+    diag = r4[i, :, i, :]
+    for p in [eye] + [sum(to_dense(OperatorSum.single(width, q, "Z")) for q in block)
+                      for block in blocks]:
+        diag -= np.diagonal(p)[:, None, None] * _bath_block(h4, p)
+    r4[i, :, i, :] = diag
     return spectral_norm(resid)

@@ -21,9 +21,11 @@ alone.  They split their input into the connected components of its exact
 nonzero pattern and work on one stack of blocks per block size.  A matrix
 that is block diagonal under a permutation is exactly the direct sum of its
 blocks, so the split needs no tolerance; a matrix with one component is
-handled as a single dense block.  `generator_of` diagonalizes a unitary
-through its Cayley transform, a Hermitian matrix with the same
-eigenvectors, so `eigh` serves for both exponential and logarithm.
+handled as a single dense block.  `expm_i` and `sequences.propagator`
+share one blockwise exponential, `_expm_blocks`.  `generator_of`
+diagonalizes a unitary through its Cayley transform, a Hermitian matrix
+with the same eigenvectors, so `eigh` serves for both exponential and
+logarithm.
 
 Conventions, fixed globally:
   * qubit 0 is the slowest-varying tensor factor,
@@ -531,6 +533,13 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
         if (new == lab).all():
             break
         lab = new
+    return _components(lab)
+
+
+def _components(lab: np.ndarray) -> list[np.ndarray]:
+    """The classes of equal labels, grouped as `_blocks` returns them; every
+    label must be an index into `lab`."""
+    n = len(lab)
     size = np.bincount(lab, minlength=n)[lab]
     order = np.lexsort((lab, size))
     size = size[order]
@@ -546,20 +555,41 @@ def _stacked(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def expm_i(h: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition (exact, unitary)."""
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian_matrix(h, tol):
+    groups = _expm_blocks(h, t, tol)
+    if len(groups) == 1 and len(groups[0][0]) == 1:
+        return groups[0][1][0]
+    out = np.zeros_like(h)
+    for idx, stack in groups:
+        out[_stacked(idx)] = stack
+    return out
+
+
+def _expm_blocks(h: np.ndarray, t: float, tol: float = 1e-10) -> list[tuple]:
+    """exp(-i h t) of a complex Hermitian h as [(idx, stack)]: per block size
+    of `_blocks(h)`, the (count, size, size) stack of exponentials of the
+    blocks on the components idx.
+
+    h - h^+ is exactly zero between components, so the Hermiticity check
+    run block by block is the dense check.  It is written as `not err <=`,
+    so that a NaN fails it.
+    """
+    blocks = _blocks(h)
+    whole = len(blocks) == 1 and len(blocks[0]) == 1
+    stacks = [h[None]] if whole else [h[_stacked(idx)] for idx in blocks]
+    bound = tol * max([1.0] + [max_abs(s) for s in stacks])
+    if not all(max_abs(s - s.conj().swapaxes(1, 2)) <= bound for s in stacks):
         raise NonHermitianError("expm_i requires a Hermitian generator")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    blocks = _blocks(h)
-    if len(blocks) == 1 and len(blocks[0]) == 1:
+    if whole:
         # one component: the whole matrix is the block, in any order
         vals, vecs = np.linalg.eigh(h)
-        return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    out = np.zeros_like(h)
-    for idx in blocks:
-        ix = _stacked(idx)
-        vals, vecs = np.linalg.eigh(h[ix])
-        out[ix] = (vecs * np.exp(-1j * vals * t)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        return [(blocks[0], ((vecs * np.exp(-1j * vals * t)) @ vecs.conj().T)[None])]
+    out = []
+    for idx, hb in zip(blocks, stacks):
+        vals, vecs = np.linalg.eigh(hb)
+        out.append((idx, (vecs * np.exp(-1j * vals * t)[:, None, :])
+                    @ vecs.conj().swapaxes(1, 2)))
     return out
 
 

@@ -22,14 +22,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .dfs import _checked_pair, logical_operators
 from .gates import SmGateSpec, sm_gate_dense, x_phi
 from .pauli import (
-    OperatorSum, NonUnitaryError, _blocks, _from_masks, _place, _stacked, expm_i,
-    is_unitary, to_dense,
+    OperatorSum, NonUnitaryError, _blocks, _components, _expm_blocks, _from_masks,
+    _place, _stacked, expm_i, is_unitary, to_dense,
 )
 
 PULSE_LABELS = ("P", "PDAG", "PI", "Q", "QDAG", "LAM")
@@ -327,17 +328,9 @@ class EvolutionModel:
         h = np.asarray(h, dtype=complex)
         if h.shape != (dim, dim):
             raise ValueError(f"h_static must be {dim}x{dim}")
+        if not np.isfinite(h).all():
+            raise ValueError("h_static must be finite")
         object.__setattr__(self, "h_static", h)
-
-    @classmethod
-    def from_opsum(cls, h: OperatorSum, bath_dim: int = 1,
-                   bindings: dict | None = None,
-                   h_bath: np.ndarray | None = None) -> "EvolutionModel":
-        mat = to_dense(h, bath_dim, bindings)
-        if h_bath is not None:
-            mat = mat + np.kron(np.eye(2 ** h.width, dtype=complex),
-                                np.asarray(h_bath, dtype=complex))
-        return cls(h.width, bath_dim, mat)
 
     @property
     def dim(self) -> int:
@@ -353,12 +346,16 @@ class EvolutionModel:
 
 def event_unitary(event, model: EvolutionModel) -> np.ndarray:
     """Dense propagator of a single event under the model."""
-    if isinstance(event, Free):
-        return expm_i(model.h_static, event.tau)
-    if isinstance(event, Drive):
-        h = model.h_static + event.amplitude * model.lift(to_dense(event.h_sys))
-        return expm_i(h, event.tau)
+    if isinstance(event, (Free, Drive)):
+        return expm_i(_hamiltonian(event, model), event.tau)
     return model.lift(_pulse_unitary(event, model.width))
+
+
+def _hamiltonian(event, model: EvolutionModel) -> np.ndarray:
+    """Joint Hamiltonian of a free or driven segment."""
+    if isinstance(event, Drive):
+        return model.h_static + event.amplitude * model.lift(to_dense(event.h_sys))
+    return model.h_static
 
 
 def _pulse_unitary(event, width: int) -> np.ndarray:
@@ -392,50 +389,134 @@ def _cache_key(event):
     return ("raw", id(event))
 
 
-def _row_action(u: np.ndarray):
-    """out -> u @ out as one stacked matmul per block size of u's components."""
-    blocks = _blocks(u)
-    if len(blocks) == 1 and len(blocks[0]) == 1:
-        return u.__matmul__
-    groups = [(idx, u[_stacked(idx)]) for idx in blocks]
+def _event_action(event, model: EvolutionModel) -> tuple:
+    """(monomial, blocks) of one event's joint unitary, one of them None.
 
-    def act(out: np.ndarray) -> np.ndarray:
-        new = np.empty_like(out)
-        for idx, ub in groups:
-            new[idx] = ub @ out[idx]
-        return new
-    return act
+    A pulse whose system matrix has one nonzero per row and per column is
+    the monomial (q, w): row r holds w[r] in column q[r].  Any other event
+    is the [(idx, stack)] blocks of its unitary over its exact components.
+    """
+    if isinstance(event, (Free, Drive)):
+        return None, _expm_blocks(_hamiltonian(event, model), event.tau)
+    if isinstance(event, NamedPulse):
+        return _named_action(event, model.width, model.bath_dim)
+    return _pulse_action(event, model.width, model.bath_dim)
 
 
-def _system_action(s: np.ndarray):
-    """out -> (S (x) I_B) @ out, contracting the system factor of the rows."""
-    return lambda out: (s @ out.reshape(len(s), -1)).reshape(out.shape)
+def _pulse_action(event, width: int, bath_dim: int) -> tuple:
+    """`_event_action` of a pulse, S (x) I_B."""
+    s = _pulse_unitary(event, width)
+    bath = np.arange(bath_dim)
+    nz = s != 0
+    if (nz.sum(axis=0) == 1).all() and (nz.sum(axis=1) == 1).all():
+        q = nz.argmax(axis=1)
+        mono = ((q[:, None] * bath_dim + bath).ravel(),
+                np.repeat(s[np.arange(len(s)), q], bath_dim))
+        for a in mono:
+            a.flags.writeable = False
+        return mono, None
+    # each system component once per bath state
+    return None, [((idx[:, None, :] * bath_dim + bath[:, None]).reshape(-1, idx.shape[1]),
+                   np.repeat(s[_stacked(idx)], bath_dim, axis=0))
+                  for idx in _blocks(s)]
+
+
+# a named pulse is fixed by its labels and pairs, so its action is kept
+# from call to call; it is read-only
+_named_action = lru_cache(maxsize=256)(_pulse_action)
+
+
+def _join(labels: np.ndarray) -> np.ndarray:
+    """Labels of the finest partition that every row's partition refines.
+
+    Each row gives every index the smallest index of its class.  A label
+    only falls and always names an index of its own joined class, so the
+    fixed point is one label per class.
+    """
+    if (labels == labels[0]).all():
+        return labels[0]
+    lab = labels.min(axis=0)
+    n = len(lab)
+    while True:
+        new = lab
+        for part in labels:
+            low = np.full(n, n)
+            np.minimum.at(low, part, new)
+            new = low[part]
+        if (new == lab).all():
+            return lab
+        lab = new
 
 
 def propagator(seq: PulseSequence, model: EvolutionModel) -> np.ndarray:
     """Ordered product of event propagators (first event leftmost).
 
-    The product is accumulated from the right, so every event acts on the
-    rows of the running product: a pulse S (x) I_B through its system
-    factor, O(dim^2 2^width), and a free or driven segment block by block
-    over the components of its exact nonzero pattern, O(dim b^2) for blocks
-    of size b, instead of a dense O(dim^3) matmul.
+    The product is taken in the toggling frame of the pulses (Viola, Knill
+    and Lloyd, PRL 82, 2417 (1999)).  Walking the events from the right,
+    the product so far is U = T D, with T the product of the monomial
+    pulses: a permutation with phases, row r holding w[r] in column q[r].
+    A monomial pulse P makes T into P T in O(dim).  Any other event F (a
+    free or driven segment, or a pulse that is not a monomial) joins D as
+    T^-1 F T: F's own blocks relabelled through q and rescaled by w and
+    1/w, in O(sum b^2); 1/w keeps exact phases exact.  The factors of D are
+    block diagonal over the join of their partitions, which is every
+    factor's own partition when the pulses map components onto components.
+    D is one stacked matmul per block size and factor, O(sum b^3), and
+    U = T D is scattered once into a zero matrix, so exact zeros stay.
     """
-    acts: dict = {}
-    out = None
+    dim = model.dim
+    q, w = np.arange(dim), np.ones(dim, dtype=complex)
+    actions: dict = {}
+    frames: dict = {}  # key -> the (T, place from the right) of each factor
+    n = 0
     for event in reversed(seq.events):
         key = _cache_key(event)
-        if key in acts:
-            out = acts[key](out)
-        elif isinstance(event, (Free, Drive)):
-            u = event_unitary(event, model)
-            acts[key] = _row_action(u)
-            out = u if out is None else acts[key](out)
+        if key not in actions:
+            actions[key] = _event_action(event, model)
+        mono = actions[key][0]
+        if mono is None:
+            frames.setdefault(key, []).append((q, w, n))
+            n += 1
         else:
-            s = _pulse_unitary(event, model.width)
-            acts[key] = _system_action(s)
-            out = model.lift(s) if out is None else acts[key](out)
-    return np.eye(model.dim, dtype=complex) if out is None else out
+            q, w = q[mono[0]], mono[1] * w[mono[0]]
+    out = np.zeros((dim, dim), dtype=complex)
+    if not n:
+        out[np.arange(dim), q] = w
+        return out
+    # the factors T^-1 F T as (places, idx, stack), places counted from the
+    # left, all frames of one event at once
+    factors = []
+    for key, seen in frames.items():
+        qs, ws, place = map(np.array, zip(*seen))
+        inv = 1 / ws
+        each = np.arange(len(seen))[:, None, None]
+        for idx, stack in actions[key][1]:
+            factors.append((n - 1 - place, qs[each, idx],
+                            stack * inv[each, idx][..., None] * ws[each, idx][..., None, :]))
+    labels = np.empty((n, dim), dtype=np.intp)
+    for place, idx, _ in factors:
+        labels[place[:, None, None], idx] = idx.min(axis=2, keepdims=True)
+    groups = _components(_join(labels))
+    # every joined block of every factor has its place in one flat row,
+    # entry (i, j) of a block at start[i] + col[j]
+    start, col = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    spans, size = [], 0
+    for idx in groups:
+        count, b = idx.shape
+        start[idx] = size + b * np.arange(count * b).reshape(count, b)
+        col[idx] = np.arange(b)
+        spans.append((size, count, b))
+        size += count * b * b
+    mats = np.zeros((n, size), dtype=complex)
+    for place, idx, stack in factors:
+        mats[place[:, None, None, None], start[idx][..., None] + col[idx][..., None, :]] = stack
+    row = np.empty(dim, dtype=np.intp)
+    row[q] = np.arange(dim)
+    for idx, (at, count, b) in zip(groups, spans):
+        d = reduce(np.matmul, mats[:, at:at + count * b * b].reshape(n, count, b, b))
+        rows = row[idx]
+        out[rows[:, :, None], idx[:, None, :]] = w[rows][:, :, None] * d
+    return out
 
 
 # ---------------------------------------------------------------------------

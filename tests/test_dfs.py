@@ -6,9 +6,9 @@ from dfspulse.dfs import (
     LEAK_LABELS, LOGI_LABELS, SupportError, basis_operator,
     block_collective_residual, bucket_norms, bucket_operators, classify,
     code_isometry, encode, leakage_probability, logical_error_norms,
-    logical_operators, tilde_operators,
+    logical_operators, tilde_operators, _bath_block,
 )
-from dfspulse.pauli import OperatorSum, PauliTerm, SIGMA, to_dense
+from dfspulse.pauli import OperatorSum, PauliTerm, SIGMA, spectral_norm, to_dense
 
 UP = np.array([1, 0], dtype=complex)
 DOWN = np.array([0, 1], dtype=complex)
@@ -238,6 +238,27 @@ def test_block_collective_residual_flags_noncollective():
     zsum = to_dense(sum((OperatorSum.single(4, q, "Z") for q in range(4)),
                         OperatorSum.zero(4)))
     assert block_collective_residual(zsum, 4, 1, ((0, 1, 2, 3),)) < 1e-12
+
+
+@pytest.mark.parametrize("width, blocks", [(2, ((0, 1),)), (4, ((0, 1, 2, 3),)),
+                                           (4, ((0, 1), (2, 3)))])
+@pytest.mark.parametrize("bath_dim", [1, 2, 3])
+def test_block_collective_residual_equals_the_kronecker_form(width, blocks, bath_dim):
+    def kron_form(h):
+        n = 2 ** width
+        h4 = h.reshape(n, bath_dim, n, bath_dim)
+        eye = np.eye(n, dtype=complex)
+        resid = h - np.kron(eye, _bath_block(h4, eye))
+        for block in blocks:
+            zs = sum(to_dense(OperatorSum.single(width, q, "Z")) for q in block)
+            resid = resid - np.kron(zs, _bath_block(h4, zs))
+        return spectral_norm(resid)
+
+    rng = np.random.default_rng(width * 10 + bath_dim)
+    dim = 2 ** width * bath_dim
+    for _ in range(5):
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert block_collective_residual(h, width, bath_dim, blocks) == kron_form(h)
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (-1, 0), (0, 5), (0, 2)])

@@ -173,6 +173,18 @@ def test_expm_i_basics():
         expm_i(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
+def test_expm_i_rejects_a_nan_inside_one_block():
+    # two Hermitian blocks, {0, 2} and {1, 3}; the NaN sits in the second
+    h = np.zeros((4, 4), dtype=complex)
+    h[np.ix_([0, 2], [0, 2])] = [[1.0, 0.5j], [-0.5j, 2.0]]
+    h[np.ix_([1, 3], [1, 3])] = [[0.3, 0.2], [0.2, -1.0]]
+    for at in ((3, 3), (1, 3)):
+        bad = h.copy()
+        bad[at] = bad[at[::-1]] = np.nan
+        with pytest.raises(NonHermitianError):
+            expm_i(bad, 0.5)
+
+
 def test_expm_i_unitary():
     rng = np.random.default_rng(4)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

@@ -68,18 +68,25 @@ def test_named_pulses_are_exact_monomials(width):
             np.testing.assert_allclose(m, expm_i(g, t), rtol=0, atol=1e-15)
 
 
-def test_block4_cycle_propagator_is_sixteen_blocks():
-    # the block4-sim Hamiltonian at bath_factor_dim=2: sum_q Z_q (x) B_q is
-    # 16 bath blocks of 16, and exact monomial pulses only permute them
+def _block4_cycle_blocks(d):
+    # the block4-sim Hamiltonian: sum_q Z_q (x) B_q is 16 bath blocks of
+    # d^4, and exact monomial pulses only permute them
     rng = np.random.default_rng(5)
-    d = 2
     h = sum(np.kron(to_dense(OperatorSum.single(4, q, "Z")),
                     kron_all(*(rand_herm(rng, d) if k == q else np.eye(d)
                                for k in range(4))))
             for q in range(4))
     model = EvolutionModel(4, d ** 4, h)
     u = propagator(symmetrize_block4(0.3, 4), model)
-    assert [idx.shape for idx in _blocks(u)] == [(16, 16)]
+    return [idx.shape for idx in _blocks(u)]
+
+
+def test_block4_cycle_propagator_is_sixteen_blocks():
+    assert _block4_cycle_blocks(2) == [(16, 16)]
+
+
+def test_block4_cycle_propagator_is_sixteen_blocks_at_d3():
+    assert _block4_cycle_blocks(3) == [(16, 81)]
 
 
 def test_pdag_q_is_encoded_z_but_not_an_sm_gate():
@@ -670,3 +677,67 @@ def test_propagator_is_the_ordered_product_of_event_unitaries(width, h_kind):
             want = want @ event_unitary(e, model)
         got = propagator(PulseSequence(tuple(order)), model)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _ordered_product(events, model):
+    want = np.eye(model.dim, dtype=complex)
+    for e in events:
+        want = want @ event_unitary(e, model)
+    return want
+
+
+def test_evolution_model_rejects_a_non_finite_h_static():
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        h = np.zeros((8, 8), dtype=complex)
+        h[3, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EvolutionModel(2, 2, h)
+
+
+def test_monomial_raw_pulse_matches_the_ordered_product():
+    # kron(X, Z) maps 00 <-> 10 and 01 <-> 11; under sum_q Z_q (x) B the
+    # blocks of 00 and 11 land on the zero blocks of 10 and 01
+    rng = np.random.default_rng(8)
+    zsum = to_dense(OperatorSum.single(2, 0, "Z") + OperatorSum.single(2, 1, "Z"))
+    model = EvolutionModel(2, 3, np.kron(zsum, rand_herm(rng, 3)))
+    xz = RawPulse(np.kron(SIGMA["X"], SIGMA["Z"]))
+    events = (Free(0.3), xz, Free(0.2), xz)
+    u = propagator(PulseSequence(events), model)
+    np.testing.assert_allclose(u, _ordered_product(events, model), rtol=0, atol=1e-12)
+    assert [idx.shape for idx in _blocks(u)] == [(4, 3)]
+
+
+def test_pulse_only_sequences_are_exact_products():
+    rng = np.random.default_rng(9)
+    model = EvolutionModel(2, 3, rand_herm(rng, 12))
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+    skew = RawPulse(np.eye(4)[[2, 0, 3, 1]] * phases)
+    named = [NamedPulse((("P", (0, 1)),)), NamedPulse((("Q", (1, 0)),)),
+             NamedPulse((("PI", (0, 1)), ("LAM", (0, 1))))]
+    exact = named + [RawPulse(np.kron(SIGMA["X"], SIGMA["Z"]))]
+    for events in (exact, exact[::-1], exact[1:3] * 3):
+        got = propagator(PulseSequence(tuple(events)), model)
+        np.testing.assert_array_equal(got, _ordered_product(events, model))
+    # a lone monomial is written as it is; other phases round as products
+    np.testing.assert_array_equal(propagator(PulseSequence((skew,)), model),
+                                  model.lift(skew.matrix))
+    sm = SmPulse(SmGateSpec(0.7, (0.1, 0.9), (0, 1)))
+    for events in ([skew, named[0], skew], [named[1], sm, skew, sm], [sm]):
+        np.testing.assert_allclose(propagator(PulseSequence(tuple(events)), model),
+                                   _ordered_product(events, model), rtol=0, atol=1e-12)
+
+
+def test_pulse_mapping_components_partly_onto_others_joins_them():
+    # system components {00}, {01, 11} and {10}, each times the bath; P on
+    # (0, 1) swaps 01 and 10 and fixes 00 and 11, so the conjugated segment
+    # has {00}, {10, 11}, {01}, and the join is {00} and {01, 10, 11}
+    rng = np.random.default_rng(10)
+    couple = np.zeros((4, 4))
+    couple[1, 3] = couple[3, 1] = 1.0
+    h = (np.kron(np.diag([1.0, 2.0, 3.0, 4.0]), rand_herm(rng, 2))
+         + np.kron(couple, rand_herm(rng, 2)))
+    model = EvolutionModel(2, 2, h)
+    seq = symmetrize_pair(0.4)
+    u = propagator(seq, model)
+    np.testing.assert_allclose(u, _ordered_product(seq.events, model), rtol=0, atol=1e-12)
+    assert [idx.tolist() for idx in _blocks(u)] == [[[0, 1]], [[2, 3, 4, 5, 6, 7]]]
