@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -433,8 +433,6 @@ def _join(labels: np.ndarray) -> np.ndarray:
     only falls and always names an index of its own joined class, so the
     fixed point is one label per class.
     """
-    if (labels == labels[0]).all():
-        return labels[0]
     lab = labels.min(axis=0)
     n = len(lab)
     while True:
@@ -456,49 +454,41 @@ def propagator(seq: PulseSequence, model: EvolutionModel) -> np.ndarray:
     the product so far is U = T D, with T the product of the monomial
     pulses: a permutation with phases, row r holding w[r] in column q[r].
     A monomial pulse P makes T into P T in O(dim).  Any other event F (a
-    free or driven segment, or a pulse that is not a monomial) joins D as
-    T^-1 F T: F's own blocks relabelled through q and rescaled by w and
-    1/w, in O(sum b^2); 1/w keeps exact phases exact.  The factors of D are
-    block diagonal over the join of their partitions, which is every
-    factor's own partition when the pulses map components onto components.
-    D is one stacked matmul per block size and factor, O(sum b^3), and
-    U = T D is scattered once into a zero matrix, so exact zeros stay.
+    free or driven segment, or a pulse that is not a monomial) joins D on
+    the left as T^-1 F T: F's own blocks relabelled through q and rescaled
+    by w and 1/w, in O(sum b^2); 1/w keeps exact phases exact.  The factors
+    of D are block diagonal over the join of their partitions, which is
+    every factor's own partition when the pulses map components onto
+    components.  Once the join is known from the frames, each factor in
+    turn is laid out over it and multiplied into D with one stacked matmul
+    per block size, O(sum b^3), so memory does not grow with the sequence
+    beyond one frame per factor.  U = T D is scattered once into a zero
+    matrix, so exact zeros stay.
     """
     dim = model.dim
     q, w = np.arange(dim), np.ones(dim, dtype=complex)
     actions: dict = {}
-    frames: dict = {}  # key -> the (T, place from the right) of each factor
-    n = 0
+    frames = []  # (key, q, w) of each factor T^-1 F T, rightmost first
     for event in reversed(seq.events):
         key = _cache_key(event)
         if key not in actions:
             actions[key] = _event_action(event, model)
         mono = actions[key][0]
         if mono is None:
-            frames.setdefault(key, []).append((q, w, n))
-            n += 1
+            frames.append((key, q, w))
         else:
             q, w = q[mono[0]], mono[1] * w[mono[0]]
     out = np.zeros((dim, dim), dtype=complex)
-    if not n:
+    if not frames:
         out[np.arange(dim), q] = w
         return out
-    # the factors T^-1 F T as (places, idx, stack), places counted from the
-    # left, all frames of one event at once
-    factors = []
-    for key, seen in frames.items():
-        qs, ws, place = map(np.array, zip(*seen))
-        inv = 1 / ws
-        each = np.arange(len(seen))[:, None, None]
-        for idx, stack in actions[key][1]:
-            factors.append((n - 1 - place, qs[each, idx],
-                            stack * inv[each, idx][..., None] * ws[each, idx][..., None, :]))
-    labels = np.empty((n, dim), dtype=np.intp)
-    for place, idx, _ in factors:
-        labels[place[:, None, None], idx] = idx.min(axis=2, keepdims=True)
+    labels = np.empty((len(frames), dim), dtype=np.intp)
+    for lab, (key, qf, _) in zip(labels, frames):
+        for idx, _ in actions[key][1]:
+            lab[qf[idx]] = qf[idx].min(axis=1, keepdims=True)
     groups = _components(_join(labels))
-    # every joined block of every factor has its place in one flat row,
-    # entry (i, j) of a block at start[i] + col[j]
+    # D and the next factor each fill one flat row laid out over the joined
+    # blocks, entry (i, j) of a block at start[i] + col[j]
     start, col = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
     spans, size = [], 0
     for idx in groups:
@@ -507,13 +497,23 @@ def propagator(seq: PulseSequence, model: EvolutionModel) -> np.ndarray:
         col[idx] = np.arange(b)
         spans.append((size, count, b))
         size += count * b * b
-    mats = np.zeros((n, size), dtype=complex)
-    for place, idx, stack in factors:
-        mats[place[:, None, None, None], start[idx][..., None] + col[idx][..., None, :]] = stack
+    acc, nxt = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    views = [(acc[at:at + count * b * b].reshape(count, b, b),
+              nxt[at:at + count * b * b].reshape(count, b, b)) for at, count, b in spans]
+    for k, (key, qf, wf) in enumerate(frames):
+        flat = nxt if k else acc
+        flat[:] = 0
+        inv = 1 / wf
+        for idx, stack in actions[key][1]:
+            j = qf[idx]
+            flat[start[j][..., None] + col[j][..., None, :]] = (
+                stack * inv[idx][..., None] * wf[idx][..., None, :])
+        if k:
+            for d, f in views:
+                d[...] = f @ d
     row = np.empty(dim, dtype=np.intp)
     row[q] = np.arange(dim)
-    for idx, (at, count, b) in zip(groups, spans):
-        d = reduce(np.matmul, mats[:, at:at + count * b * b].reshape(n, count, b, b))
+    for idx, (d, _) in zip(groups, views):
         rows = row[idx]
         out[rows[:, :, None], idx[:, None, :]] = w[rows][:, :, None] * d
     return out

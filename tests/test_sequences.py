@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dfspulse.dfs import (
 from dfspulse.gates import SmGateSpec, dfs_restrict
 from dfspulse.pauli import (
     NonUnitaryError, OperatorSum, SIGMA, _blocks, expm_i, generator_of,
-    kron_all, spectral_norm, to_dense,
+    spectral_norm, to_dense,
 )
 from dfspulse.sequences import (
     PULSE_LABELS, Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
@@ -71,12 +72,7 @@ def test_named_pulses_are_exact_monomials(width):
 def _block4_cycle_blocks(d):
     # the block4-sim Hamiltonian: sum_q Z_q (x) B_q is 16 bath blocks of
     # d^4, and exact monomial pulses only permute them
-    rng = np.random.default_rng(5)
-    h = sum(np.kron(to_dense(OperatorSum.single(4, q, "Z")),
-                    kron_all(*(rand_herm(rng, d) if k == q else np.eye(d)
-                               for k in range(4))))
-            for q in range(4))
-    model = EvolutionModel(4, d ** 4, h)
+    model, _ = _block4_model(np.random.default_rng(5), d)
     u = propagator(symmetrize_block4(0.3, 4), model)
     return [idx.shape for idx in _blocks(u)]
 
@@ -725,6 +721,34 @@ def test_pulse_only_sequences_are_exact_products():
     for events in ([skew, named[0], skew], [named[1], sm, skew, sm], [sm]):
         np.testing.assert_allclose(propagator(PulseSequence(tuple(events)), model),
                                    _ordered_product(events, model), rtol=0, atol=1e-12)
+
+
+def test_long_repeated_sequence_matches_the_ordered_product():
+    rng = np.random.default_rng(11)
+    zsum = to_dense(OperatorSum.single(2, 0, "Z") + OperatorSum.single(2, 1, "Z"))
+    model = EvolutionModel(2, 3, np.kron(zsum, rand_herm(rng, 3)))
+    for events in (tuple(_mixed_events(rng, 2)) * 60,
+                   (leak_elim_cycle(0.2).events + symmetrize_pair(0.3).events) * 60):
+        np.testing.assert_allclose(propagator(PulseSequence(events), model),
+                                   _ordered_product(events, model), rtol=0, atol=1e-12)
+
+
+def test_propagator_memory_does_not_grow_with_the_blocks_of_each_factor():
+    # block4 at d=2 is dim 256 in 16 blocks of 16: a factor's blocks take
+    # 64 KB, its frame 6 KB; the 360 factors of 90 more cycles may keep
+    # their frames only
+    model, _ = _block4_model(np.random.default_rng(5))
+    cycle = symmetrize_block4(0.3, 4).events
+
+    def peak(repeats):
+        tracemalloc.start()
+        try:
+            propagator(PulseSequence(cycle * repeats), model)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100) - peak(10) < 10e6
 
 
 def test_pulse_mapping_components_partly_onto_others_joins_them():
