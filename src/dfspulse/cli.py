@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dfs, gates, sequences, verification
+from . import dfs, gates, pauli, sequences, verification
 from .baths import (
     SpectralNoise, dephasing_run, suppression_scan, thermal_numbers,
     timescale_check, VibBath,
 )
-from .pauli import OperatorSum, expm_i, generator_of, kron_all, to_dense
+from .pauli import OperatorSum, expm_i, kron_all, to_dense
 from .sequences import EvolutionModel, Free, PulseSequence, propagator, symmetrize_pair
 from .verification import CheckResult, _rand_herm
 
@@ -397,7 +397,9 @@ def _run_gate(sc: Scenario):
         (["gamma_sb", "infidelity", "bound"], rows)
 
 
-def _run_block4(sc: Scenario):
+def _block4_model(sc: Scenario) -> tuple[EvolutionModel, PulseSequence]:
+    """The four-ion model of a block4-sim scenario, each ion dephased by its
+    own random bath factor, and its symmetrizing cycle."""
     p = sc.parameters
     rng = np.random.default_rng(sc.seed)
     d = p["bath_factor_dim"]
@@ -411,14 +413,22 @@ def _run_block4(sc: Scenario):
     bindings = {f"b{q}": embed_bath(_rand_herm(rng, d), q) for q in range(4)}
     h = sum((OperatorSum.single(4, q, "Z", 1.0, f"b{q}") for q in range(4)),
             OperatorSum.zero(4))
-    model = EvolutionModel(4, bdim, to_dense(h, bdim, bindings))
-    seq = sequences.symmetrize_block4(p["tau"], 4)
-    u = propagator(seq, model)
-    g = generator_of(u, 4 * p["tau"])
-    resid = dfs.block_collective_residual(g, 4, bdim, ((0, 1, 2, 3),))
+    return (EvolutionModel(4, bdim, to_dense(h, bdim, bindings)),
+            sequences.symmetrize_block4(p["tau"], 4))
+
+
+def _run_block4(sc: Scenario):
+    p = sc.parameters
+    model, seq = _block4_model(sc)
+    # the private cores hand the cycle's blocks on: no dense matrix, no rescan
+    u = sequences._propagator_blocks(seq, model)
+    g, margin, selfcheck = pauli._log_blocks(u, 4 * p["tau"])
+    resid = dfs._block_residual(g, 4, model.bath_dim, ((0, 1, 2, 3),))
     checks = [CheckResult("block4_residual", float(resid), 0.0,
                           p["tolerance"], bool(resid <= p["tolerance"]))]
-    return checks, {"residual": resid,
+    return checks, {"residual": resid, "dim": model.dim,
+                    "block_sizes": [len(row) for idx, _ in u for row in idx],
+                    "branch_margin": margin, "log_selfcheck": selfcheck,
                     "checks": [c.__dict__ for c in checks]}, None
 
 

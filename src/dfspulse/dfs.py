@@ -21,7 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import OperatorSum, _from_masks, _masks, _place, spectral_norm, to_dense
+from .pauli import (
+    OperatorSum, _blocks, _components, _from_masks, _join, _labels, _layout, _masks,
+    _norm_blocks, _place, _stacked, spectral_norm, to_dense,
+)
 
 CODE_ZERO_INDEX = 2  # |down, up>
 CODE_ONE_INDEX = 1   # |up, down>
@@ -293,19 +296,66 @@ def block_collective_residual(h: np.ndarray, width: int, bath_dim: int,
     """Norm of what remains after removing bath-only and per-block collective
     dephasing components from a width-qubit (x) bath operator.
 
-    The identity and the Z sums are diagonal, so p (x) B_p is p[i, i] B_p on
-    the (i, i) system block and zero elsewhere: it is subtracted there, in
-    place, in the order and with the products of the Kronecker form.
+    `blocks` are groups of sites, each nonempty, and no site may appear
+    twice, within a group or across groups: only then are the identity and
+    the Z sums of the groups trace-orthogonal, so that removing the
+    projection onto each removes their whole span.  Repeated or overlapping
+    sites raise ValueError, as does an h that is not (2^width * bath_dim)
+    square.  h is split into its blocks and taken by `_block_residual`.
     """
     h = np.asarray(h, dtype=complex)
+    dim = 2 ** width * bath_dim
+    if h.shape != (dim, dim):
+        raise ValueError(f"h has shape {h.shape}, expected {(dim, dim)} for "
+                         f"{width} qubits and bath dimension {bath_dim}")
+    return _block_residual([(idx, h[_stacked(idx)]) for idx in _blocks(h)],
+                           width, bath_dim, blocks)
+
+
+def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,
+                    blocks: tuple[tuple[int, ...], ...]) -> float:
+    """`block_collective_residual` of the operator with [(idx, stack)] blocks.
+
+    The identity and the Z sums p are diagonal, so p (x) B_p is p[s, s] B_p
+    on the (s, s) system block and zero elsewhere, and
+    B_p = sum_s conj(p[s, s]) h_ss / Tr(p^+ p) needs only those blocks h_ss.
+    The residual is then block diagonal over the join of h's blocks with the
+    system states: it is laid out over that join, each p[s, s] B_p is
+    subtracted on the (s, s) blocks in the order and with the products of
+    the Kronecker form, and its norm is taken block by block.
+    """
+    sites = [operator.index(q) for block in blocks for q in block]
+    if (not all(blocks) or len(set(sites)) != len(sites)
+            or not all(0 <= q < width for q in sites)):
+        raise ValueError(f"site blocks {blocks} must be nonempty, disjoint groups "
+                         f"of distinct sites of a {width}-qubit register")
     dim_sys = 2 ** width
-    h4 = h.reshape(dim_sys, bath_dim, dim_sys, bath_dim)
-    eye = np.eye(dim_sys, dtype=complex)
-    resid = h.copy()
-    r4, i = resid.reshape(h4.shape), np.arange(dim_sys)
-    diag = r4[i, :, i, :]
-    for p in [eye] + [sum(to_dense(OperatorSum.single(width, q, "Z")) for q in block)
-                      for block in blocks]:
-        diag -= np.diagonal(p)[:, None, None] * _bath_block(h4, p)
-    r4[i, :, i, :] = diag
-    return spectral_norm(resid)
+    dim = dim_sys * bath_dim
+    states = np.arange(dim_sys)
+    ps = [np.ones(dim_sys, dtype=complex)] + [
+        sum(1 - 2 * (states >> (width - 1 - q) & 1) for q in block).astype(complex)
+        for block in blocks]
+    groups = _components(_join(np.stack([_labels([idx for idx, _ in hblocks], dim),
+                                         np.arange(dim) // bath_dim * bath_dim])))
+    start, col, spans, size = _layout(groups, dim)
+    flat = np.zeros(size, dtype=complex)
+    for idx, stack in hblocks:
+        flat[start[idx][..., None] + col[idx][..., None, :]] = stack
+    # a joined block holds m whole system states, ascending; its (j, j)
+    # sub-block is the (s, s) block of its j-th state s
+    subs = [(flat[at:at + count * b * b].reshape(count, b // bath_dim, bath_dim,
+                                                 b // bath_dim, bath_dim),
+             idx[:, ::bath_dim] // bath_dim) for idx, (at, count, b) in zip(groups, spans)]
+    hss = np.empty((dim_sys, bath_dim, bath_dim), dtype=complex)
+    for d, states in subs:
+        for j, s in enumerate(states.T):
+            hss[s] = d[:, j, :, j, :]
+    resid = hss.copy()
+    for p in ps:
+        resid -= p[:, None, None] * (np.einsum("s,sab->ab", p.conj(), hss)
+                                      / np.vdot(p, p).real)
+    for d, states in subs:
+        for j, s in enumerate(states.T):
+            d[:, j, :, j, :] = resid[s]
+    return _norm_blocks(flat[at:at + count * b * b].reshape(count, b, b)
+                        for at, count, b in spans)

@@ -481,8 +481,13 @@ def spectral_norm(m: np.ndarray) -> float:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return float(np.linalg.norm(m, 2))
-    return max((float(np.linalg.svd(m[_stacked(idx)], compute_uv=False).max())
-                for idx in _blocks(m)), default=0.0)
+    return _norm_blocks(m[_stacked(idx)] for idx in _blocks(m))
+
+
+def _norm_blocks(stacks) -> float:
+    """Largest singular value of a direct sum, given its (count, b, b) stacks."""
+    return max((float(np.linalg.svd(s, compute_uv=False).max()) for s in stacks),
+               default=0.0)
 
 
 def is_hermitian_matrix(m: np.ndarray, tol: float = 1e-10) -> bool:
@@ -547,21 +552,71 @@ def _components(lab: np.ndarray) -> list[np.ndarray]:
     return [order[a:b].reshape(-1, size[a]) for a, b in zip(cuts, cuts[1:])]
 
 
+def _join(labels: np.ndarray) -> np.ndarray:
+    """Labels of the finest partition that every row's partition refines.
+
+    Each row gives every index the smallest index of its class.  A label
+    only falls and always names an index of its own joined class, so the
+    fixed point is one label per class.
+    """
+    lab = labels.min(axis=0)
+    n = len(lab)
+    while True:
+        new = lab
+        for part in labels:
+            low = np.full(n, n)
+            np.minimum.at(low, part, new)
+            new = low[part]
+        if (new == lab).all():
+            return lab
+        lab = new
+
+
+def _labels(groups, dim: int) -> np.ndarray:
+    """A row for `_join`: the partition of range(dim) into the rows of the
+    (count, size) index arrays `groups`."""
+    lab = np.empty(dim, dtype=np.intp)
+    for idx in groups:
+        lab[idx] = idx.min(axis=1, keepdims=True)
+    return lab
+
+
 def _stacked(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the (count, size, size) stack of blocks on the components `idx`."""
     return idx[:, :, None], idx[:, None, :]
 
 
+def _layout(groups, dim: int) -> tuple:
+    """Places of blocks over the partition `groups` in one flat row: entry
+    (i, j) of a block at start[i] + col[j], so col[i] is the place of index
+    i in its block.  Returns (start, col, spans, size), with the (offset,
+    count, b) span of each group's (count, b, b) stack and the row's size."""
+    start, col = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    spans, size = [], 0
+    for idx in groups:
+        count, b = idx.shape
+        start[idx] = size + b * np.arange(count * b).reshape(count, b)
+        col[idx] = np.arange(b)
+        spans.append((size, count, b))
+        size += count * b * b
+    return start, col, spans, size
+
+
+def _dense(blocks, dim: int) -> np.ndarray:
+    """The dim x dim matrix of [(idx, stack)] blocks, zero between them; a
+    single block on every index is returned as it is."""
+    if len(blocks) == 1 and blocks[0][0].shape == (1, dim):
+        return blocks[0][1][0]
+    out = np.zeros((dim, dim), dtype=complex)
+    for idx, stack in blocks:
+        out[_stacked(idx)] = stack
+    return out
+
+
 def expm_i(h: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition (exact, unitary)."""
     h = np.asarray(h, dtype=complex)
-    groups = _expm_blocks(h, t, tol)
-    if len(groups) == 1 and len(groups[0][0]) == 1:
-        return groups[0][1][0]
-    out = np.zeros_like(h)
-    for idx, stack in groups:
-        out[_stacked(idx)] = stack
-    return out
+    return _dense(_expm_blocks(h, t, tol), h.shape[0])
 
 
 def _expm_blocks(h: np.ndarray, t: float, tol: float = 1e-10) -> list[tuple]:
@@ -598,29 +653,41 @@ def generator_of(u: np.ndarray, total_time: float,
     """Effective Hermitian generator H with u = exp(-i H total_time).
 
     Uses the principal matrix logarithm; eigenphases must stay away from
-    the +-pi branch cut by `branch_tol`.  Each block g of u is diagonalized
-    through its Cayley transform A = i (1 + g)^-1 (1 - g), which is
-    Hermitian with eigenvalue tan(phase/2) for each eigenphase of g, one to
-    one on (-pi, pi): so `eigh` of A gives an orthonormal eigenbasis Q of g,
-    for all blocks of one size in one stacked call.  A singular 1 + g is an
+    the +-pi branch cut by `branch_tol`.  u is split into its blocks and
+    each is taken by `_log_blocks`.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise NonUnitaryError("generator_of requires a unitary input")
+    blocks = [(idx, u[_stacked(idx)]) for idx in _blocks(u)]
+    return _dense(_log_blocks(blocks, total_time, branch_tol)[0], u.shape[0])
+
+
+def _log_blocks(blocks, total_time: float,
+                branch_tol: float = 1e-6) -> tuple[list[tuple], float, float]:
+    """The generator of a block-diagonal unitary, blockwise.
+
+    Takes and returns [(idx, stack)] blocks, and returns with them the
+    branch margin min(pi - |phase|) and the self-check max|T - diag
+    e^{i phase}| over all blocks.  Each block g is diagonalized through its
+    Cayley transform A = i (1 + g)^-1 (1 - g), which is Hermitian with
+    eigenvalue tan(phase/2) for each eigenphase of g, one to one on
+    (-pi, pi): so `eigh` of A gives an orthonormal eigenbasis Q of g, for
+    all blocks of one size in one stacked call.  A singular 1 + g is an
     eigenphase exactly at pi.  T = Q^+ g Q checks the result:
     g - exp(-i H total_time) = Q (T - diag e^{i phase}) Q^+.  The basis
     loses accuracy as 1/(pi - |phase|), to about 1e-9 in H at the default
     `branch_tol`; a `branch_tol` below about 1e-7 can make that check fail
     with ArithmeticError.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NonUnitaryError("generator_of requires a unitary input")
-    groups = [(ix, u[ix]) for ix in map(_stacked, _blocks(u))]
     # u u^+ - 1 is exactly zero between blocks, so this is the full check
     if not all(max_abs(g @ g.conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= 1e-10
-               for _, g in groups):
+               for _, g in blocks):
         raise NonUnitaryError("generator_of requires a unitary input")
     if total_time == 0 or not np.isfinite(total_time):
         raise ValueError(f"total_time must be finite and nonzero, got {total_time}")
-    h = np.zeros_like(u)
-    for ix, g in groups:
+    out, margin, selfcheck = [], np.pi, 0.0
+    for idx, g in blocks:
         one = np.eye(g.shape[1])
         try:
             a = 1j * np.linalg.solve(one + g, one - g)
@@ -631,11 +698,13 @@ def generator_of(u: np.ndarray, total_time: float,
         qh = q.conj().swapaxes(1, 2)
         tmat = qh @ g @ q
         phases = np.angle(np.diagonal(tmat, axis1=1, axis2=2))
-        if np.any(np.pi - np.abs(phases) < branch_tol):
+        margin = min(margin, float((np.pi - np.abs(phases)).min()))
+        if margin < branch_tol:
             raise BranchCutError(
                 "eigenphase within branch_tol of +-pi; shorten total_time")
-        if max_abs(tmat - np.exp(1j * phases)[:, :, None] * one) > 1e-8:
+        selfcheck = max(selfcheck, max_abs(tmat - np.exp(1j * phases)[:, :, None] * one))
+        if selfcheck > 1e-8:
             raise ArithmeticError("principal log failed to reproduce the unitary")
         hg = (q * (-phases / total_time)[:, None, :]) @ qh
-        h[ix] = 0.5 * (hg + hg.conj().swapaxes(1, 2))
-    return h
+        out.append((idx, 0.5 * (hg + hg.conj().swapaxes(1, 2))))
+    return out, margin, selfcheck

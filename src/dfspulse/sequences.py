@@ -29,8 +29,8 @@ import numpy as np
 from .dfs import _checked_pair, logical_operators
 from .gates import SmGateSpec, sm_gate_dense, x_phi
 from .pauli import (
-    OperatorSum, NonUnitaryError, _blocks, _components, _expm_blocks, _from_masks,
-    _place, _stacked, expm_i, is_unitary, to_dense,
+    OperatorSum, NonUnitaryError, _blocks, _components, _dense, _expm_blocks,
+    _from_masks, _join, _labels, _layout, _place, _stacked, expm_i, is_unitary, to_dense,
 )
 
 PULSE_LABELS = ("P", "PDAG", "PI", "Q", "QDAG", "LAM")
@@ -426,28 +426,14 @@ def _pulse_action(event, width: int, bath_dim: int) -> tuple:
 _named_action = lru_cache(maxsize=256)(_pulse_action)
 
 
-def _join(labels: np.ndarray) -> np.ndarray:
-    """Labels of the finest partition that every row's partition refines.
-
-    Each row gives every index the smallest index of its class.  A label
-    only falls and always names an index of its own joined class, so the
-    fixed point is one label per class.
-    """
-    lab = labels.min(axis=0)
-    n = len(lab)
-    while True:
-        new = lab
-        for part in labels:
-            low = np.full(n, n)
-            np.minimum.at(low, part, new)
-            new = low[part]
-        if (new == lab).all():
-            return lab
-        lab = new
-
-
 def propagator(seq: PulseSequence, model: EvolutionModel) -> np.ndarray:
-    """Ordered product of event propagators (first event leftmost).
+    """Ordered product of event propagators (first event leftmost): the
+    blocks of `_propagator_blocks`, scattered into a zero matrix."""
+    return _dense(_propagator_blocks(seq, model), model.dim)
+
+
+def _propagator_blocks(seq: PulseSequence, model: EvolutionModel) -> list[tuple]:
+    """The product of `propagator` as [(idx, stack)] blocks.
 
     The product is taken in the toggling frame of the pulses (Viola, Knill
     and Lloyd, PRL 82, 2417 (1999)).  Walking the events from the right,
@@ -462,8 +448,12 @@ def propagator(seq: PulseSequence, model: EvolutionModel) -> np.ndarray:
     components.  Once the join is known from the frames, each factor in
     turn is laid out over it and multiplied into D with one stacked matmul
     per block size, O(sum b^3), so memory does not grow with the sequence
-    beyond one frame per factor.  U = T D is scattered once into a zero
-    matrix, so exact zeros stay.
+    beyond one frame per factor.
+
+    When the final frame q maps every block of the join onto itself, as at
+    the end of every cycle the functions above construct, U has D's blocks,
+    row r of a block being w[r] times row q[r] of D's.  Otherwise U = T D
+    is returned as one dense block.
     """
     dim = model.dim
     q, w = np.arange(dim), np.ones(dim, dtype=complex)
@@ -478,25 +468,37 @@ def propagator(seq: PulseSequence, model: EvolutionModel) -> np.ndarray:
             frames.append((key, q, w))
         else:
             q, w = q[mono[0]], mono[1] * w[mono[0]]
-    out = np.zeros((dim, dim), dtype=complex)
     if not frames:
+        # U = T: one index per block when q keeps them all in place
+        if (q == np.arange(dim)).all():
+            return [(np.arange(dim)[:, None], w[:, None, None])]
+        out = np.zeros((dim, dim), dtype=complex)
         out[np.arange(dim), q] = w
-        return out
-    labels = np.empty((len(frames), dim), dtype=np.intp)
-    for lab, (key, qf, _) in zip(labels, frames):
-        for idx, _ in actions[key][1]:
-            lab[qf[idx]] = qf[idx].min(axis=1, keepdims=True)
-    groups = _components(_join(labels))
+        return [(np.arange(dim)[None], out[None])]
+    joined, groups, col, ds = _frame_product(frames, actions, dim)
+    if (joined[q] == joined).all():
+        # index i is column col[i] of its block, so row r is row col[q[r]] of D's
+        return [(idx, w[idx][..., None] * d[np.arange(len(d))[:, None], col[q[idx]]])
+                for idx, d in zip(groups, ds)]
+    out = np.zeros((dim, dim), dtype=complex)
+    row = np.empty(dim, dtype=np.intp)
+    row[q] = np.arange(dim)
+    for idx, d in zip(groups, ds):
+        rows = row[idx]
+        out[rows[:, :, None], idx[:, None, :]] = w[rows][:, :, None] * d
+    return [(np.arange(dim)[None], out[None])]
+
+
+def _frame_product(frames, actions: dict, dim: int) -> tuple:
+    """D of `_propagator_blocks`: (join labels, groups, col, stacks), with D's
+    (count, b, b) stack on each group of the join and col[i] the place of
+    index i in its block."""
+    joined = _join(np.stack([_labels([qf[idx] for idx, _ in actions[key][1]], dim)
+                             for key, qf, _ in frames]))
+    groups = _components(joined)
     # D and the next factor each fill one flat row laid out over the joined
-    # blocks, entry (i, j) of a block at start[i] + col[j]
-    start, col = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
-    spans, size = [], 0
-    for idx in groups:
-        count, b = idx.shape
-        start[idx] = size + b * np.arange(count * b).reshape(count, b)
-        col[idx] = np.arange(b)
-        spans.append((size, count, b))
-        size += count * b * b
+    # blocks
+    start, col, spans, size = _layout(groups, dim)
     acc, nxt = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
     views = [(acc[at:at + count * b * b].reshape(count, b, b),
               nxt[at:at + count * b * b].reshape(count, b, b)) for at, count, b in spans]
@@ -511,12 +513,7 @@ def propagator(seq: PulseSequence, model: EvolutionModel) -> np.ndarray:
         if k:
             for d, f in views:
                 d[...] = f @ d
-    row = np.empty(dim, dtype=np.intp)
-    row[q] = np.arange(dim)
-    for idx, (d, _) in zip(groups, views):
-        rows = row[idx]
-        out[rows[:, :, None], idx[:, None, :]] = w[rows][:, :, None] * d
-    return out
+    return joined, groups, col, [d for d, _ in views]
 
 
 # ---------------------------------------------------------------------------

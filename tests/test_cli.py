@@ -5,6 +5,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,10 @@ from dfspulse.cli import (
     serialize_config,
 )
 import dfspulse
+import dfspulse.cli as cli_mod
+from dfspulse.dfs import block_collective_residual
+from dfspulse.pauli import generator_of
+from dfspulse.sequences import propagator
 from dfspulse.verification import CheckResult
 
 
@@ -194,6 +199,39 @@ def test_block4_scenario(tmp_path):
     sc = parse_config('[{"name": "b4", "kind": "block4-sim", "seed": 5}]')[0]
     checks = run_scenario(sc, tmp_path)
     assert all(c.passed for c in checks)
+
+
+def _block4(seed, d):
+    return parse_config(json.dumps([{"name": "b4", "kind": "block4-sim", "seed": seed,
+                                     "parameters": {"bath_factor_dim": d}}]))[0]
+
+
+def test_block4_report_sizes_and_health(tmp_path):
+    sc = _block4(5, 2)
+    run_scenario(sc, tmp_path / "a", jobs=1)
+    run_scenario(sc, tmp_path / "a2", jobs=1)
+    run_scenario(sc, tmp_path / "b", jobs=2)
+    text = (tmp_path / "a" / "b4.json").read_bytes()
+    assert text == (tmp_path / "a2" / "b4.json").read_bytes()
+    assert text == (tmp_path / "b" / "b4.json").read_bytes()
+    rep = json.loads(text)
+    assert rep["dim"] == 256 and rep["block_sizes"] == [16] * 16
+    # the margin is that of the cycle propagator's eigenphases
+    model, seq = cli_mod._block4_model(sc)
+    phases = np.angle(np.linalg.eigvals(propagator(seq, model)))
+    assert rep["branch_margin"] == pytest.approx(np.min(np.pi - np.abs(phases)), abs=1e-9)
+    assert 0 <= rep["log_selfcheck"] <= 1e-8
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block4_residual_equals_the_dense_chain(d):
+    for seed in range(8):
+        sc = _block4(seed, d)
+        _, payload, _ = cli_mod._run_block4(sc)
+        model, seq = cli_mod._block4_model(sc)
+        g = generator_of(propagator(seq, model), 4 * sc.parameters["tau"])
+        assert payload["residual"] == block_collective_residual(
+            g, 4, model.bath_dim, ((0, 1, 2, 3),))
 
 
 def test_runtime_needs_no_scipy(tmp_path):

@@ -256,9 +256,38 @@ def test_block_collective_residual_equals_the_kronecker_form(width, blocks, bath
 
     rng = np.random.default_rng(width * 10 + bath_dim)
     dim = 2 ** width * bath_dim
+    # system-diagonal blocks only, bath-diagonal on odd states: h's blocks are
+    # finer than the system states, while the residual's are not
+    states = np.arange(dim) // bath_dim
+    sparse = (states[:, None] == states[None, :]) & (
+        (states[:, None] % 2 == 0) | np.eye(dim, dtype=bool))
     for _ in range(5):
         h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert block_collective_residual(h, width, bath_dim, blocks) == kron_form(h)
+        h = np.where(sparse, h, 0)
+        assert block_collective_residual(h, width, bath_dim, blocks) == kron_form(h)
+
+
+@pytest.mark.parametrize("blocks", [((0, 1), (1, 2)), ((1, 2), (0, 1)), ((0, 0),),
+                                    ((0, 1), ()), ((0, 3),), ((0, 1), (2, 0))])
+def test_block_collective_residual_rejects_repeated_sites(blocks):
+    # Z0 + Z1 and Z1 + Z2 are not trace-orthogonal: removing the projection
+    # onto each in turn left 2.0 of h = Z0 + 2 Z1 + Z2, which is in their span
+    h = to_dense(OperatorSum.single(3, 0, "Z") + OperatorSum.single(3, 1, "Z", 2.0)
+                 + OperatorSum.single(3, 2, "Z"))
+    with pytest.raises(ValueError, match="disjoint"):
+        block_collective_residual(h, 3, 1, blocks)
+    h = to_dense(OperatorSum.single(3, 0, "Z") + OperatorSum.single(3, 1, "Z")
+                 + OperatorSum.single(3, 2, "Z", 3.0))
+    assert block_collective_residual(h, 3, 1, ((0, 1), (2,))) < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (4, 16), (64,), (16, 16)])
+def test_block_collective_residual_rejects_a_wrong_shape(shape):
+    # (4, 16) and (64,) hold the 64 entries of an 8 x 8 operator
+    h = np.arange(np.prod(shape), dtype=complex).reshape(shape)
+    with pytest.raises(ValueError, match="expected"):
+        block_collective_residual(h, 2, 2 if shape != (8, 8) else 3, ((0, 1),))
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (-1, 0), (0, 5), (0, 2)])

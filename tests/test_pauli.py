@@ -6,8 +6,8 @@ from scipy.sparse.csgraph import connected_components
 
 from dfspulse.pauli import (
     BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
-    OperatorSum, PauliTerm, WidthMismatchError, _blocks, commutator, commutes,
-    embed_sites, expm_i, generator_of, is_unitary, kron_all, pauli_mul,
+    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _log_blocks, commutator,
+    commutes, embed_sites, expm_i, generator_of, is_unitary, kron_all, pauli_mul,
     spectral_norm, to_dense, SIGMA,
 )
 
@@ -429,6 +429,26 @@ def test_generator_is_exact_or_refuses_inside_branch_tol(distance):
     except ArithmeticError:
         return
     np.testing.assert_allclose(g, h, atol=1e-8)
+
+
+def test_block_log_raises_as_the_dense_one():
+    # the block path takes no scan of its own: its blocks are given
+    rng = np.random.default_rng(62)
+    phases = rng.uniform(-2.5, 2.5, 12)
+    u, h = hidden_unitary(rng, [phases])
+    whole = np.arange(12)[None]
+    (idx, g), = _log_blocks([(whole, u[None])], 1.0)[0]
+    np.testing.assert_allclose(g[0], h, atol=1e-10)
+    with pytest.raises(NonUnitaryError):
+        _log_blocks([(whole, 1.001 * u[None])], 1.0)
+    with pytest.raises(BranchCutError):
+        _log_blocks([(whole, (np.eye(12) - 2 * np.outer(u[0], u[0].conj()))[None])], 1.0)
+    phases[0] = np.pi - 1e-8
+    u, _ = hidden_unitary(np.random.default_rng(62), [phases])
+    with pytest.raises(BranchCutError):
+        _log_blocks([(whole, u[None])], 1.0)
+    with pytest.raises(ArithmeticError):
+        _log_blocks([(whole, u[None])], 1.0, branch_tol=1e-14)
 
 
 # --- OperatorSum algebra against the dense matrices

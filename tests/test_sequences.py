@@ -7,20 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from dfspulse.baths import DephasingBath
 from dfspulse.dfs import (
-    DfsRegister, basis_operator, bucket_norms, code_isometry,
+    DfsRegister, _block_residual, basis_operator, bucket_norms, code_isometry,
     logical_operators,
 )
 from dfspulse.gates import SmGateSpec, dfs_restrict
 from dfspulse.pauli import (
-    NonUnitaryError, OperatorSum, SIGMA, _blocks, expm_i, generator_of,
+    NonUnitaryError, OperatorSum, SIGMA, _blocks, _log_blocks, expm_i, generator_of,
     spectral_norm, to_dense,
 )
 from dfspulse.sequences import (
     PULSE_LABELS, Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
     RawPulse, SerializationError, SmPulse, combined_gate, euler_angles_xyx,
     euler_rotation, event_unitary, four_pulse_cycle, leak_elim_cycle,
-    named_pulse, parity_kick, propagator, seq_from_text, seq_to_text,
-    symmetrize_block4, symmetrize_pair, ten_pulse_cycle,
+    _propagator_blocks, named_pulse, parity_kick, propagator, seq_from_text,
+    seq_to_text, symmetrize_block4, symmetrize_pair, ten_pulse_cycle,
 )
 
 
@@ -765,3 +765,61 @@ def test_pulse_mapping_components_partly_onto_others_joins_them():
     u = propagator(seq, model)
     np.testing.assert_allclose(u, _ordered_product(seq.events, model), rtol=0, atol=1e-12)
     assert [idx.tolist() for idx in _blocks(u)] == [[[0, 1]], [[2, 3, 4, 5, 6, 7]]]
+
+
+def _collective_model(width, bath_dim, rng):
+    # sum_q Z_q (x) B_q: each system basis state its own bath block
+    h = sum(np.kron(to_dense(OperatorSum.single(width, q, "Z")), rand_herm(rng, bath_dim))
+            for q in range(width))
+    return EvolutionModel(width, bath_dim, h)
+
+
+@pytest.mark.parametrize("case", ["mixed", "odd swap", "in-block swap", "empty"])
+def test_propagator_blocks_partition_the_propagator(case):
+    rng = np.random.default_rng(12)
+    model = _collective_model(4, 2, rng)
+    if case == "in-block swap":
+        # Xbar on (0, 1) joins 01 and 10 of the pair into one block, which P
+        # then maps onto itself
+        xbar = to_dense(logical_operators((0, 1), 4)[0])
+        model = EvolutionModel(4, 2, model.h_static + np.kron(xbar, rand_herm(rng, 2)))
+    events = {"mixed": tuple(_mixed_events(rng, 4)) + symmetrize_block4(0.2, 4).events,
+              # P swaps 01 and 10 on the pair, so it moves bath blocks
+              "odd swap": (Free(0.3), NamedPulse((("P", (0, 1)),))),
+              "in-block swap": (Free(0.3), NamedPulse((("P", (0, 1)),))),
+              "empty": ()}[case]
+    seq = PulseSequence(events)
+    blocks = _propagator_blocks(seq, model)
+    u = propagator(seq, model)
+    label = np.full(model.dim, -1)
+    for k, (idx, stack) in enumerate(blocks):
+        assert stack.shape == (*idx.shape, idx.shape[1])
+        assert (label[idx] == -1).all()
+        label[idx] = k * model.dim + np.arange(len(idx))[:, None]
+    assert (label >= 0).all()
+    assert not u[label[:, None] != label[None, :]].any()
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for idx, stack in blocks:
+        out[idx[:, :, None], idx[:, None, :]] = stack
+    np.testing.assert_array_equal(out, u)
+    np.testing.assert_allclose(u, _ordered_product(events, model), rtol=0, atol=1e-12)
+    if case == "odd swap":
+        assert [idx.shape for idx, _ in blocks] == [(1, model.dim)]
+    if case == "in-block swap":
+        assert [idx.shape for idx, _ in blocks] == [(8, 2), (4, 4)]
+
+
+def test_block4_chain_memory_at_d3():
+    # the dense chain makes 1296^2 matrices of 27 MB each and peaks near 93 MB;
+    # the block chain keeps 16 blocks of 81
+    model, _ = _block4_model(np.random.default_rng(5), 3)
+    tracemalloc.start()
+    try:
+        u = _propagator_blocks(symmetrize_block4(0.05, 4), model)
+        g = _log_blocks(u, 0.2)[0]
+        resid = _block_residual(g, 4, model.bath_dim, ((0, 1, 2, 3),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert resid < 1e-10
+    assert peak < 32e6
