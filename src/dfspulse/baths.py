@@ -21,6 +21,11 @@ integrals factor as a sin(wt + phi)/w = sin(wt) (a cos(phi)/w)
 boundaries serves every trajectory, and a matmul applies each trajectory
 chunk's coefficients (the filter-function view of Cywinski et al., PRB 77,
 174509 (2008)).
+
+The engine walks the boundaries in time order, a block at a time, and hands
+back each record's coherence as soon as its block is done.  `dephasing_run`
+reads every block; `suppression_scan` needs only T2, so each of its runs
+stops after the first block whose coherence falls below 1/e.
 """
 from __future__ import annotations
 
@@ -40,7 +45,9 @@ HBAR = 1.054571817e-34   # J s
 KB = 1.380649e-23        # J / K
 
 _TRAJ_CHUNK = 25         # trajectories per matmul; bounds memory in n_traj
-_BOUNDARY_BLOCK = 4096   # segment boundaries per table; bounds memory in n_cycles
+_BOUNDARY_BLOCK = 256    # segment boundaries per engine block; bounds memory in
+                         # n_cycles and sets how soon a scan run stops
+_T2_LEVEL = 1.0 / np.e   # T2 is the first crossing of this coherence
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +292,7 @@ class DephasingResult:
 
 def _t2_from_curve(times: np.ndarray, coherence: np.ndarray) -> float:
     """First 1/e crossing, linearly interpolated."""
-    target = 1.0 / np.e
-    below = np.nonzero(coherence < target)[0]
+    below = np.nonzero(coherence < _T2_LEVEL)[0]
     if below.size == 0:
         return math.inf
     k = below[0]
@@ -294,7 +300,7 @@ def _t2_from_curve(times: np.ndarray, coherence: np.ndarray) -> float:
         return float(times[0])
     t0, t1 = times[k - 1], times[k]
     c0, c1 = coherence[k - 1], coherence[k]
-    return float(t0 + (c0 - target) / (c0 - c1) * (t1 - t0))
+    return float(t0 + (c0 - _T2_LEVEL) / (c0 - c1) * (t1 - t0))
 
 
 def _check_storage_sequence(seq: PulseSequence) -> list:
@@ -377,37 +383,41 @@ def _rate_coefficients(noise: SpectralNoise, n_traj: int, mode: str,
     return om, np.zeros((n_traj, 2 * om.size))
 
 
-def _toggling_run(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
-                  record_every: int, om: np.ndarray,
-                  coef: np.ndarray) -> DephasingResult:
-    """`dephasing_run` for drawn coefficients `coef` at frequencies `om`."""
-    events = _check_storage_sequence(seq)
-    n_traj = len(coef)
-
-    # per-cycle template: free durations and the toggling sign of each
+def _sign_template(seq: PulseSequence, pair: tuple[int, int]) -> tuple[list, np.ndarray]:
+    """The free durations of one cycle, and the toggling sign of each free
+    segment over two cycles: an odd number of swaps per cycle flips the
+    pattern of the next cycle, so two cycles are always a period."""
     frees, signs = [], []
     sign = 1.0
-    for e in events:
+    for e in _check_storage_sequence(seq):
         if isinstance(e, Free):
             frees.append(e.tau)
             signs.append(sign)
         elif _swaps_code_states(e.ops, pair):
             sign = -sign
-    # an odd number of swaps per cycle flips the pattern of the next cycle
-    period = np.concatenate([signs, sign * np.array(signs)])
-    cycle_time = sum(frees)
+    return frees, np.concatenate([signs, sign * np.array(signs)])
+
+
+def _toggling_blocks(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
+                     record_every: int, om: np.ndarray, coef: np.ndarray):
+    """The toggling-frame engine: walk the segment boundaries in time order,
+    _BOUNDARY_BLOCK at a time, and after each block yield the (times,
+    coherence) of the records it holds.  Each trajectory's last
+    antiderivative and Phi carry across blocks; Phi continues one running
+    sum, so a seam changes no summation order."""
+    frees, period = _sign_template(seq, pair)
+    n_traj = len(coef)
 
     # all segment boundaries across the run
     seg_times = np.concatenate([[0.0], np.tile(frees, n_cycles)]).cumsum()
 
     record_idx = np.arange(0, n_cycles + 1, record_every)
-    times = record_idx * cycle_time
+    times = record_idx * sum(frees)
     record_bound = record_idx * len(frees)
 
     bounds = [(s, min(s + _TRAJ_CHUNK, n_traj)) for s in range(0, n_traj, _TRAJ_CHUNK)]
     last_anti = np.empty(n_traj)
     phi = np.zeros(n_traj)
-    total = np.zeros(record_idx.size, dtype=complex)
     for lo in range(0, seg_times.size, _BOUNDARY_BLOCK):
         hi = min(lo + _BOUNDARY_BLOCK, seg_times.size)
         wt = np.multiply.outer(seg_times[lo:hi], om)
@@ -416,15 +426,34 @@ def _toggling_run(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
         seg_sign = period[(np.arange(lo, hi) - 1) % period.size][:, None]
         rec = slice(*np.searchsorted(record_bound, [lo, hi]))
         rows = record_bound[rec] - lo
+        total = np.zeros(rows.size, dtype=complex)
         for start, stop in bounds:  # fixed chunk order fixes the summation
             anti = table @ coef[start:stop].T
             prev = anti[:1] if lo == 0 else last_anti[None, start:stop]
-            phase = phi[start:stop] + np.cumsum(
-                seg_sign * np.diff(anti, axis=0, prepend=prev), axis=0)
+            phase = seg_sign * np.diff(anti, axis=0, prepend=prev)
+            phase[0] += phi[start:stop]
+            np.cumsum(phase, axis=0, out=phase)
             last_anti[start:stop] = anti[-1]
             phi[start:stop] = phase[-1]
-            total[rec] += np.exp(-1j * phase[rows]).sum(axis=1)
-    coherence = np.abs(total) / n_traj
+            total += np.exp(-1j * phase[rows]).sum(axis=1)
+        yield times[rec], np.abs(total) / n_traj
+
+
+def _toggling_run(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
+                  record_every: int, om: np.ndarray, coef: np.ndarray,
+                  stop_at_t2: bool = False) -> DephasingResult:
+    """`dephasing_run` for drawn coefficients `coef` at frequencies `om`.
+
+    With `stop_at_t2` the curve ends with the first engine block that falls
+    below 1/e; its t2 is the full run's, since the crossing and the record
+    before it are already in."""
+    times, coherence = [], []
+    for t, c in _toggling_blocks(seq, pair, n_cycles, record_every, om, coef):
+        times.append(t)
+        coherence.append(c)
+        if stop_at_t2 and (c < _T2_LEVEL).any():
+            break
+    times, coherence = np.concatenate(times), np.concatenate(coherence)
     return DephasingResult(times=times, coherence=coherence,
                            t2=_t2_from_curve(times, coherence))
 
@@ -446,7 +475,11 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
 
     The baseline is pulse-free storage on a fine recording grid; t_max caps
     every run's simulated horizon.  Every run sees the same `n_traj`
-    trajectories, drawn once.  `jobs` is accepted for compatibility.
+    trajectories, drawn once.  Each run, and each step of the baseline's
+    horizon search, stops at the engine block holding its first 1/e
+    crossing; the run reads on to t_max only if it never crosses.  Since
+    the blocks are those of `dephasing_run`, every T2 equals the full run's.
+    `jobs` is accepted for compatibility.
     """
     dt_grid = list(dt_grid)
     if len(dt_grid) < 4:
@@ -461,7 +494,8 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
     base = None
     while True:
         n_base = max(4, int(math.ceil(horizon / dt_base)))
-        base = _toggling_run(base_seq, (0, 1), n_base, max(1, n_base // 4000), *drawn)
+        base = _toggling_run(base_seq, (0, 1), n_base, max(1, n_base // 4000), *drawn,
+                             stop_at_t2=True)
         if math.isfinite(base.t2) or horizon >= t_max:
             break
         horizon = min(t_max, 4 * horizon)
@@ -470,7 +504,8 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
         seq = seq_family(dt)
         cyc = seq.cycle_time
         n_cycles = max(4, int(math.ceil(t_max / cyc)))
-        res = _toggling_run(seq, (0, 1), n_cycles, max(1, n_cycles // 4000), *drawn)
+        res = _toggling_run(seq, (0, 1), n_cycles, max(1, n_cycles // 4000), *drawn,
+                            stop_at_t2=True)
         gain = res.t2 / base.t2 if math.isfinite(res.t2) and math.isfinite(base.t2) else math.inf
         rows.append(ScanRow(dt=dt, t2_base=base.t2, t2_pulsed=res.t2,
                             gain=gain, n_traj=n_traj, seed=master_seed))

@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dfs, gates, pauli, sequences, verification
+from . import baths, dfs, gates, pauli, sequences, verification
 from .baths import (
-    SpectralNoise, dephasing_run, suppression_scan, thermal_numbers,
-    timescale_check, VibBath,
+    SpectralNoise, suppression_scan, thermal_numbers, timescale_check, VibBath,
 )
 from .pauli import OperatorSum, expm_i, kron_all, to_dense
 from .sequences import EvolutionModel, Free, PulseSequence, propagator, symmetrize_pair
@@ -339,11 +338,12 @@ def _run_formulas(sc: Scenario):
 def _run_storage(sc: Scenario):
     p = sc.parameters
     noise = _noise(sc)
-    base_seq = PulseSequence((Free(p["dt"]),))
-    base = dephasing_run(base_seq, noise, p["n_traj"], n_cycles=2 * p["n_cycles"],
-                         mode=p["mode"])
-    pulsed = dephasing_run(symmetrize_pair(p["dt"]), noise, p["n_traj"],
-                           n_cycles=p["n_cycles"], mode=p["mode"])
+    # both runs see the same trajectories, so they are drawn once
+    drawn = baths._rate_coefficients(noise, p["n_traj"], p["mode"], None)
+    base = baths._toggling_run(PulseSequence((Free(p["dt"]),)), (0, 1),
+                               2 * p["n_cycles"], 1, *drawn)
+    pulsed = baths._toggling_run(symmetrize_pair(p["dt"]), (0, 1),
+                                 p["n_cycles"], 1, *drawn)
     gain = (pulsed.t2 / base.t2 if math.isfinite(pulsed.t2) and
             math.isfinite(base.t2) else math.inf)
     summary = {"t2_base": base.t2, "t2_pulsed": pulsed.t2, "gain": gain,
@@ -355,10 +355,9 @@ def _run_storage(sc: Scenario):
     else:
         checks = [CheckResult("t2_gain", gain, p["min_gain"], 0.0,
                               bool(gain >= p["min_gain"]))]
-    n = min(base.times.size, pulsed.times.size)
-    rows = [[float(pulsed.times[k]), float(np.interp(pulsed.times[k], base.times,
-                                                     base.coherence)),
-             float(pulsed.coherence[k])] for k in range(n)]
+    t = pulsed.times[:min(base.times.size, pulsed.times.size)]
+    rows = np.column_stack([t, np.interp(t, base.times, base.coherence),
+                            pulsed.coherence[:t.size]]).tolist()
     table = (["t", "coherence_base", "coherence_pulsed"], rows)
     return checks, {"summary": summary, "checks": [c.__dict__ for c in checks]}, table
 

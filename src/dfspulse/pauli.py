@@ -520,7 +520,7 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
     One (count, size) index array per component size, sizes ascending; the
     rows of an array are the components of that size, each in ascending
     index order.  Components come from min-label propagation with pointer
-    jumping, O(n^2) per sweep.
+    jumping over the edge list of the pattern, O(nnz) per sweep.
     """
     n = m.shape[0]
     if n == 0:
@@ -529,11 +529,15 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
     link |= link.T
     if link.all():
         return [np.arange(n)[None]]
+    # each node is its own neighbour, so no row of the edge list is empty
+    link.flat[::n + 1] = True
+    src, dst = link.nonzero()
     lab = np.arange(n)
+    starts = src.searchsorted(lab)
     while True:
         # a label only falls, and always names a node of its own component
         # that is not above it; so a fixed point has equal labels on each edge
-        new = np.minimum(lab, np.where(link, lab, n).min(axis=1))
+        new = np.minimum.reduceat(lab[dst], starts)
         new = new[new]
         if (new == lab).all():
             break

@@ -322,6 +322,88 @@ def test_suppression_scan_draws_once_and_matches_single_runs(monkeypatch, mode, 
         assert row.t2_pulsed == res.t2
 
 
+SCAN_GRID = [8e-3, 4e-3, 2e-3, 1e-3]
+
+
+def _full_runs(noise, n_traj, t_max):
+    """The whole `dephasing_run` behind each `suppression_scan` row."""
+    runs = []
+    for dt in SCAN_GRID:
+        n_cycles = max(4, math.ceil(t_max / (2 * dt)))
+        runs.append(dephasing_run(symmetrize_pair(dt), noise, n_traj, n_cycles=n_cycles,
+                                  record_every=max(1, n_cycles // 4000)))
+    return runs
+
+
+def _crossing_boundaries(res):
+    """Segment boundaries of the record before the first 1/e crossing and of
+    the crossing record (symmetrize_pair, every cycle recorded)."""
+    k = np.nonzero(res.coherence < 1 / np.e)[0][0]
+    return 2 * k - 2, 2 * k
+
+
+def test_suppression_scan_t2_is_the_full_run_t2():
+    noise = storage_noise(n_harmonics=16)
+    rows = suppression_scan(symmetrize_pair, SCAN_GRID, noise, 12, 0.6)
+    full = _full_runs(noise, 12, 0.6)
+    # 8 ms crosses inside the first engine block; 2 ms and 1 ms never cross
+    assert _crossing_boundaries(full[0])[1] < baths_mod._BOUNDARY_BLOCK
+    assert math.isinf(full[2].t2) and math.isinf(full[3].t2)
+    for row, res in zip(rows, full):
+        assert row.t2_pulsed == res.t2
+
+
+def test_suppression_scan_t2_when_the_crossing_follows_a_block_seam(monkeypatch):
+    monkeypatch.setattr(baths_mod, "_BOUNDARY_BLOCK", 5)
+    noise = storage_noise(amplitude=TWO_PI * 800.0, n_harmonics=16)
+    rows = suppression_scan(symmetrize_pair, SCAN_GRID, noise, 12, 0.6)
+    full = _full_runs(noise, 12, 0.6)
+    # at 1 ms the crossing record opens a block; the record before closes the last
+    before, at = _crossing_boundaries(full[3])
+    assert before // 5 < at // 5 and at > 5
+    for row, res in zip(rows, full):
+        assert row.t2_pulsed == res.t2
+
+
+def test_suppression_scan_stops_each_run_after_its_crossing_block(monkeypatch):
+    noise = storage_noise(amplitude=TWO_PI * 400.0, n_harmonics=16)
+    calls = []
+    engine = baths_mod._toggling_blocks
+
+    def counting(*args):
+        calls.append(0)
+        for block in engine(*args):
+            calls[-1] += 1
+            yield block
+
+    monkeypatch.setattr(baths_mod, "_toggling_blocks", counting)
+    rows = suppression_scan(symmetrize_pair, SCAN_GRID, noise, 12, 6.0)
+    monkeypatch.setattr(baths_mod, "_toggling_blocks", engine)
+    block = baths_mod._BOUNDARY_BLOCK
+    full = _full_runs(noise, 12, 6.0)
+    # the baseline crosses in its first horizon step, then one run per dt
+    assert len(calls) == 1 + len(SCAN_GRID)
+    want = [_crossing_boundaries(res)[1] // block + 1 for res in full]
+    assert calls[1:] == want
+    assert want[0] == 1  # a crossing in the first block evaluates that block only
+    for res, n in zip(full, want):  # each full run has more blocks than were read
+        assert math.ceil((2 * (res.times.size - 1) + 1) / block) > n
+    for row, res in zip(rows, full):
+        assert row.t2_pulsed == res.t2
+
+
+@pytest.mark.parametrize("name, period", [
+    ("pair", [1, -1, 1, -1]),
+    ("odd_swap", [1, -1]),
+    ("q_lam_pi", [1, -1, -1, 1, -1, -1]),
+])
+def test_sign_template(name, period):
+    seq = ORACLE_SEQUENCES[name]
+    frees, signs = baths_mod._sign_template(seq, (0, 1))
+    assert frees == [e.tau for e in seq.events if isinstance(e, Free)]
+    assert signs.tolist() == period
+
+
 def test_dephasing_bath_hamiltonian_is_the_kron_sum():
     rng = np.random.default_rng(8)
     b1, b2, hb = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3))

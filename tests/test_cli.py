@@ -280,6 +280,42 @@ def test_storage_scenario_collective(tmp_path):
     assert lines[0] == "t,coherence_base,coherence_pulsed"
 
 
+@pytest.mark.parametrize("mode, streams", [("differential", 1), ("independent", 2),
+                                           ("collective", 0)])
+def test_storage_scenario_draws_once_and_matches_single_runs(tmp_path, monkeypatch,
+                                                             mode, streams):
+    from dfspulse.baths import SpectralNoise, dephasing_run
+    from dfspulse.sequences import Free, PulseSequence, symmetrize_pair
+
+    params = {"mode": mode, "n_traj": 12, "n_cycles": 60, "n_harmonics": 16}
+    sc = parse_config(json.dumps([{"name": "st", "kind": "storage-sim", "seed": 7,
+                                   "parameters": params}]))[0]
+    draws = []
+    draw = SpectralNoise.draw
+    monkeypatch.setattr(SpectralNoise, "draw",
+                        lambda self, rng: draws.append(1) or draw(self, rng))
+    run_scenario(sc, tmp_path)
+    assert len(draws) == streams * params["n_traj"]
+    monkeypatch.setattr(SpectralNoise, "draw", draw)
+
+    p = sc.parameters
+    noise = cli_mod._noise(sc)
+    base = dephasing_run(PulseSequence((Free(p["dt"]),)), noise, p["n_traj"],
+                         n_cycles=2 * p["n_cycles"], mode=mode)
+    pulsed = dephasing_run(symmetrize_pair(p["dt"]), noise, p["n_traj"],
+                           n_cycles=p["n_cycles"], mode=mode)
+    summary = json.loads((tmp_path / "st.json").read_text())["summary"]
+    for key, want in (("t2_base", base.t2), ("t2_pulsed", pulsed.t2),
+                      ("final_coherence_base", base.coherence[-1]),
+                      ("final_coherence_pulsed", pulsed.coherence[-1])):
+        assert summary[key] == (want if np.isfinite(want) else None)
+    # 17 significant digits round-trip every float exactly
+    table = np.loadtxt(tmp_path / "st.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 0], pulsed.times)
+    assert np.array_equal(table[:, 1], np.interp(pulsed.times, base.times, base.coherence))
+    assert np.array_equal(table[:, 2], pulsed.coherence)
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
 

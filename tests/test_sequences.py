@@ -809,6 +809,20 @@ def test_propagator_blocks_partition_the_propagator(case):
         assert [idx.shape for idx, _ in blocks] == [(8, 2), (4, 4)]
 
 
+def test_block_scan_memory_at_d3():
+    # a dense sweep over the 1296^2 pattern makes a 13 MB label array on
+    # every pass; the edge list of 16 blocks of 81 takes under 1 MB
+    model, _ = _block4_model(np.random.default_rng(5), 3)
+    tracemalloc.start()
+    try:
+        groups = _blocks(model.h_static)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [idx.shape for idx in groups] == [(16, 81)]
+    assert peak < 5e6
+
+
 def test_block4_chain_memory_at_d3():
     # the dense chain makes 1296^2 matrices of 27 MB each and peaks near 93 MB;
     # the block chain keeps 16 blocks of 81
