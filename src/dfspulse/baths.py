@@ -13,14 +13,16 @@ phases; free-evolution segments are integrated in closed form.
 
 Dephasing runs use the toggling frame.  Every named pulse is monomial on the
 code space: P and Q swap |0_L> and |1_L> up to a phase, PI and LAM add only
-a global phase.  The stored coherence therefore only picks up a phase, which
-each swap negates, and a run reduces to a sign s_k per free segment and one
-cumulative phase Phi = sum_k s_k (I1_k - I2_k) per trajectory.  The segment
-integrals factor as a sin(wt + phi)/w = sin(wt) (a cos(phi)/w)
-+ cos(wt) (a sin(phi)/w), so one [sin wt | cos wt] table over the segment
-boundaries serves every trajectory, and a matmul applies each trajectory
-chunk's coefficients (the filter-function view of Cywinski et al., PRB 77,
-174509 (2008)).
+a global phase, and each swap is read from the exact pulse frame that
+`sequences.propagator` carries.  The stored coherence therefore only picks up
+a phase, which each swap negates, and a run reduces to a sign s_k per free
+segment and one cumulative phase Phi = sum_k s_k (I1_k - I2_k) per
+trajectory.  The segment integrals factor as a sin(wt + phi)/w =
+sin(wt) (a cos(phi)/w) + cos(wt) (a sin(phi)/w), so one [sin wt | cos wt]
+table over the segment boundaries serves every trajectory, and a matmul
+applies each trajectory chunk's coefficients (the filter-function view of
+Cywinski et al., PRB 77, 174509 (2008)).  Collective noise has no rate
+difference, so it has no harmonics and every coherence is exactly 1.
 
 The engine walks the boundaries in time order, a block at a time, and hands
 back each record's coherence as soon as its block is done.  `dephasing_run`
@@ -39,7 +41,7 @@ from .dfs import CODE_ONE_INDEX, CODE_ZERO_INDEX
 from .pauli import (
     OperatorSum, PauliTerm, is_hermitian_matrix, kron_all, spectral_norm, to_dense,
 )
-from .sequences import Drive, Free, PulseSequence, RawPulse, SmPulse, named_pulse
+from .sequences import Free, NamedPulse, PulseSequence, _named_action
 
 HBAR = 1.054571817e-34   # J s
 KB = 1.380649e-23        # J / K
@@ -303,55 +305,30 @@ def _t2_from_curve(times: np.ndarray, coherence: np.ndarray) -> float:
     return float(t0 + (c0 - _T2_LEVEL) / (c0 - c1) * (t1 - t0))
 
 
-def _check_storage_sequence(seq: PulseSequence) -> list:
-    events = list(seq.events)
-    if not any(isinstance(e, Free) for e in events):
-        raise ValueError("storage sequences need at least one free segment")
-    for e in events:
-        if isinstance(e, (Drive, SmPulse, RawPulse)):
-            raise ValueError("dephasing_run supports Free and named pulses only")
-    return events
-
-
-def _swaps_code_states(ops, pair: tuple[int, int]) -> bool:
-    """Whether a named-pulse product exchanges |0_L> and |1_L>.
-
-    Raises ValueError unless its code-space block is monomial: only then does
-    the pulse act on the stored coherence as a sign flip of the phase.
-    """
-    mat = np.eye(4, dtype=complex)
-    for label, p in ops:
-        if set(p) != set(pair):
-            raise ValueError("storage pulses must act on the stored pair")
-        mat = mat @ named_pulse(label, (0, 1), 2)
-    code = [CODE_ZERO_INDEX, CODE_ONE_INDEX]
-    mag = np.abs(mat[np.ix_(code, code)])
-    for swap, perm in ((False, np.eye(2)), (True, np.eye(2)[::-1])):
-        if np.allclose(mag, perm, rtol=0.0, atol=1e-9):
-            return swap
-    raise ValueError("storage pulses must be monomial on the code space")
-
-
 def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
                   pair: tuple[int, int] = (0, 1), n_cycles: int = 200,
                   mode: str = "differential", seed: int | None = None,
-                  jobs: int = 1, record_every: int = 1) -> DephasingResult:
+                  record_every: int = 1) -> DephasingResult:
     """Ensemble average of the encoded off-diagonal coherence under classical
-    dephasing, with the pulse sequence repeated `n_cycles` times.
+    dephasing, with the pulse sequence repeated `n_cycles` >= 0 times and
+    recorded every `record_every` >= 1 cycles.
 
     mode: "collective" (same rate on both ions), "differential" (opposite),
     or "independent" (two independent processes).  Coherence is normalized to
     its initial value; the returned t2 is the interpolated 1/e crossing.
-    `jobs` is accepted for compatibility; the run is single-threaded and its
-    result never depends on it.
 
     Toggling frame: free evolution multiplies the coherence by exp(-i dI_k),
     with dI_k the segment integral of the rate difference c1 - c2, and a
-    swapping pulse conjugates it, so after k segments its phase is
-    Phi = sum_k s_k dI_k.  The boundaries are processed _BOUNDARY_BLOCK at a
-    time to bound peak memory; each trajectory's last antiderivative and Phi
-    carry across blocks.
+    swapping pulse, read from the exact frame of `sequences.propagator`,
+    conjugates it, so after k segments its phase is Phi = sum_k s_k dI_k.
+    Collective noise has no harmonics, so its coherence is exactly 1.  The
+    boundaries are processed _BOUNDARY_BLOCK at a time to bound peak memory;
+    each trajectory's last antiderivative and Phi carry across blocks.
     """
+    if not n_cycles >= 0:
+        raise ValueError("n_cycles must be nonnegative")
+    if not record_every >= 1:
+        raise ValueError("record_every must be at least 1")
     return _toggling_run(seq, pair, n_cycles, record_every,
                          *_rate_coefficients(noise, n_traj, mode, seed))
 
@@ -380,22 +357,39 @@ def _rate_coefficients(noise: SpectralNoise, n_traj: int, mode: str,
         return om, coefficients(1) - coefficients(2)
     if mode == "differential":
         return om, 2.0 * coefficients(0)
-    return om, np.zeros((n_traj, 2 * om.size))
+    return om[:0], np.zeros((n_traj, 0))
 
 
 def _sign_template(seq: PulseSequence, pair: tuple[int, int]) -> tuple[list, np.ndarray]:
     """The free durations of one cycle, and the toggling sign of each free
-    segment over two cycles: an odd number of swaps per cycle flips the
-    pattern of the next cycle, so two cycles are always a period."""
-    frees, signs = [], []
-    sign = 1.0
-    for e in _check_storage_sequence(seq):
+    segment over two cycles: -1 while the exact frame q of the pulses so far
+    (`sequences._named_action`, each op's pair mapped onto (0, 1) by its
+    orientation against `pair`) exchanges |0_L> and |1_L>.  An odd number of
+    swaps per cycle flips the pattern of the next cycle, so two cycles are
+    always a period."""
+    orient = {tuple(pair): (0, 1), tuple(pair[::-1]): (1, 0)}
+    q = np.arange(4)
+    frees, swapped = [], []
+    for e in seq.events:
         if isinstance(e, Free):
             frees.append(e.tau)
-            signs.append(sign)
-        elif _swaps_code_states(e.ops, pair):
-            sign = -sign
-    return frees, np.concatenate([signs, sign * np.array(signs)])
+            swapped.append(q[CODE_ZERO_INDEX] == CODE_ONE_INDEX)
+        elif isinstance(e, NamedPulse):
+            if any(p not in orient for _, p in e.ops):
+                raise ValueError("storage pulses must act on the stored pair")
+            (frame, _), _ = _named_action(
+                NamedPulse(tuple((label, orient[p]) for label, p in e.ops)), 2, 1)
+            q = q[frame]
+            # only a frame that keeps the code pair acts on the coherence as a sign
+            if {q[CODE_ZERO_INDEX], q[CODE_ONE_INDEX]} != {CODE_ZERO_INDEX, CODE_ONE_INDEX}:
+                raise ValueError("storage pulses must be monomial on the code space")
+        else:
+            raise ValueError("dephasing_run supports Free and named pulses only")
+    if not frees:
+        raise ValueError("storage sequences need at least one free segment")
+    signs = np.where(swapped, -1.0, 1.0)
+    flip = -1.0 if q[CODE_ZERO_INDEX] == CODE_ONE_INDEX else 1.0
+    return frees, np.concatenate([signs, flip * signs])
 
 
 def _toggling_blocks(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
@@ -470,7 +464,7 @@ class ScanRow:
 
 def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
                      t_max: float, mode: str = "differential",
-                     seed: int | None = None, jobs: int = 1) -> list[ScanRow]:
+                     seed: int | None = None) -> list[ScanRow]:
     """T2 gain of `seq_family(dt)` over a pulse-interval grid.
 
     The baseline is pulse-free storage on a fine recording grid; t_max caps
@@ -479,8 +473,10 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
     horizon search, stops at the engine block holding its first 1/e
     crossing; the run reads on to t_max only if it never crosses.  Since
     the blocks are those of `dephasing_run`, every T2 equals the full run's.
-    `jobs` is accepted for compatibility.
+    t_max must be finite and positive.
     """
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be finite and positive")
     dt_grid = list(dt_grid)
     if len(dt_grid) < 4:
         raise ValueError("dt grid needs at least 4 points")

@@ -345,7 +345,8 @@ class EvolutionModel:
 
 
 def event_unitary(event, model: EvolutionModel) -> np.ndarray:
-    """Dense propagator of a single event under the model."""
+    """Dense propagator of a single event under the model: off every program
+    path, kept as the dense reference that tests hold `propagator` against."""
     if isinstance(event, (Free, Drive)):
         return expm_i(_hamiltonian(event, model), event.tau)
     return model.lift(_pulse_unitary(event, model.width))

@@ -17,7 +17,7 @@ from dfspulse.dfs import (
 )
 from dfspulse.pauli import OperatorSum, SIGMA, expm_i, generator_of, to_dense
 from dfspulse.sequences import (
-    PULSE_LABELS, EvolutionModel, Free, NamedPulse, PulseSequence,
+    PULSE_LABELS, EvolutionModel, Free, NamedPulse, PulseSequence, RawPulse,
     leak_elim_cycle, named_pulse, propagator, symmetrize_pair,
 )
 
@@ -260,19 +260,39 @@ def test_dephasing_independent_mode_decays():
     assert math.isfinite(res.t2)
 
 
-def test_dephasing_jobs_invariance():
-    noise = storage_noise(n_harmonics=24)
-    r1 = dephasing_run(symmetrize_pair(1e-3), noise, 60, n_cycles=100, jobs=1)
-    r4 = dephasing_run(symmetrize_pair(1e-3), noise, 60, n_cycles=100, jobs=4)
-    assert np.array_equal(r1.coherence, r4.coherence)
-
-
 def test_dephasing_rejects_bad_input():
     noise = storage_noise()
     with pytest.raises(ValueError):
         dephasing_run(PulseSequence((Free(1e-3),)), noise, 10, mode="sideways")
     with pytest.raises(ValueError):
         dephasing_run(PulseSequence((Free(1e-3),)), noise, 0)
+
+
+_BAD_RUNS = {
+    dephasing_run: dict(seq=PulseSequence((Free(1e-3),)), n_traj=5, n_cycles=3),
+    suppression_scan: dict(seq_family=symmetrize_pair, dt_grid=[8e-3, 4e-3, 2e-3, 1e-3],
+                           n_traj=5, t_max=0.1),
+}
+
+
+@pytest.mark.parametrize("run, bad, match", [
+    (dephasing_run, {"record_every": 0}, "record_every"),
+    (dephasing_run, {"record_every": -1}, "record_every"),
+    (dephasing_run, {"n_cycles": -3}, "n_cycles"),
+    (dephasing_run, {"n_cycles": math.nan}, "n_cycles"),
+    (dephasing_run, {"seq": PulseSequence((NamedPulse((("P", (0, 1)),)),))},
+     "free segment"),
+    (dephasing_run, {"seq": symmetrize_pair(1e-3, (1, 2))}, "stored pair"),
+    (dephasing_run, {"seq": PulseSequence((Free(1e-3), RawPulse(np.eye(4))))},
+     "named pulses only"),
+    (suppression_scan, {"t_max": -1.0}, "t_max"),
+    (suppression_scan, {"t_max": 0.0}, "t_max"),
+    (suppression_scan, {"t_max": math.nan}, "t_max"),
+    (suppression_scan, {"t_max": math.inf}, "t_max"),
+])
+def test_bath_runs_reject_bad_input(run, bad, match):
+    with pytest.raises(ValueError, match=match):
+        run(noise=storage_noise(n_harmonics=8), **{**_BAD_RUNS[run], **bad})
 
 
 def test_alpha_one_gain_persists_at_moderate_interval():
@@ -402,6 +422,33 @@ def test_sign_template(name, period):
     frees, signs = baths_mod._sign_template(seq, (0, 1))
     assert frees == [e.tau for e in seq.events if isinstance(e, Free)]
     assert signs.tolist() == period
+
+
+def _dense_swaps(ops) -> bool:
+    """Reference for the exact frame: whether the dense named-pulse product
+    exchanges |0_L> and |1_L>, read from its code-space block."""
+    mat = reduce(np.matmul, [named_pulse(label, pair, 2) for label, pair in ops])
+    code = [CODE_ZERO_INDEX, CODE_ONE_INDEX]
+    mag = np.abs(mat[np.ix_(code, code)])
+    for swap, perm in ((False, np.eye(2)), (True, np.eye(2)[::-1])):
+        if np.allclose(mag, perm, rtol=0.0, atol=1e-9):
+            return swap
+    raise AssertionError(f"{ops} is not monomial on the code space")
+
+
+def test_sign_template_matches_the_dense_code_block():
+    # every label in both orientations, alone and in every ordered pair
+    ops1 = [((label, pair),) for label in PULSE_LABELS for pair in ((0, 1), (1, 0))]
+    relabel = {0: 2, 1: 0}
+    for ops in ops1 + [a + b for a in ops1 for b in ops1]:
+        s = -1 if _dense_swaps(ops) else 1
+        seq = PulseSequence((Free(1e-3), NamedPulse(ops), Free(2e-3)))
+        frees, signs = baths_mod._sign_template(seq, (0, 1))
+        assert frees == [1e-3, 2e-3] and signs.tolist() == [1, s, s, 1], ops
+        # the same pulse stored on another pair of a wider register
+        moved = tuple((label, (relabel[i], relabel[j])) for label, (i, j) in ops)
+        seq = PulseSequence((Free(1e-3), NamedPulse(moved), Free(2e-3)))
+        assert baths_mod._sign_template(seq, (2, 0))[1].tolist() == [1, s, s, 1], ops
 
 
 def test_dephasing_bath_hamiltonian_is_the_kron_sum():
@@ -546,15 +593,20 @@ def test_dephasing_carries_phase_across_boundary_blocks(name, monkeypatch):
     np.testing.assert_allclose(got.coherence, want, rtol=0, atol=1e-9)
 
 
-def test_dephasing_collective_is_exactly_immune():
-    res = dephasing_run(symmetrize_pair(1e-3), storage_noise(), 30,
-                        n_cycles=200, mode="collective")
-    assert np.all(res.coherence == 1.0) and math.isinf(res.t2)
+def test_dephasing_collective_is_exactly_immune(monkeypatch):
+    # the default blocks, then a block seam inside almost every cycle
+    for block, record_every in ((baths_mod._BOUNDARY_BLOCK, 1), (5, 3)):
+        monkeypatch.setattr(baths_mod, "_BOUNDARY_BLOCK", block)
+        res = dephasing_run(symmetrize_pair(1e-3), storage_noise(), 30,
+                            n_cycles=200, mode="collective", record_every=record_every)
+        assert np.all(res.coherence == 1.0) and math.isinf(res.t2)
 
 
 def test_dephasing_rejects_non_monomial_pulse(monkeypatch):
-    half = expm_i(to_dense(basis_operator("Xbar")), np.pi / 4)
-    monkeypatch.setattr(baths_mod, "named_pulse", lambda label, pair, width: half)
+    # a pulse frame that moves |1_L> onto |uu>, out of the code pair
+    moved = (np.array([1, 0, 2, 3]), np.ones(4, dtype=complex))
+    assert moved[0][CODE_ONE_INDEX] not in (CODE_ZERO_INDEX, CODE_ONE_INDEX)
+    monkeypatch.setattr(baths_mod, "_named_action", lambda *args: (moved, None))
     with pytest.raises(ValueError, match="monomial"):
         dephasing_run(symmetrize_pair(1e-3), storage_noise(), 5, n_cycles=3)
 
