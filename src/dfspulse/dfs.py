@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
-    OperatorSum, _blocks, _components, _from_masks, _join, _labels, _layout, _masks,
+    OperatorSum, _blocks, _components, _connect, _edges, _from_masks, _layout, _masks,
     _norm_blocks, _place, _stacked, spectral_norm, to_dense,
 )
 
@@ -335,8 +335,8 @@ def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,
     ps = [np.ones(dim_sys, dtype=complex)] + [
         sum(1 - 2 * (states >> (width - 1 - q) & 1) for q in block).astype(complex)
         for block in blocks]
-    groups = _components(_join(np.stack([_labels([idx for idx, _ in hblocks], dim),
-                                         np.arange(dim) // bath_dim * bath_dim])))
+    groups = _components(_connect(dim, *_edges(
+        [idx for idx, _ in hblocks] + [np.arange(dim).reshape(dim_sys, bath_dim)])))
     start, col, spans, size = _layout(groups, dim)
     flat = np.zeros(size, dtype=complex)
     for idx, stack in hblocks:

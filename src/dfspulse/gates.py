@@ -46,6 +46,8 @@ class SmGateSpec:
             raise ValueError("one phase per ion required")
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
         object.__setattr__(self, "ions", tuple(int(i) for i in self.ions))
+        if not np.isfinite((self.theta, *self.phis)).all():
+            raise ValueError("gate angle and phases must be finite")
 
     @property
     def delta_phi(self) -> float:

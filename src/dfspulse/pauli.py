@@ -21,7 +21,9 @@ alone.  They split their input into the connected components of its exact
 nonzero pattern and work on one stack of blocks per block size.  A matrix
 that is block diagonal under a permutation is exactly the direct sum of its
 blocks, so the split needs no tolerance; a matrix with one component is
-handled as a single dense block.  `expm_i` and `sequences.propagator`
+handled as a single dense block.  Every partition in the package, of a
+pattern or a join of partitions, comes from one kernel, `_connect`, the
+connected components of an edge list.  `expm_i` and `sequences.propagator`
 share one blockwise exponential, `_expm_blocks`.  `generator_of`
 diagonalizes a unitary through its Cayley transform, a Hermitian matrix
 with the same eigenvectors, so `eigh` serves for both exponential and
@@ -519,30 +521,42 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
 
     One (count, size) index array per component size, sizes ascending; the
     rows of an array are the components of that size, each in ascending
-    index order.  Components come from min-label propagation with pointer
-    jumping over the edge list of the pattern, O(nnz) per sweep.
+    index order.
     """
     n = m.shape[0]
     if n == 0:
         return []
     link = m != 0
-    link |= link.T
     if link.all():
         return [np.arange(n)[None]]
-    # each node is its own neighbour, so no row of the edge list is empty
-    link.flat[::n + 1] = True
-    src, dst = link.nonzero()
+    return _components(_connect(n, *link.nonzero()))
+
+
+def _connect(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each of range(n) labelled with the smallest index of its connected
+    component under the undirected edges src[k] - dst[k].
+
+    Min-label propagation with pointer jumping, O(edges) per sweep.  A label
+    only falls, and always names an index of its own component that is not
+    above it; so a fixed point has equal labels on each edge.
+    """
     lab = np.arange(n)
-    starts = src.searchsorted(lab)
     while True:
-        # a label only falls, and always names a node of its own component
-        # that is not above it; so a fixed point has equal labels on each edge
-        new = np.minimum.reduceat(lab[dst], starts)
+        new = lab.copy()
+        np.minimum.at(new, src, lab[dst])
+        np.minimum.at(new, dst, lab[src])
         new = new[new]
         if (new == lab).all():
-            break
+            return lab
         lab = new
-    return _components(lab)
+
+
+def _edges(groups) -> np.ndarray:
+    """(src, dst) rows of the edges that link each index of the (count, size)
+    index arrays `groups` to the first index of its row; under `_connect`
+    they join the partitions the groups give."""
+    return np.concatenate([np.stack((idx.ravel(), np.repeat(idx[:, 0], idx.shape[1])))
+                           for idx in groups], axis=1)
 
 
 def _components(lab: np.ndarray) -> list[np.ndarray]:
@@ -554,35 +568,6 @@ def _components(lab: np.ndarray) -> list[np.ndarray]:
     size = size[order]
     cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), n]
     return [order[a:b].reshape(-1, size[a]) for a, b in zip(cuts, cuts[1:])]
-
-
-def _join(labels: np.ndarray) -> np.ndarray:
-    """Labels of the finest partition that every row's partition refines.
-
-    Each row gives every index the smallest index of its class.  A label
-    only falls and always names an index of its own joined class, so the
-    fixed point is one label per class.
-    """
-    lab = labels.min(axis=0)
-    n = len(lab)
-    while True:
-        new = lab
-        for part in labels:
-            low = np.full(n, n)
-            np.minimum.at(low, part, new)
-            new = low[part]
-        if (new == lab).all():
-            return lab
-        lab = new
-
-
-def _labels(groups, dim: int) -> np.ndarray:
-    """A row for `_join`: the partition of range(dim) into the rows of the
-    (count, size) index arrays `groups`."""
-    lab = np.empty(dim, dtype=np.intp)
-    for idx in groups:
-        lab[idx] = idx.min(axis=1, keepdims=True)
-    return lab
 
 
 def _stacked(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,8 +29,8 @@ import numpy as np
 from .dfs import _checked_pair, logical_operators
 from .gates import SmGateSpec, sm_gate_dense, x_phi
 from .pauli import (
-    OperatorSum, NonUnitaryError, _blocks, _components, _dense, _expm_blocks,
-    _from_masks, _join, _labels, _layout, _place, _stacked, expm_i, is_unitary, to_dense,
+    OperatorSum, NonUnitaryError, _blocks, _components, _connect, _dense, _edges,
+    _expm_blocks, _from_masks, _layout, _place, _stacked, expm_i, is_unitary, to_dense,
 )
 
 PULSE_LABELS = ("P", "PDAG", "PI", "Q", "QDAG", "LAM")
@@ -76,6 +76,8 @@ class NamedPulse:
         for label, pair in self.ops:
             if label not in PULSE_LABELS:
                 raise ValueError(f"unknown pulse label {label!r}")
+            if not all(isinstance(q, (int, np.integer)) for q in pair):
+                raise ValueError(f"pulse ions must be integers, got {pair!r}")
             if len(pair) != 2 or pair[0] == pair[1] or min(pair) < 0:
                 raise ValueError("pulse pair must have two distinct nonnegative ions")
 
@@ -113,6 +115,8 @@ class Drive:
         _check_tau(self.tau)
         if not math.isfinite(self.amplitude):
             raise ValueError("drive amplitude must be finite")
+        if not math.isfinite(self.phi):
+            raise ValueError("drive phase must be finite")
 
 
 Event = Free | NamedPulse | SmPulse | RawPulse | Drive
@@ -377,19 +381,6 @@ def _pulse_unitary(event, width: int) -> np.ndarray:
     return sys
 
 
-def _cache_key(event):
-    if isinstance(event, Free):
-        return ("free", event.tau)
-    if isinstance(event, NamedPulse):
-        return ("named", event.ops)
-    if isinstance(event, Drive):
-        return ("drive", event.tau, event.amplitude, event.axis,
-                event.pair, event.phi, event.h_sys)
-    if isinstance(event, SmPulse):
-        return ("sm", event.spec)
-    return ("raw", id(event))
-
-
 def _event_action(event, model: EvolutionModel) -> tuple:
     """(monomial, blocks) of one event's joint unitary, one of them None.
 
@@ -443,78 +434,61 @@ def _propagator_blocks(seq: PulseSequence, model: EvolutionModel) -> list[tuple]
     A monomial pulse P makes T into P T in O(dim).  Any other event F (a
     free or driven segment, or a pulse that is not a monomial) joins D on
     the left as T^-1 F T: F's own blocks relabelled through q and rescaled
-    by w and 1/w, in O(sum b^2); 1/w keeps exact phases exact.  The factors
-    of D are block diagonal over the join of their partitions, which is
-    every factor's own partition when the pulses map components onto
-    components.  Once the join is known from the frames, each factor in
-    turn is laid out over it and multiplied into D with one stacked matmul
-    per block size, O(sum b^3), so memory does not grow with the sequence
-    beyond one frame per factor.
+    by w and 1/w, in O(sum b^2); 1/w keeps exact phases exact.
 
-    When the final frame q maps every block of the join onto itself, as at
-    the end of every cycle the functions above construct, U has D's blocks,
-    row r of a block being w[r] times row q[r] of D's.  Otherwise U = T D
-    is returned as one dense block.
+    The blocks are those of the join of every factor's partition with the
+    orbits r - q[r] of the final frame.  D's factors are block diagonal
+    over it, and q maps each of its blocks onto itself, so U has the same
+    blocks, row r of a block being w[r] times row q[r] of D's.  Once the
+    join is known from the frames, each factor in turn is laid out over it
+    and multiplied into D with one stacked matmul per block size,
+    O(sum b^3), so memory does not grow with the sequence beyond one frame
+    per factor.
     """
     dim = model.dim
     q, w = np.arange(dim), np.ones(dim, dtype=complex)
-    actions: dict = {}
-    frames = []  # (key, q, w) of each factor T^-1 F T, rightmost first
+    actions: dict = {}  # each event is its own key; a RawPulse keys by identity
+    frames = []  # (blocks, q, w) of each factor T^-1 F T, rightmost first
     for event in reversed(seq.events):
-        key = _cache_key(event)
-        if key not in actions:
-            actions[key] = _event_action(event, model)
-        mono = actions[key][0]
+        if event not in actions:
+            actions[event] = _event_action(event, model)
+        mono, blocks = actions[event]
         if mono is None:
-            frames.append((key, q, w))
+            frames.append((blocks, q, w))
         else:
             q, w = q[mono[0]], mono[1] * w[mono[0]]
-    if not frames:
-        # U = T: one index per block when q keeps them all in place
-        if (q == np.arange(dim)).all():
-            return [(np.arange(dim)[:, None], w[:, None, None])]
-        out = np.zeros((dim, dim), dtype=complex)
-        out[np.arange(dim), q] = w
-        return [(np.arange(dim)[None], out[None])]
-    joined, groups, col, ds = _frame_product(frames, actions, dim)
-    if (joined[q] == joined).all():
-        # index i is column col[i] of its block, so row r is row col[q[r]] of D's
-        return [(idx, w[idx][..., None] * d[np.arange(len(d))[:, None], col[q[idx]]])
-                for idx, d in zip(groups, ds)]
-    out = np.zeros((dim, dim), dtype=complex)
-    row = np.empty(dim, dtype=np.intp)
-    row[q] = np.arange(dim)
-    for idx, d in zip(groups, ds):
-        rows = row[idx]
-        out[rows[:, :, None], idx[:, None, :]] = w[rows][:, :, None] * d
-    return [(np.arange(dim)[None], out[None])]
+    edges = [_edges([qf[idx] for idx, _ in blocks]) for blocks, qf, _ in frames]
+    groups = _components(_connect(dim, *np.concatenate(
+        edges + [np.stack((np.arange(dim), q))], axis=1)))
+    col, ds = _frame_product(frames, groups, dim)
+    # index i is column col[i] of its block, so row r is row col[q[r]] of D's
+    return [(idx, w[idx][..., None] * d[np.arange(len(d))[:, None], col[q[idx]]])
+            for idx, d in zip(groups, ds)]
 
 
-def _frame_product(frames, actions: dict, dim: int) -> tuple:
-    """D of `_propagator_blocks`: (join labels, groups, col, stacks), with D's
-    (count, b, b) stack on each group of the join and col[i] the place of
-    index i in its block."""
-    joined = _join(np.stack([_labels([qf[idx] for idx, _ in actions[key][1]], dim)
-                             for key, qf, _ in frames]))
-    groups = _components(joined)
-    # D and the next factor each fill one flat row laid out over the joined
-    # blocks
+def _frame_product(frames, groups, dim: int) -> tuple:
+    """D of `_propagator_blocks` over the partition `groups`: (col, stacks),
+    with D's (count, b, b) stack on each group and col[i] the place of index
+    i in its block.  D starts as the identity, which the first factor
+    replaces."""
+    # D and the next factor each fill one flat row laid out over the groups
     start, col, spans, size = _layout(groups, dim)
-    acc, nxt = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    acc, nxt = np.zeros(size, dtype=complex), np.empty(size, dtype=complex)
+    acc[start + col] = 1
     views = [(acc[at:at + count * b * b].reshape(count, b, b),
               nxt[at:at + count * b * b].reshape(count, b, b)) for at, count, b in spans]
-    for k, (key, qf, wf) in enumerate(frames):
+    for k, (blocks, qf, wf) in enumerate(frames):
         flat = nxt if k else acc
         flat[:] = 0
         inv = 1 / wf
-        for idx, stack in actions[key][1]:
+        for idx, stack in blocks:
             j = qf[idx]
             flat[start[j][..., None] + col[j][..., None, :]] = (
                 stack * inv[idx][..., None] * wf[idx][..., None, :])
         if k:
             for d, f in views:
                 d[...] = f @ d
-    return joined, groups, col, [d for d, _ in views]
+    return col, [d for d, _ in views]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from dfspulse.gates import (
 )
 from dfspulse.dfs import basis_operator
 from dfspulse.pauli import OperatorSum, SIGMA, expm_i, spectral_norm, to_dense
+from dfspulse.sequences import seq_from_text
 
 TWO_PI = 2 * np.pi
 
@@ -49,6 +50,16 @@ def test_sm_unitary_limits():
     np.testing.assert_allclose(
         got, (np.eye(4) + 1j * np.kron(SIGMA["X"], SIGMA["Y"])) / np.sqrt(2),
         atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_sm_gate_spec_needs_finite_angle_and_phases(bad):
+    for theta, phis in ((bad, (0.0, 0.0)), (0.3, (bad, 0.0)), (0.3, (0.1, 0.2, 0.3, bad))):
+        with pytest.raises(ValueError, match="finite"):
+            SmGateSpec(theta, phis, tuple(range(len(phis))))
+    for text in (f"[SM(theta={bad};phis=0,0;ions=0,1)]", f"[SM(theta=0.3;phis=0,{bad};ions=0,1)]"):
+        with pytest.raises(ValueError, match="finite"):
+            seq_from_text(text)
 
 
 def test_sm_closed_form_vs_exponential():

@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import connected_components
 
 from dfspulse.pauli import (
     BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
-    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _log_blocks, commutator,
+    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _log_blocks, commutator,
     commutes, embed_sites, expm_i, generator_of, is_unitary, kron_all, pauli_mul,
     spectral_norm, to_dense, SIGMA,
 )
@@ -257,6 +257,23 @@ def test_blocks_are_the_connected_components(sizes):
     want = sorted(tuple(np.flatnonzero(lab == k)) for k in range(n_comp))
     assert found == want
     assert [idx.shape[1] for idx in groups] == sorted({len(c) for c in want})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=2 * n))))
+def test_connect_labels_the_connected_components(case):
+    # empty lists, self-loops and repeated edges included
+    n, edges = case
+    src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    lab = _connect(n, src, dst)
+    graph = np.zeros((n, n), dtype=bool)
+    graph[src, dst] = True
+    n_comp, comp = connected_components(graph, directed=False)
+    # the smallest index of each component names it
+    smallest = np.array([np.flatnonzero(comp == c).min() for c in range(n_comp)])
+    np.testing.assert_array_equal(lab, smallest[comp])
 
 
 @pytest.mark.parametrize("sizes", BLOCK_SIZES)

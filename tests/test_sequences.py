@@ -556,6 +556,21 @@ def test_drive_needs_finite_amplitude(amplitude):
         Drive(OperatorSum.from_label("XX"), 0.1, amplitude)
 
 
+@pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+def test_drive_needs_finite_phase(phi):
+    with pytest.raises(ValueError, match="phase"):
+        Drive(OperatorSum.from_label("XX"), 0.1, 1.0, phi=phi)
+    with pytest.raises(ValueError, match="phase"):
+        seq_from_text(f"[DRIVE(axis=X;pair=0:1;tau=0.25;amp=1.0;phi={phi})]")
+
+
+def test_named_pulse_needs_integer_ions():
+    for pair in ((0.0, 1.0), (0, 1.5), ("0", 1), (None, 1)):
+        with pytest.raises(ValueError, match="integers"):
+            NamedPulse((("P", pair),))
+    assert NamedPulse((("P", (np.int64(0), 1)),)).ops[0][1] == (0, 1)
+
+
 def test_named_pulse_needs_distinct_ions():
     with pytest.raises(ValueError):
         NamedPulse((("P", (1, 1)),))
@@ -723,6 +738,36 @@ def test_pulse_only_sequences_are_exact_products():
                                    _ordered_product(events, model), rtol=0, atol=1e-12)
 
 
+def _orbits(u):
+    # the cycles of the permutation of a monomial u, row r -> its column
+    q = np.abs(u).argmax(axis=1)
+    out, seen = set(), set()
+    for r in range(len(q)):
+        orbit = []
+        while r not in seen:
+            seen.add(r)
+            orbit.append(r)
+            r = q[r]
+        if orbit:
+            out.add(tuple(sorted(orbit)))
+    return out
+
+
+def test_pulse_only_blocks_are_the_orbits_of_the_frame():
+    model = EvolutionModel(2, 3, rand_herm(np.random.default_rng(13), 12))
+    p, q = NamedPulse((("P", (0, 1)),)), NamedPulse((("Q", (0, 1)),))
+    # P Q is -i Zbar on the code space, so it moves no index; P Q P does
+    for events, moves in (((p,), True), ((RawPulse(np.kron(SIGMA["X"], SIGMA["Z"])),), True),
+                          ((p, q), False), ((p, q, p), True)):
+        seq = PulseSequence(events)
+        blocks = _propagator_blocks(seq, model)
+        want = _ordered_product(events, model)
+        found = {tuple(row) for idx, _ in blocks for row in idx.tolist()}
+        assert found == _orbits(want)
+        assert (len(found) < model.dim) == moves
+        np.testing.assert_array_equal(propagator(seq, model), want)
+
+
 def test_long_repeated_sequence_matches_the_ordered_product():
     rng = np.random.default_rng(11)
     zsum = to_dense(OperatorSum.single(2, 0, "Z") + OperatorSum.single(2, 1, "Z"))
@@ -803,9 +848,9 @@ def test_propagator_blocks_partition_the_propagator(case):
         out[idx[:, :, None], idx[:, None, :]] = stack
     np.testing.assert_array_equal(out, u)
     np.testing.assert_allclose(u, _ordered_product(events, model), rtol=0, atol=1e-12)
-    if case == "odd swap":
-        assert [idx.shape for idx, _ in blocks] == [(1, model.dim)]
-    if case == "in-block swap":
+    if case in ("odd swap", "in-block swap"):
+        # P swaps 01 and 10 of the pair: each of the 8 system states it
+        # moves shares a block with its image
         assert [idx.shape for idx, _ in blocks] == [(8, 2), (4, 4)]
 
 
