@@ -396,13 +396,12 @@ def _run_gate(sc: Scenario):
         (["gamma_sb", "infidelity", "bound"], rows)
 
 
-def _block4_model(sc: Scenario) -> tuple[EvolutionModel, PulseSequence]:
-    """The four-ion model of a block4-sim scenario, each ion dephased by its
-    own random bath factor, and its symmetrizing cycle."""
-    p = sc.parameters
+def _block4_hamiltonian(sc: Scenario) -> tuple[OperatorSum, int, dict]:
+    """The four-ion dephasing of a block4-sim scenario, sum_q Z_q (x) b_q with
+    each ion's own random bath factor b_q: the sum, the bath dimension and
+    the bindings of the b_q."""
     rng = np.random.default_rng(sc.seed)
-    d = p["bath_factor_dim"]
-    bdim = d ** 4
+    d = sc.parameters["bath_factor_dim"]
 
     def embed_bath(op, k):
         mats = [np.eye(d, dtype=complex)] * 4
@@ -412,20 +411,29 @@ def _block4_model(sc: Scenario) -> tuple[EvolutionModel, PulseSequence]:
     bindings = {f"b{q}": embed_bath(_rand_herm(rng, d), q) for q in range(4)}
     h = sum((OperatorSum.single(4, q, "Z", 1.0, f"b{q}") for q in range(4)),
             OperatorSum.zero(4))
-    return (EvolutionModel(4, bdim, to_dense(h, bdim, bindings)),
-            sequences.symmetrize_block4(p["tau"], 4))
+    return h, d ** 4, bindings
+
+
+def _block4_model(sc: Scenario) -> tuple[list, int, PulseSequence]:
+    """The blocks of the block4-sim Hamiltonian, built from its Pauli masks
+    with no dense matrix, its bath dimension, and the symmetrizing cycle."""
+    h, bdim, bindings = _block4_hamiltonian(sc)
+    static = pauli._sum_blocks(h, bdim, bindings)
+    if not all(np.isfinite(stack).all() for _, stack in static):
+        raise ValueError("h_static must be finite")
+    return static, bdim, sequences.symmetrize_block4(sc.parameters["tau"], 4)
 
 
 def _run_block4(sc: Scenario):
     p = sc.parameters
-    model, seq = _block4_model(sc)
-    # the private cores hand the cycle's blocks on: no dense matrix, no rescan
-    u = sequences._propagator_blocks(seq, model)
+    static, bdim, seq = _block4_model(sc)
+    # the private cores hand the blocks on: no dense matrix, no scan
+    u = sequences._propagator_blocks(seq, 4, bdim, static)
     g, margin, selfcheck = pauli._log_blocks(u, 4 * p["tau"])
-    resid = dfs._block_residual(g, 4, model.bath_dim, ((0, 1, 2, 3),))
+    resid = dfs._block_residual(g, 4, bdim, ((0, 1, 2, 3),))
     checks = [CheckResult("block4_residual", float(resid), 0.0,
                           p["tolerance"], bool(resid <= p["tolerance"]))]
-    return checks, {"residual": resid, "dim": model.dim,
+    return checks, {"residual": resid, "dim": 16 * bdim,
                     "block_sizes": [len(row) for idx, _ in u for row in idx],
                     "branch_margin": margin, "log_selfcheck": selfcheck,
                     "checks": [c.__dict__ for c in checks]}, None

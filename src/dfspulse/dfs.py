@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
-    OperatorSum, _blocks, _components, _connect, _edges, _from_masks, _layout, _masks,
-    _norm_blocks, _place, _stacked, spectral_norm, to_dense,
+    OperatorSum, _components, _connect, _edges, _from_masks, _gather, _layout, _masks,
+    _norm_blocks, _place, spectral_norm, to_dense,
 )
 
 CODE_ZERO_INDEX = 2  # |down, up>
@@ -308,8 +308,7 @@ def block_collective_residual(h: np.ndarray, width: int, bath_dim: int,
     if h.shape != (dim, dim):
         raise ValueError(f"h has shape {h.shape}, expected {(dim, dim)} for "
                          f"{width} qubits and bath dimension {bath_dim}")
-    return _block_residual([(idx, h[_stacked(idx)]) for idx in _blocks(h)],
-                           width, bath_dim, blocks)
+    return _block_residual(_gather(h), width, bath_dim, blocks)
 
 
 def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,

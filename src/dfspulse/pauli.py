@@ -14,7 +14,11 @@ i^{y_a + y_b - y_ab} (-1)^{|z_a & x_b|}; they commute iff
 |x_a & z_b| + |z_a & x_b| is even.  Letters exist only at the boundary:
 `PauliTerm` parses them and shows them as `factors` and `label`.
 `to_dense` writes all strings of a sum into the matrix in one scatter, each
-as its exact monomial, with no Kronecker chain.
+as its exact monomial, with no Kronecker chain.  `_sum_blocks` builds the
+same matrix as its blocks, with no dense matrix: a string links the system
+states c and c ^ x, so the blocks are the components of those links, each
+times the whole bath.  Both take their checked entries from one helper,
+`_term_entries`, so they round alike.
 
 The dense kernels (`expm_i`, `generator_of`, `spectral_norm`) use numpy
 alone.  They split their input into the connected components of its exact
@@ -22,9 +26,13 @@ nonzero pattern and work on one stack of blocks per block size.  A matrix
 that is block diagonal under a permutation is exactly the direct sum of its
 blocks, so the split needs no tolerance; a matrix with one component is
 handled as a single dense block.  Every partition in the package, of a
-pattern or a join of partitions, comes from one kernel, `_connect`, the
-connected components of an edge list.  `expm_i` and `sequences.propagator`
-share one blockwise exponential, `_expm_blocks`.  `generator_of`
+pattern, a sum's masks or a join of partitions, comes from one kernel,
+`_connect`, the connected components of an edge list.  `expm_i` and
+`sequences.propagator` share one blockwise exponential core,
+`_expm_blocks`, which takes the [(idx, stack)] blocks that `_gather` cuts
+from a dense matrix or `_sum_blocks` builds from the masks.  `spectral_norm`
+takes `eigvalsh` on each exactly Hermitian stack and `svd` on any other.
+`generator_of`
 diagonalizes a unitary through its Cayley transform, a Hermitian matrix
 with the same eigenvectors, so `eigh` serves for both exponential and
 logarithm.
@@ -399,20 +407,20 @@ def kron_all(*mats) -> np.ndarray:
     return out
 
 
-def to_dense(op: OperatorSum, bath_dim: int = 1,
-             bindings: dict | None = None) -> np.ndarray:
-    """Dense matrix of `op` on the (2^width * bath_dim)-dimensional space.
+def _term_entries(op: OperatorSum, bath_dim: int, bindings: dict | None) -> tuple:
+    """The checked entries of op's terms, for `to_dense` and `_sum_blocks`.
 
-    Every bath slot referenced by a term must have a Hermitian binding of
-    dimension `bath_dim`; slot-free terms get the bath identity.  A string
-    is the monomial i^{#Y} X^x Z^z: column c holds its one entry in row
-    c ^ x, with sign (-1)^{popcount(c & z)}.  All terms are scattered in
-    one pass, and each entry sums its terms in term order, so the result
-    equals the sum of coefficient * kron(string, bath) term by term.
+    Every bath slot referenced by a term must have a binding of shape
+    (bath_dim, bath_dim), or BathSlotError is raised; slot-free terms get the
+    bath identity.  A string is the monomial i^{#Y} X^x Z^z: column c holds
+    its one entry in row c ^ x, i^{#Y} (-1)^{popcount(c & z)}.  Returns
+    (x, sign, vals), with x the terms' x masks, sign[t, c] the parity of
+    popcount(c & z[t]) and vals[t, s] = coefficient * (i^{#Y} (-1)^s * bath):
+    term t puts the bath block vals[t, sign[t, c]] at system row c ^ x[t]
+    and column c.  The values round as coefficient * kron(string, bath)
+    does, and are computed nowhere else.
     """
     bindings = bindings or {}
-    n = 2 ** op.width
-    dim = n * bath_dim
     # the distinct bath factors, and the one of each term
     baths, slot_index = [np.eye(bath_dim, dtype=complex)], {None: 0}
     for *_, slot in op._keys:
@@ -427,27 +435,79 @@ def to_dense(op: OperatorSum, bath_dim: int = 1,
                 f"expected {(bath_dim, bath_dim)}")
         slot_index[slot] = len(baths)
         baths.append(bath)
+    x, z, n_y, which = np.array([(kx, kz, (kx & kz).bit_count(), slot_index[slot])
+                                 for kx, kz, slot in op._keys],
+                                dtype=np.intp).reshape(-1, 4).T
+    n = 2 ** op.width
+    odd = np.array([c.bit_count() & 1 for c in range(n)])
+    sign = odd[np.arange(n) & z[:, None]]
+    sys = _I_POW_ARRAY[(n_y[:, None] + 2 * np.arange(2)) & 3]
+    coef = np.array(op._coefs, dtype=complex)
+    vals = coef[:, None, None, None] * (sys[:, :, None, None] * np.stack(baths)[which][:, None])
+    return x, sign, vals
+
+
+def to_dense(op: OperatorSum, bath_dim: int = 1,
+             bindings: dict | None = None) -> np.ndarray:
+    """Dense matrix of `op` on the (2^width * bath_dim)-dimensional space.
+
+    Every bath slot referenced by a term must have a Hermitian binding of
+    dimension `bath_dim`; slot-free terms get the bath identity.  The
+    entries of all terms (`_term_entries`) are scattered in one pass, and
+    each entry sums its terms in term order, so the result equals the sum
+    of coefficient * kron(string, bath) term by term.
+    """
+    x, sign, vals = _term_entries(op, bath_dim, bindings)
+    n = 2 ** op.width
+    dim = n * bath_dim
     # the result first: it outlives the temporaries below, so freeing them
     # leaves no hole under it in the heap
     out = np.zeros(dim * dim, dtype=complex)
-    if not op._keys:
+    if not len(x):
         return out.reshape(dim, dim)
-    x, z, n_y, which = np.array([(kx, kz, (kx & kz).bit_count(), slot_index[slot])
-                                 for kx, kz, slot in op._keys]).T
-    coef = np.array(op._coefs)
     cols = np.arange(n)
-    # the entry in column c is i^{#Y} (-1)^{popcount(c & z)}
-    odd = np.array([c.bit_count() & 1 for c in range(n)])
-    sys = _I_POW_ARRAY[(n_y[:, None] + 2 * odd[cols & z[:, None]]) & 3]
-    bath = np.stack(baths)[which].reshape(len(which), 1, bath_dim ** 2)
-    # rounds exactly as coefficient * kron(sys, bath) does
-    vals = (coef[:, None, None] * (sys[:, :, None] * bath)).ravel()
     # entry (row c ^ x, bath a; column c, bath b) of each value
     a = np.arange(bath_dim)
     flat = np.ravel_multi_index(((cols ^ x[:, None])[:, :, None, None], a[:, None],
                                  cols[:, None, None], a), (n, bath_dim, n, bath_dim)).ravel()
-    np.add.at(out, flat, vals)  # unbuffered, in the order of `flat`
+    entries = vals[np.arange(len(x))[:, None], sign].ravel()
+    np.add.at(out, flat, entries)  # unbuffered, in the order of `flat`
     return out.reshape(dim, dim)
+
+
+def _sum_blocks(op: OperatorSum, bath_dim: int = 1,
+                bindings: dict | None = None) -> list[tuple]:
+    """The [(idx, stack)] blocks of `to_dense(op, bath_dim, bindings)`, built
+    from the masks with no dense matrix.
+
+    A term links system states c and c ^ x, so the blocks are the
+    components of those links under `_connect`, each times the whole bath,
+    grouped and ordered as `_blocks` groups them.  This partition is never
+    finer than that of the exact nonzero pattern: it is coarser only where
+    terms cancel or a binding has zeros.  Each stack sums its terms in term
+    order with the values of `_term_entries`, so it is equal, entry for
+    entry, to the gathered block of `to_dense`.  Raises as `to_dense` does.
+    """
+    x, sign, vals = _term_entries(op, bath_dim, bindings)
+    n = 2 ** op.width
+    states = np.arange(n)
+    groups = _components(_connect(n, np.tile(states, len(x)),
+                                  (states ^ x[:, None]).ravel()))
+    # each system state's group, its block in the group and its place there
+    where = {}
+    for g, idx in enumerate(groups):
+        for k, row in enumerate(idx.tolist()):
+            where.update((c, (g, k, j)) for j, c in enumerate(row))
+    stacks = [np.zeros((count, m, bath_dim, m, bath_dim), dtype=complex)
+              for count, m in (idx.shape for idx in groups)]
+    for t, (xt, signs) in enumerate(zip(x.tolist(), sign.tolist())):
+        for c, s in enumerate(signs):
+            # the term's bath block in system row c ^ x and column c
+            g, k, j = where[c]
+            stacks[g][k, where[c ^ xt][2], :, j, :] += vals[t, s]
+    return [((idx[:, :, None] * bath_dim + np.arange(bath_dim)).reshape(len(idx), -1),
+             stack.reshape(len(idx), idx.shape[1] * bath_dim, -1))
+            for idx, stack in zip(groups, stacks)]
 
 
 def embed_sites(mat: np.ndarray, sites: tuple[int, ...], width: int) -> np.ndarray:
@@ -483,12 +543,19 @@ def spectral_norm(m: np.ndarray) -> float:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return float(np.linalg.norm(m, 2))
-    return _norm_blocks(m[_stacked(idx)] for idx in _blocks(m))
+    return _norm_blocks(stack for _, stack in _gather(m))
 
 
 def _norm_blocks(stacks) -> float:
-    """Largest singular value of a direct sum, given its (count, b, b) stacks."""
-    return max((float(np.linalg.svd(s, compute_uv=False).max()) for s in stacks),
+    """Largest singular value of a direct sum, given its (count, b, b) stacks.
+
+    A stack that is exactly Hermitian has singular values |eigenvalue|, and
+    `eigvalsh` finds them in less than half the time of `svd`; any other
+    stack takes `svd`.
+    """
+    return max((float(np.abs(np.linalg.eigvalsh(s)).max())
+                if np.array_equal(s, s.conj().swapaxes(1, 2))
+                else float(np.linalg.svd(s, compute_uv=False).max()) for s in stacks),
                default=0.0)
 
 
@@ -575,6 +642,15 @@ def _stacked(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx[:, :, None], idx[:, None, :]
 
 
+def _gather(m: np.ndarray) -> list[tuple]:
+    """The [(idx, stack)] blocks of a square m over `_blocks(m)`; a matrix
+    with one component is its own single block, with no copy."""
+    blocks = _blocks(m)
+    if len(blocks) == 1 and len(blocks[0]) == 1:
+        return [(blocks[0], m[None])]
+    return [(idx, m[_stacked(idx)]) for idx in blocks]
+
+
 def _layout(groups, dim: int) -> tuple:
     """Places of blocks over the partition `groups` in one flat row: entry
     (i, j) of a block at start[i] + col[j], so col[i] is the place of index
@@ -605,32 +681,25 @@ def _dense(blocks, dim: int) -> np.ndarray:
 def expm_i(h: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition (exact, unitary)."""
     h = np.asarray(h, dtype=complex)
-    return _dense(_expm_blocks(h, t, tol), h.shape[0])
+    return _dense(_expm_blocks(_gather(h), t, tol), h.shape[0])
 
 
-def _expm_blocks(h: np.ndarray, t: float, tol: float = 1e-10) -> list[tuple]:
-    """exp(-i h t) of a complex Hermitian h as [(idx, stack)]: per block size
-    of `_blocks(h)`, the (count, size, size) stack of exponentials of the
-    blocks on the components idx.
+def _expm_blocks(blocks, t: float, tol: float = 1e-10) -> list[tuple]:
+    """exp(-i h t) of the complex Hermitian h with [(idx, stack)] blocks, as
+    blocks on the same components: the (count, size, size) stack of
+    exponentials of each stack.
 
-    h - h^+ is exactly zero between components, so the Hermiticity check
-    run block by block is the dense check.  It is written as `not err <=`,
-    so that a NaN fails it.
+    h - h^+ is exactly zero between blocks, so the Hermiticity check run
+    block by block is the dense check.  It is written as `not err <=`, so
+    that a NaN fails it.
     """
-    blocks = _blocks(h)
-    whole = len(blocks) == 1 and len(blocks[0]) == 1
-    stacks = [h[None]] if whole else [h[_stacked(idx)] for idx in blocks]
-    bound = tol * max([1.0] + [max_abs(s) for s in stacks])
-    if not all(max_abs(s - s.conj().swapaxes(1, 2)) <= bound for s in stacks):
+    bound = tol * max([1.0] + [max_abs(s) for _, s in blocks])
+    if not all(max_abs(s - s.conj().swapaxes(1, 2)) <= bound for _, s in blocks):
         raise NonHermitianError("expm_i requires a Hermitian generator")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if whole:
-        # one component: the whole matrix is the block, in any order
-        vals, vecs = np.linalg.eigh(h)
-        return [(blocks[0], ((vecs * np.exp(-1j * vals * t)) @ vecs.conj().T)[None])]
     out = []
-    for idx, hb in zip(blocks, stacks):
+    for idx, hb in blocks:
         vals, vecs = np.linalg.eigh(hb)
         out.append((idx, (vecs * np.exp(-1j * vals * t)[:, None, :])
                     @ vecs.conj().swapaxes(1, 2)))
@@ -648,8 +717,7 @@ def generator_of(u: np.ndarray, total_time: float,
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NonUnitaryError("generator_of requires a unitary input")
-    blocks = [(idx, u[_stacked(idx)]) for idx in _blocks(u)]
-    return _dense(_log_blocks(blocks, total_time, branch_tol)[0], u.shape[0])
+    return _dense(_log_blocks(_gather(u), total_time, branch_tol)[0], u.shape[0])
 
 
 def _log_blocks(blocks, total_time: float,

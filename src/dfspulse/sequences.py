@@ -30,7 +30,8 @@ from .dfs import _checked_pair, logical_operators
 from .gates import SmGateSpec, sm_gate_dense, x_phi
 from .pauli import (
     OperatorSum, NonUnitaryError, _blocks, _components, _connect, _dense, _edges,
-    _expm_blocks, _from_masks, _layout, _place, _stacked, expm_i, is_unitary, to_dense,
+    _expm_blocks, _from_masks, _gather, _layout, _place, _stacked, expm_i, is_unitary,
+    to_dense,
 )
 
 PULSE_LABELS = ("P", "PDAG", "PI", "Q", "QDAG", "LAM")
@@ -342,25 +343,28 @@ class EvolutionModel:
 
     def lift(self, sys_mat: np.ndarray) -> np.ndarray:
         """System operator extended by the bath identity."""
-        if self.bath_dim == 1:
-            return np.asarray(sys_mat, dtype=complex)
-        return np.kron(np.asarray(sys_mat, dtype=complex),
-                       np.eye(self.bath_dim, dtype=complex))
+        return _lift(sys_mat, self.bath_dim)
+
+
+def _lift(sys_mat: np.ndarray, bath_dim: int) -> np.ndarray:
+    if bath_dim == 1:
+        return np.asarray(sys_mat, dtype=complex)
+    return np.kron(np.asarray(sys_mat, dtype=complex), np.eye(bath_dim, dtype=complex))
 
 
 def event_unitary(event, model: EvolutionModel) -> np.ndarray:
     """Dense propagator of a single event under the model: off every program
     path, kept as the dense reference that tests hold `propagator` against."""
     if isinstance(event, (Free, Drive)):
-        return expm_i(_hamiltonian(event, model), event.tau)
+        return expm_i(_hamiltonian(event, model.h_static, model.bath_dim), event.tau)
     return model.lift(_pulse_unitary(event, model.width))
 
 
-def _hamiltonian(event, model: EvolutionModel) -> np.ndarray:
-    """Joint Hamiltonian of a free or driven segment."""
+def _hamiltonian(event, h_static: np.ndarray, bath_dim: int) -> np.ndarray:
+    """Joint Hamiltonian of a free or driven segment over the dense h_static."""
     if isinstance(event, Drive):
-        return model.h_static + event.amplitude * model.lift(to_dense(event.h_sys))
-    return model.h_static
+        return h_static + event.amplitude * _lift(to_dense(event.h_sys), bath_dim)
+    return h_static
 
 
 def _pulse_unitary(event, width: int) -> np.ndarray:
@@ -381,18 +385,23 @@ def _pulse_unitary(event, width: int) -> np.ndarray:
     return sys
 
 
-def _event_action(event, model: EvolutionModel) -> tuple:
+def _event_action(event, width: int, bath_dim: int, static: list) -> tuple:
     """(monomial, blocks) of one event's joint unitary, one of them None.
 
     A pulse whose system matrix has one nonzero per row and per column is
     the monomial (q, w): row r holds w[r] in column q[r].  Any other event
-    is the [(idx, stack)] blocks of its unitary over its exact components.
+    is the [(idx, stack)] blocks of its unitary: a free segment's over the
+    blocks `static` of the ambient Hamiltonian, a drive's over the exact
+    components of the ambient Hamiltonian plus the drive.
     """
-    if isinstance(event, (Free, Drive)):
-        return None, _expm_blocks(_hamiltonian(event, model), event.tau)
+    if isinstance(event, Free):
+        return None, _expm_blocks(static, event.tau)
+    if isinstance(event, Drive):
+        h = _hamiltonian(event, _dense(static, 2 ** width * bath_dim), bath_dim)
+        return None, _expm_blocks(_gather(h), event.tau)
     if isinstance(event, NamedPulse):
-        return _named_action(event, model.width, model.bath_dim)
-    return _pulse_action(event, model.width, model.bath_dim)
+        return _named_action(event, width, bath_dim)
+    return _pulse_action(event, width, bath_dim)
 
 
 def _pulse_action(event, width: int, bath_dim: int) -> tuple:
@@ -420,12 +429,17 @@ _named_action = lru_cache(maxsize=256)(_pulse_action)
 
 def propagator(seq: PulseSequence, model: EvolutionModel) -> np.ndarray:
     """Ordered product of event propagators (first event leftmost): the
-    blocks of `_propagator_blocks`, scattered into a zero matrix."""
-    return _dense(_propagator_blocks(seq, model), model.dim)
+    blocks of `_propagator_blocks` over the blocks of `model.h_static`,
+    scattered into a zero matrix."""
+    return _dense(_propagator_blocks(seq, model.width, model.bath_dim,
+                                     _gather(model.h_static)), model.dim)
 
 
-def _propagator_blocks(seq: PulseSequence, model: EvolutionModel) -> list[tuple]:
-    """The product of `propagator` as [(idx, stack)] blocks.
+def _propagator_blocks(seq: PulseSequence, width: int, bath_dim: int,
+                       static: list) -> list[tuple]:
+    """The product of `propagator` as [(idx, stack)] blocks, on `width`
+    qubits and a bath of `bath_dim`, under the ambient Hamiltonian given as
+    its [(idx, stack)] blocks `static`.
 
     The product is taken in the toggling frame of the pulses (Viola, Knill
     and Lloyd, PRL 82, 2417 (1999)).  Walking the events from the right,
@@ -445,13 +459,13 @@ def _propagator_blocks(seq: PulseSequence, model: EvolutionModel) -> list[tuple]
     O(sum b^3), so memory does not grow with the sequence beyond one frame
     per factor.
     """
-    dim = model.dim
+    dim = 2 ** width * bath_dim
     q, w = np.arange(dim), np.ones(dim, dtype=complex)
     actions: dict = {}  # each event is its own key; a RawPulse keys by identity
     frames = []  # (blocks, q, w) of each factor T^-1 F T, rightmost first
     for event in reversed(seq.events):
         if event not in actions:
-            actions[event] = _event_action(event, model)
+            actions[event] = _event_action(event, width, bath_dim, static)
         mono, blocks = actions[event]
         if mono is None:
             frames.append((blocks, q, w))
@@ -576,12 +590,10 @@ def _event_from_text(token: str):
                      axis=axis, pair=pair, phi=float(fields.get("phi", "0")))
     if token.startswith("SM("):
         fields = dict(kv.split("=", 1) for kv in token[3:-1].split(";"))
-        ions = tuple(int(x) for x in fields["ions"].split(","))
-        if min(ions) < 0 or len(set(ions)) != len(ions):
-            raise ValueError(f"ions of {token!r} must be distinct and nonnegative")
         return SmPulse(SmGateSpec(
             float(fields["theta"]),
-            tuple(float(x) for x in fields["phis"].split(",")), ions))
+            tuple(float(x) for x in fields["phis"].split(",")),
+            tuple(int(x) for x in fields["ions"].split(","))))
     ops = []
     for factor in token.split("*"):
         m = _PULSE_RE.match(factor.strip())

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ from dfspulse.cli import (
 import dfspulse
 import dfspulse.cli as cli_mod
 from dfspulse.dfs import block_collective_residual
-from dfspulse.pauli import generator_of
-from dfspulse.sequences import propagator
+from dfspulse.pauli import _blocks, _stacked, generator_of, to_dense
+from dfspulse.sequences import EvolutionModel, propagator, symmetrize_block4
 from dfspulse.verification import CheckResult
 
 
@@ -206,6 +207,14 @@ def _block4(seed, d):
                                      "parameters": {"bath_factor_dim": d}}]))[0]
 
 
+def _dense_block4(sc):
+    # the dense model of the scenario's sum and bindings: the oracle of the
+    # blocks the CLI builds from the masks
+    h, bdim, bindings = cli_mod._block4_hamiltonian(sc)
+    return (EvolutionModel(4, bdim, to_dense(h, bdim, bindings)),
+            symmetrize_block4(sc.parameters["tau"], 4))
+
+
 def test_block4_report_sizes_and_health(tmp_path):
     sc = _block4(5, 2)
     run_scenario(sc, tmp_path / "a", jobs=1)
@@ -217,7 +226,7 @@ def test_block4_report_sizes_and_health(tmp_path):
     rep = json.loads(text)
     assert rep["dim"] == 256 and rep["block_sizes"] == [16] * 16
     # the margin is that of the cycle propagator's eigenphases
-    model, seq = cli_mod._block4_model(sc)
+    model, seq = _dense_block4(sc)
     phases = np.angle(np.linalg.eigvals(propagator(seq, model)))
     assert rep["branch_margin"] == pytest.approx(np.min(np.pi - np.abs(phases)), abs=1e-9)
     assert 0 <= rep["log_selfcheck"] <= 1e-8
@@ -228,10 +237,66 @@ def test_block4_residual_equals_the_dense_chain(d):
     for seed in range(8):
         sc = _block4(seed, d)
         _, payload, _ = cli_mod._run_block4(sc)
-        model, seq = cli_mod._block4_model(sc)
+        model, seq = _dense_block4(sc)
         g = generator_of(propagator(seq, model), 4 * sc.parameters["tau"])
         assert payload["residual"] == block_collective_residual(
             g, 4, model.bath_dim, ((0, 1, 2, 3),))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block4_blocks_from_masks_equal_the_dense_blocks(d):
+    for seed in range(4):
+        sc = _block4(seed, d)
+        static, bdim, _ = cli_mod._block4_model(sc)
+        h, _, bindings = cli_mod._block4_hamiltonian(sc)
+        dense = to_dense(h, bdim, bindings)
+        groups = _blocks(dense)
+        assert [idx.shape for idx in groups] == [(16, d ** 4)]
+        assert len(static) == len(groups)
+        for (idx, stack), want in zip(static, groups):
+            np.testing.assert_array_equal(idx, want)
+            assert np.array_equal(stack, dense[_stacked(want)])
+
+
+def test_block4_model_memory_at_d3():
+    # the dense 1296^2 h_static alone is 27 MB; its 16 blocks of 81 are 1.7 MB
+    sc = _block4(5, 3)
+    h, bdim, bindings = cli_mod._block4_hamiltonian(sc)
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: to_dense(h, bdim, bindings)) > 27e6
+    assert peak(lambda: cli_mod._block4_model(sc)) < 5e6
+
+
+def test_block4_model_rejects_a_non_finite_bath(monkeypatch):
+    # as the dense model does
+    monkeypatch.setattr(cli_mod, "_rand_herm", lambda rng, d: np.full((d, d), np.nan))
+    for build in (cli_mod._block4_model, _dense_block4):
+        with pytest.raises(ValueError, match="h_static must be finite"):
+            build(_block4(0, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block4_residual_stacks_take_eigvalsh(d, monkeypatch):
+    # every residual stack is exactly Hermitian, so no norm needs an svd
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda s: calls.append(s.shape) or eigvalsh(s))
+    for seed in range(4):
+        checks, _, _ = cli_mod._run_block4(_block4(seed, d))
+        assert all(c.passed for c in checks)
+    assert calls
 
 
 def test_runtime_needs_no_scipy(tmp_path):

@@ -62,6 +62,21 @@ def test_sm_gate_spec_needs_finite_angle_and_phases(bad):
             seq_from_text(text)
 
 
+@pytest.mark.parametrize("ions", [(0.0, 0.0), (0.5, 1.7), (0, 1.0), (1, 1),
+                                  (0, 1, 2, 0), (-1, 0), (0, 1, -2, 3)])
+def test_sm_gate_spec_needs_distinct_nonnegative_integer_ions(ions):
+    with pytest.raises(ValueError, match="ions"):
+        SmGateSpec(0.3, (0.0,) * len(ions), ions)
+    text = ",".join(map(str, ions))
+    with pytest.raises(ValueError):
+        seq_from_text(f"[SM(theta=0.3;phis={','.join(['0'] * len(ions))};ions={text})]")
+
+
+def test_sm_gate_spec_takes_numpy_integer_ions():
+    spec = SmGateSpec(0.3, (0.0, 0.0), tuple(np.arange(2, 4)))
+    assert spec.ions == (2, 3) and all(type(q) is int for q in spec.ions)
+
+
 def test_sm_closed_form_vs_exponential():
     rng = np.random.default_rng(1)
     for _ in range(100):

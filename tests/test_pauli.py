@@ -6,9 +6,9 @@ from scipy.sparse.csgraph import connected_components
 
 from dfspulse.pauli import (
     BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
-    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _log_blocks, commutator,
-    commutes, embed_sites, expm_i, generator_of, is_unitary, kron_all, pauli_mul,
-    spectral_norm, to_dense, SIGMA,
+    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _dense, _from_masks,
+    _log_blocks, _stacked, _sum_blocks, commutator, commutes, embed_sites, expm_i,
+    generator_of, is_unitary, kron_all, pauli_mul, spectral_norm, to_dense, SIGMA,
 )
 
 LABELS1 = ["I", "X", "Y", "Z"]
@@ -305,11 +305,24 @@ def test_generator_roundtrip_on_hidden_blocks(sizes):
 
 
 @pytest.mark.parametrize("sizes", BLOCK_SIZES)
-def test_spectral_norm_matches_dense_norm(sizes):
+def test_spectral_norm_matches_dense_norm(sizes, monkeypatch):
     rng = np.random.default_rng(30 + sum(sizes))
-    for hermitian in (True, False):
-        m = hidden_blocks(rng, sizes, hermitian)
-        assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+    h = hidden_blocks(rng, sizes)
+    near = h.copy()
+    near[np.unravel_index(np.abs(h).argmax(), h.shape)] += 1e-14j
+    # an exactly Hermitian stack takes eigvalsh, any other svd; near is
+    # Hermitian but for one block
+    calls = []
+    for name in ("eigvalsh", "svd"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, f=f, name=name, **k: calls.append(name) or f(*a, **k))
+    for m, hermitian in ((h, True), (near, False),
+                         (hidden_blocks(rng, sizes, hermitian=False), False)):
+        want = np.linalg.norm(m, 2)
+        calls.clear()
+        assert spectral_norm(m) == pytest.approx(want, rel=1e-12)
+        assert ("svd" not in calls) == hermitian
     n = sum(sizes)
     wide = rng.normal(size=(n, n + 2)) * (rng.random((n, n + 2)) < 0.3)
     assert spectral_norm(wide) == pytest.approx(np.linalg.norm(wide, 2), rel=1e-12)
@@ -529,6 +542,58 @@ def test_to_dense_equals_the_kron_chain(case):
     op, bath_dim, bindings = case
     assert np.array_equal(to_dense(op, bath_dim, bindings),
                           _kron_chain(op, bath_dim, bindings))
+
+
+# --- blocks built from the masks against the dense matrix
+
+
+@st.composite
+def _masked_sums(draw):
+    # random x/z masks; each term its own binding, or slots shared and free
+    width = draw(st.integers(1, 4))
+    bath_dim = draw(st.integers(1, 3))
+    own = draw(st.booleans())
+    mask = st.integers(0, 2 ** width - 1)
+    coefficient = st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0)
+    slot = st.just(None) if own else st.sampled_from([None, "b1", "b2"])
+    terms = draw(st.lists(st.tuples(mask, mask, coefficient, slot), min_size=own, max_size=6))
+    items = [((x, z, f"t{k}" if own else s), c) for k, (x, z, c, s) in enumerate(terms)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bindings = {key[2]: hidden_blocks(rng, (bath_dim,))
+                for key, _ in items + [((0, 0, "b1"), 0), ((0, 0, "b2"), 0)] if key[2]}
+    return _from_masks(width, items), bath_dim, bindings, own
+
+
+@settings(max_examples=300, deadline=None)
+@given(_masked_sums())
+def test_sum_blocks_are_the_blocks_of_to_dense(case):
+    op, bath_dim, bindings, own = case
+    dim = 2 ** op.width * bath_dim
+    dense = to_dense(op, bath_dim, bindings)
+    blocks = _sum_blocks(op, bath_dim, bindings)
+    assert np.array_equal(_dense(blocks, dim), dense)
+    label = np.full(dim, -1)
+    for k, (idx, stack) in enumerate(blocks):
+        assert np.array_equal(stack, dense[_stacked(idx)])
+        assert (np.diff(idx, axis=1) > 0).all()
+        label[idx] = k * dim + np.arange(len(idx))[:, None]
+    assert (label >= 0).all()
+    # every exact component lies in one block; with a dense binding on every
+    # term nothing cancels, and the partitions are equal
+    exact = _blocks(dense)
+    assert all((label[idx] == label[idx[:, :1]]).all() for idx in exact)
+    if own:
+        assert len(blocks) == len(exact)
+        for (idx, _), want in zip(blocks, exact):
+            np.testing.assert_array_equal(idx, want)
+
+
+def test_sum_blocks_reject_what_to_dense_rejects():
+    op = OperatorSum.single(2, 0, "Z", 1.0, "b") + OperatorSum.single(2, 1, "X")
+    for bindings in ({}, {"c": np.eye(2)}, {"b": np.eye(3)}):
+        for build in (to_dense, _sum_blocks):
+            with pytest.raises(BathSlotError):
+                build(op, 2, bindings)
 
 
 def test_is_unitary_requires_a_square_matrix():

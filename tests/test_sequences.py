@@ -12,8 +12,8 @@ from dfspulse.dfs import (
 )
 from dfspulse.gates import SmGateSpec, dfs_restrict
 from dfspulse.pauli import (
-    NonUnitaryError, OperatorSum, SIGMA, _blocks, _log_blocks, expm_i, generator_of,
-    spectral_norm, to_dense,
+    NonUnitaryError, OperatorSum, SIGMA, _blocks, _gather, _log_blocks, _sum_blocks,
+    expm_i, generator_of, spectral_norm, to_dense,
 )
 from dfspulse.sequences import (
     PULSE_LABELS, Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
@@ -212,21 +212,26 @@ def test_symmetrize_pair_spec_example_config_is_exact():
 # --- block of four
 
 
-def _block4_model(rng, factor_dim=2):
-    bdim = factor_dim ** 4
-
-    def embed_bath(op, k):
+def _block4_baths(rng, factor_dim):
+    # a random factor for each ion, and each embedded into the joint bath
+    baths = [rand_herm(rng, factor_dim) for _ in range(4)]
+    embedded = []
+    for q, b in enumerate(baths):
         mats = [np.eye(factor_dim, dtype=complex)] * 4
-        mats[k] = op
+        mats[q] = b
         out = np.array([[1]], dtype=complex)
         for m in mats:
             out = np.kron(out, m)
-        return out
+        embedded.append(out)
+    return baths, embedded
 
+
+def _block4_model(rng, factor_dim=2):
+    bdim = factor_dim ** 4
     h = np.zeros((16 * bdim, 16 * bdim), dtype=complex)
-    baths = [rand_herm(rng, factor_dim) for _ in range(4)]
+    baths, embedded = _block4_baths(rng, factor_dim)
     for q in range(4):
-        h += np.kron(to_dense(OperatorSum.single(4, q, "Z")), embed_bath(baths[q], q))
+        h += np.kron(to_dense(OperatorSum.single(4, q, "Z")), embedded[q])
     return EvolutionModel(4, bdim, h), baths
 
 
@@ -760,7 +765,8 @@ def test_pulse_only_blocks_are_the_orbits_of_the_frame():
     for events, moves in (((p,), True), ((RawPulse(np.kron(SIGMA["X"], SIGMA["Z"])),), True),
                           ((p, q), False), ((p, q, p), True)):
         seq = PulseSequence(events)
-        blocks = _propagator_blocks(seq, model)
+        blocks = _propagator_blocks(seq, model.width, model.bath_dim,
+                                    _gather(model.h_static))
         want = _ordered_product(events, model)
         found = {tuple(row) for idx, _ in blocks for row in idx.tolist()}
         assert found == _orbits(want)
@@ -834,7 +840,7 @@ def test_propagator_blocks_partition_the_propagator(case):
               "in-block swap": (Free(0.3), NamedPulse((("P", (0, 1)),))),
               "empty": ()}[case]
     seq = PulseSequence(events)
-    blocks = _propagator_blocks(seq, model)
+    blocks = _propagator_blocks(seq, model.width, model.bath_dim, _gather(model.h_static))
     u = propagator(seq, model)
     label = np.full(model.dim, -1)
     for k, (idx, stack) in enumerate(blocks):
@@ -870,13 +876,17 @@ def test_block_scan_memory_at_d3():
 
 def test_block4_chain_memory_at_d3():
     # the dense chain makes 1296^2 matrices of 27 MB each and peaks near 93 MB;
-    # the block chain keeps 16 blocks of 81
-    model, _ = _block4_model(np.random.default_rng(5), 3)
+    # the block chain, its model built from the masks, keeps 16 blocks of 81
+    _, embedded = _block4_baths(np.random.default_rng(5), 3)
+    h = sum((OperatorSum.single(4, q, "Z", 1.0, f"b{q}") for q in range(4)),
+            OperatorSum.zero(4))
+    bindings = {f"b{q}": b for q, b in enumerate(embedded)}
     tracemalloc.start()
     try:
-        u = _propagator_blocks(symmetrize_block4(0.05, 4), model)
+        static = _sum_blocks(h, 81, bindings)
+        u = _propagator_blocks(symmetrize_block4(0.05, 4), 4, 81, static)
         g = _log_blocks(u, 0.2)[0]
-        resid = _block_residual(g, 4, model.bath_dim, ((0, 1, 2, 3),))
+        resid = _block_residual(g, 4, 81, ((0, 1, 2, 3),))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
