@@ -10,6 +10,7 @@ seconds, everything else dimensionless.
 """
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -44,12 +45,14 @@ class SmGateSpec:
             raise ValueError("gate acts on 2 or 4 ions")
         if len(self.phis) != len(self.ions):
             raise ValueError("one phase per ion required")
-        if not all(isinstance(q, (int, np.integer)) for q in self.ions):
-            raise ValueError(f"gate ions must be integers, got {self.ions!r}")
-        if len(set(self.ions)) != len(self.ions) or min(self.ions) < 0:
+        try:
+            ions = tuple(map(operator.index, self.ions))
+        except TypeError:
+            raise ValueError(f"gate ions must be integers, got {self.ions!r}") from None
+        if len(set(ions)) != len(ions) or min(ions) < 0:
             raise ValueError("gate ions must be distinct and nonnegative")
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
-        object.__setattr__(self, "ions", tuple(int(i) for i in self.ions))
+        object.__setattr__(self, "ions", ions)
         if not np.isfinite((self.theta, *self.phis)).all():
             raise ValueError("gate angle and phases must be finite")
 

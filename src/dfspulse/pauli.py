@@ -57,9 +57,10 @@ SIGMA = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# i^k, exactly
+# i^k, exactly; i^{k + _SIGN_POW[s]} is i^k (-1)^s
 _I_POW = (1, 1j, -1, -1j)
 _I_POW_ARRAY = np.array(_I_POW)
+_SIGN_POW = np.array([0, 2])
 
 # the x and z bit of each letter, and the letter of the bits x | z << 1
 _X_BITS = str.maketrans("IXYZ", "0110")
@@ -441,9 +442,9 @@ def _term_entries(op: OperatorSum, bath_dim: int, bindings: dict | None) -> tupl
     n = 2 ** op.width
     odd = np.array([c.bit_count() & 1 for c in range(n)])
     sign = odd[np.arange(n) & z[:, None]]
-    sys = _I_POW_ARRAY[(n_y[:, None] + 2 * np.arange(2)) & 3]
+    sys = _I_POW_ARRAY[(n_y[:, None] + _SIGN_POW) & 3]
     coef = np.array(op._coefs, dtype=complex)
-    vals = coef[:, None, None, None] * (sys[:, :, None, None] * np.stack(baths)[which][:, None])
+    vals = coef[:, None, None, None] * (sys[:, :, None, None] * np.array(baths)[which, None])
     return x, sign, vals
 
 
@@ -554,7 +555,7 @@ def _norm_blocks(stacks) -> float:
     stack takes `svd`.
     """
     return max((float(np.abs(np.linalg.eigvalsh(s)).max())
-                if np.array_equal(s, s.conj().swapaxes(1, 2))
+                if (s == s.conj().swapaxes(1, 2)).all()
                 else float(np.linalg.svd(s, compute_uv=False).max()) for s in stacks),
                default=0.0)
 
@@ -700,9 +701,10 @@ def _expm_blocks(blocks, t: float, tol: float = 1e-10) -> list[tuple]:
         raise ValueError(f"t must be finite, got {t}")
     out = []
     for idx, hb in blocks:
-        vals, vecs = np.linalg.eigh(hb)
-        out.append((idx, (vecs * np.exp(-1j * vals * t)[:, None, :])
-                    @ vecs.conj().swapaxes(1, 2)))
+        # numpy's eigh takes longer on a stack of one than on its matrix
+        vals, vecs = np.linalg.eigh(hb[0] if len(hb) == 1 else hb)
+        u = (vecs * np.exp(-1j * vals * t)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+        out.append((idx, u.reshape(hb.shape)))
     return out
 
 
