@@ -39,7 +39,7 @@ import numpy as np
 
 from .dfs import CODE_ONE_INDEX, CODE_ZERO_INDEX
 from .pauli import (
-    OperatorSum, PauliTerm, is_hermitian_matrix, kron_all, spectral_norm, to_dense,
+    OperatorSum, PauliTerm, _embed, is_hermitian_matrix, spectral_norm, to_dense,
 )
 from .sequences import Free, NamedPulse, PulseSequence, _named_action
 
@@ -65,13 +65,11 @@ class DephasingBath:
     h_bath: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("b1", "b2"):
+        for name in ("b1", "b2") if self.h_bath is None else ("b1", "b2", "h_bath"):
             m = np.asarray(getattr(self, name), dtype=complex)
             if not is_hermitian_matrix(m):
                 raise ValueError(f"{name} must be Hermitian")
             object.__setattr__(self, name, m)
-        if self.h_bath is not None:
-            object.__setattr__(self, "h_bath", np.asarray(self.h_bath, dtype=complex))
 
     @property
     def dim(self) -> int:
@@ -173,22 +171,15 @@ def vib_bindings(v: VibBath) -> tuple[tuple[int, ...], dict[str, np.ndarray]]:
     """(layout, bindings) realizing the oscillator slots on truncated Fock
     spaces, system mode first."""
     n = v.n_trunc
-    modes = 1 + len(v.mode_freqs)
+    layout = (n,) * (1 + len(v.mode_freqs))
     a = _ladder(n)
     num = a.conj().T @ a
-
-    def embed(*placed):
-        mats = [np.eye(n, dtype=complex)] * modes
-        for which, op in placed:
-            mats[which] = op
-        return kron_all(*mats)
-
-    bindings = {"num_sys": embed((0, num))}
+    bindings = {"num_sys": _embed(num, (0,), layout)}
     for k in range(len(v.mode_freqs)):
-        bindings[f"num_bath{k}"] = embed((1 + k, num))
-        down_up = embed((0, a), (1 + k, a.conj().T))
+        bindings[f"num_bath{k}"] = _embed(num, (1 + k,), layout)
+        down_up = _embed(np.kron(a, a.conj().T), (0, 1 + k), layout)
         bindings[f"exchange{k}"] = down_up + down_up.conj().T
-    return (n,) * modes, bindings
+    return layout, bindings
 
 
 def total_excitation(v: VibBath) -> np.ndarray:
@@ -307,8 +298,7 @@ def _t2_from_curve(times: np.ndarray, coherence: np.ndarray) -> float:
 
 def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
                   pair: tuple[int, int] = (0, 1), n_cycles: int = 200,
-                  mode: str = "differential", seed: int | None = None,
-                  record_every: int = 1) -> DephasingResult:
+                  mode: str = "differential", record_every: int = 1) -> DephasingResult:
     """Ensemble average of the encoded off-diagonal coherence under classical
     dephasing, with the pulse sequence repeated `n_cycles` >= 0 times and
     recorded every `record_every` >= 1 cycles.
@@ -330,25 +320,22 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
     if not record_every >= 1:
         raise ValueError("record_every must be at least 1")
     return _toggling_run(seq, pair, n_cycles, record_every,
-                         *_rate_coefficients(noise, n_traj, mode, seed))
+                         *_rate_coefficients(noise, n_traj, mode))
 
 
-def _rate_coefficients(noise: SpectralNoise, n_traj: int, mode: str,
-                       seed: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _rate_coefficients(noise: SpectralNoise, n_traj: int,
+                       mode: str) -> tuple[np.ndarray, np.ndarray]:
     """The harmonic frequencies, and per trajectory the coefficients of the
     antiderivative of the rate difference c1 - c2 on [sin wt | cos wt]."""
     if mode not in ("collective", "differential", "independent"):
         raise ValueError(f"unknown noise mode {mode!r}")
     if n_traj < 1:
         raise ValueError("n_traj must be positive")
-    base = SpectralNoise(noise.alpha, noise.omega_min, noise.omega_max,
-                         noise.amplitude, noise.n_harmonics,
-                         noise.seed if seed is None else seed)
-    om = base.frequencies()
+    om = noise.frequencies()
 
     def coefficients(stream: int) -> np.ndarray:
         # a sin(wt + phi) / w = [sin wt | cos wt] . [a cos phi | a sin phi] / w
-        draws = [base.draw(base.trajectory_rng(i, stream)) for i in range(n_traj)]
+        draws = [noise.draw(noise.trajectory_rng(i, stream)) for i in range(n_traj)]
         weights = np.array([d[0] for d in draws]) / om
         phases = np.array([d[1] for d in draws])
         return np.hstack([weights * np.cos(phases), weights * np.sin(phases)])
@@ -463,8 +450,7 @@ class ScanRow:
 
 
 def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
-                     t_max: float, mode: str = "differential",
-                     seed: int | None = None) -> list[ScanRow]:
+                     t_max: float, mode: str = "differential") -> list[ScanRow]:
     """T2 gain of `seq_family(dt)` over a pulse-interval grid.
 
     The baseline is pulse-free storage on a fine recording grid; t_max caps
@@ -480,9 +466,8 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
     dt_grid = list(dt_grid)
     if len(dt_grid) < 4:
         raise ValueError("dt grid needs at least 4 points")
-    master_seed = noise.seed if seed is None else seed
     # every run sees the same trajectories, so they are drawn once
-    drawn = _rate_coefficients(noise, n_traj, mode, master_seed)
+    drawn = _rate_coefficients(noise, n_traj, mode)
     dt_base = min(dt_grid)
     base_seq = PulseSequence((Free(dt_base),))
     # grow the pulse-free horizon until the 1/e crossing is resolved
@@ -504,5 +489,5 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
                             stop_at_t2=True)
         gain = res.t2 / base.t2 if math.isfinite(res.t2) and math.isfinite(base.t2) else math.inf
         rows.append(ScanRow(dt=dt, t2_base=base.t2, t2_pulsed=res.t2,
-                            gain=gain, n_traj=n_traj, seed=master_seed))
+                            gain=gain, n_traj=n_traj, seed=noise.seed))
     return rows

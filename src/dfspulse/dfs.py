@@ -255,7 +255,7 @@ def leakage_probability(state: np.ndarray, register: DfsRegister,
     """1 - <P_DFS> with P_DFS projecting every pair onto its code space."""
     v = code_isometry(register)
     p_sys = v @ v.conj().T
-    proj = np.kron(p_sys, np.eye(bath_dim, dtype=complex)) if bath_dim > 1 else p_sys
+    proj = np.kron(p_sys, np.eye(bath_dim, dtype=complex))
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         val = np.vdot(state, proj @ state).real

@@ -17,8 +17,10 @@ i^{y_a + y_b - y_ab} (-1)^{|z_a & x_b|}; they commute iff
 as its exact monomial, with no Kronecker chain.  `_sum_blocks` builds the
 same matrix as its blocks, with no dense matrix: a string links the system
 states c and c ^ x, so the blocks are the components of those links, each
-times the whole bath.  Both take their checked entries from one helper,
-`_term_entries`, so they round alike.
+times the whole bath.  Both take their entries from one helper,
+`_term_entries`, which checks every binding, so they round alike.  An
+operator is placed among identity factors in one place, `_embed`: kron by
+the identity of the other factors, then permute them into place.
 
 The dense kernels (`expm_i`, `generator_of`, `spectral_norm`) use numpy
 alone.  They split their input into the connected components of its exact
@@ -44,6 +46,7 @@ Conventions, fixed globally:
 """
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -411,10 +414,10 @@ def kron_all(*mats) -> np.ndarray:
 def _term_entries(op: OperatorSum, bath_dim: int, bindings: dict | None) -> tuple:
     """The checked entries of op's terms, for `to_dense` and `_sum_blocks`.
 
-    Every bath slot referenced by a term must have a binding of shape
-    (bath_dim, bath_dim), or BathSlotError is raised; slot-free terms get the
-    bath identity.  A string is the monomial i^{#Y} X^x Z^z: column c holds
-    its one entry in row c ^ x, i^{#Y} (-1)^{popcount(c & z)}.  Returns
+    Every bath slot referenced by a term must have a finite Hermitian binding
+    of shape (bath_dim, bath_dim), or BathSlotError is raised; slot-free
+    terms get the bath identity.  A string is the monomial i^{#Y} X^x Z^z:
+    column c holds its one entry in row c ^ x, i^{#Y} (-1)^{popcount(c & z)}.  Returns
     (x, sign, vals), with x the terms' x masks, sign[t, c] the parity of
     popcount(c & z[t]) and vals[t, s] = coefficient * (i^{#Y} (-1)^s * bath):
     term t puts the bath block vals[t, sign[t, c]] at system row c ^ x[t]
@@ -434,6 +437,10 @@ def _term_entries(op: OperatorSum, bath_dim: int, bindings: dict | None) -> tupl
             raise BathSlotError(
                 f"binding for {slot!r} has shape {bath.shape}, "
                 f"expected {(bath_dim, bath_dim)}")
+        if not np.isfinite(bath).all():
+            raise BathSlotError(f"binding for {slot!r} must be finite")
+        if not is_hermitian_matrix(bath):
+            raise BathSlotError(f"binding for {slot!r} must be Hermitian")
         slot_index[slot] = len(baths)
         baths.append(bath)
     x, z, n_y, which = np.array([(kx, kz, (kx & kz).bit_count(), slot_index[slot])
@@ -452,8 +459,8 @@ def to_dense(op: OperatorSum, bath_dim: int = 1,
              bindings: dict | None = None) -> np.ndarray:
     """Dense matrix of `op` on the (2^width * bath_dim)-dimensional space.
 
-    Every bath slot referenced by a term must have a Hermitian binding of
-    dimension `bath_dim`; slot-free terms get the bath identity.  The
+    Every bath slot referenced by a term must have a finite Hermitian binding
+    of dimension `bath_dim`; slot-free terms get the bath identity.  The
     entries of all terms (`_term_entries`) are scattered in one pass, and
     each entry sums its terms in term order, so the result equals the sum
     of coefficient * kron(string, bath) term by term.
@@ -521,14 +528,21 @@ def embed_sites(mat: np.ndarray, sites: tuple[int, ...], width: int) -> np.ndarr
         raise ValueError("matrix shape does not match number of sites")
     if len(set(sites)) != k or any(s < 0 or s >= width for s in sites):
         raise ValueError(f"bad site list {sites} for width {width}")
-    rest = [q for q in range(width) if q not in sites]
-    full = np.kron(mat, np.eye(2 ** (width - k), dtype=complex))
-    # current axis order is sites + rest on both row and column sides
-    order = list(sites) + rest
-    perm = [order.index(q) for q in range(width)]
-    tensor = full.reshape((2,) * (2 * width))
-    tensor = tensor.transpose(perm + [width + p for p in perm])
-    return tensor.reshape(2 ** width, 2 ** width)
+    return _embed(mat, sites, (2,) * width)
+
+
+def _embed(mat: np.ndarray, axes: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
+    """`mat` on the distinct tensor factors `axes` (axes[0] its slowest) of a
+    register of factor dimensions `dims`, times the identity on the others:
+    kron by the identity of the rest, then permute the factors into place."""
+    n = len(dims)
+    rest = [a for a in range(n) if a not in axes]
+    full = np.kron(mat, np.eye(math.prod(dims[a] for a in rest), dtype=complex))
+    # current factor order is axes + rest on both row and column sides
+    order = list(axes) + rest
+    perm = [order.index(a) for a in range(n)]
+    tensor = full.reshape([dims[a] for a in order] * 2)
+    return tensor.transpose(perm + [n + p for p in perm]).reshape(full.shape)
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -562,8 +576,8 @@ def _norm_blocks(stacks) -> float:
 
 def is_hermitian_matrix(m: np.ndarray, tol: float = 1e-10) -> bool:
     m = np.asarray(m)
-    scale = max(1.0, max_abs(m))
-    return max_abs(m - dag(m)) <= tol * scale
+    scale = max_abs(m)  # inf or NaN for a non-finite m, which fails the first test
+    return scale < math.inf and max_abs(m - dag(m)) <= tol * max(1.0, scale)
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -108,7 +108,7 @@ class Drive:
     h_sys: OperatorSum
     tau: float
     amplitude: float
-    axis: str | None = None      # set by combined_gate, used for serialization
+    axis: str | None = None      # with pair, names h_sys for serialization
     pair: tuple[int, int] | None = None
     phi: float = 0.0
 
@@ -118,6 +118,11 @@ class Drive:
             raise ValueError("drive amplitude must be finite")
         if not math.isfinite(self.phi):
             raise ValueError("drive phase must be finite")
+        if (self.axis is None) != (self.pair is None):
+            raise ValueError("drive axis and pair must be set together")
+        if self.axis is not None and (self.axis not in ("X", "Y") or self.h_sys != (
+                _drive_hamiltonian(self.axis, self.pair, self.h_sys.width, self.phi))):
+            raise ValueError("drive h_sys is not the Hamiltonian of its axis, pair and phi")
 
 
 Event = Free | NamedPulse | SmPulse | RawPulse | Drive
@@ -234,6 +239,8 @@ def _drive_hamiltonian(axis: str, pair: tuple[int, int], width: int,
                        phi: float) -> OperatorSum:
     """X_phi (x) X_phi for axis X (encoded +Xbar); for axis Y the first ion
     gets phi + pi/2 so dphi = +pi/2 and the encoded generator is +Ybar."""
+    if not math.isfinite(phi):  # before any cosine of it
+        raise ValueError("drive phase must be finite")
     pair = _checked_pair(pair, width)
     phi_i = phi if axis == "X" else phi + np.pi / 2
     return _from_masks(width, (
@@ -342,14 +349,8 @@ class EvolutionModel:
         return (2 ** self.width) * self.bath_dim
 
     def lift(self, sys_mat: np.ndarray) -> np.ndarray:
-        """System operator extended by the bath identity."""
-        return _lift(sys_mat, self.bath_dim)
-
-
-def _lift(sys_mat: np.ndarray, bath_dim: int) -> np.ndarray:
-    if bath_dim == 1:
-        return np.asarray(sys_mat, dtype=complex)
-    return np.kron(np.asarray(sys_mat, dtype=complex), np.eye(bath_dim, dtype=complex))
+        """System operator extended by the bath identity, the last factor."""
+        return np.kron(np.asarray(sys_mat, dtype=complex), np.eye(self.bath_dim, dtype=complex))
 
 
 def event_unitary(event, model: EvolutionModel) -> np.ndarray:
@@ -363,7 +364,7 @@ def event_unitary(event, model: EvolutionModel) -> np.ndarray:
 def _hamiltonian(event, h_static: np.ndarray, bath_dim: int) -> np.ndarray:
     """Joint Hamiltonian of a free or driven segment over the dense h_static."""
     if isinstance(event, Drive):
-        return h_static + event.amplitude * _lift(to_dense(event.h_sys), bath_dim)
+        return h_static + event.amplitude * to_dense(event.h_sys, bath_dim)
     return h_static
 
 
@@ -561,9 +562,13 @@ def seq_from_text(text: str, width: int | None = None) -> PulseSequence:
         width = max([2] + [q + 1 for q in sites])
     if any(q >= width for q in sites):
         raise ValueError(f"ion {max(sites)} lies outside a {width}-qubit register")
-    return PulseSequence(tuple(
-        replace(e, h_sys=_drive_hamiltonian(e.axis, e.pair, width, e.phi))
-        if isinstance(e, Drive) else e for e in events))
+    return PulseSequence(tuple(_text_drive(*e, width) if isinstance(e, tuple) else e
+                               for e in events))
+
+
+def _text_drive(axis: str, pair: tuple[int, int], tau: float, amplitude: float,
+                phi: float, width: int) -> Drive:
+    return Drive(_drive_hamiltonian(axis, pair, width, phi), tau, amplitude, axis, pair, phi)
 
 
 def _sites(event) -> tuple[int, ...]:
@@ -571,8 +576,8 @@ def _sites(event) -> tuple[int, ...]:
         return tuple(q for _, pair in event.ops for q in pair)
     if isinstance(event, SmPulse):
         return event.spec.ions
-    if isinstance(event, Drive):
-        return event.pair
+    if isinstance(event, tuple):  # the fields of a drive
+        return event[1]
     return ()
 
 
@@ -585,9 +590,9 @@ def _event_from_text(token: str):
         axis = fields["axis"]
         if axis not in ("X", "Y") or len(pair) != 2 or min(pair) < 0 or pair[0] == pair[1]:
             raise ValueError(f"cannot parse drive {token!r}")
-        # h_sys depends on the register width, set once every event is read
-        return Drive(None, float(fields["tau"]), float(fields["amp"]),
-                     axis=axis, pair=pair, phi=float(fields.get("phi", "0")))
+        # h_sys depends on the register width: the fields of `_text_drive`
+        return (axis, pair, float(fields["tau"]), float(fields["amp"]),
+                float(fields.get("phi", "0")))
     if token.startswith("SM("):
         fields = dict(kv.split("=", 1) for kv in token[3:-1].split(";"))
         return SmPulse(SmGateSpec(

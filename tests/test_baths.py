@@ -15,7 +15,7 @@ from dfspulse.baths import (
 from dfspulse.dfs import (
     CODE_ONE_INDEX, CODE_ZERO_INDEX, basis_operator, bucket_norms, classify,
 )
-from dfspulse.pauli import OperatorSum, SIGMA, expm_i, generator_of, to_dense
+from dfspulse.pauli import OperatorSum, SIGMA, expm_i, generator_of, kron_all, to_dense
 from dfspulse.sequences import (
     PULSE_LABELS, EvolutionModel, Free, NamedPulse, PulseSequence, RawPulse,
     leak_elim_cycle, named_pulse, propagator, symmetrize_pair,
@@ -110,6 +110,27 @@ def test_vib_hamiltonian_hermitian_and_conserving():
     np.testing.assert_allclose(h, h.conj().T, atol=1e-13)
     n_tot = total_excitation(v)
     np.testing.assert_allclose(h @ n_tot, n_tot @ h, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, modes", [(2, 0), (2, 1), (3, 2), (2, 3)])
+def test_vib_bindings_equal_the_kron_formulas(n, modes):
+    v = VibBath(gamma=0.3, mode_freqs=tuple(range(1, modes + 1)), omega0=5.0,
+                n_trunc=n, temperature=0.01)
+    a = baths_mod._ladder(n)
+    num = a.conj().T @ a
+
+    def kron_with(placed):
+        return kron_all(*(placed.get(k, np.eye(n, dtype=complex)) for k in range(1 + modes)))
+
+    layout, bindings = vib_bindings(v)
+    assert layout == (n,) * (1 + modes)
+    want = {"num_sys": kron_with({0: num})}
+    for k in range(modes):
+        want[f"num_bath{k}"] = kron_with({1 + k: num})
+        down_up = kron_with({0: a, 1 + k: a.conj().T})
+        want[f"exchange{k}"] = down_up + down_up.conj().T
+    assert bindings.keys() == want.keys()
+    assert all(np.array_equal(bindings[key], want[key]) for key in want)
 
 
 def test_vib_single_excitation_rabi():
@@ -461,6 +482,36 @@ def test_dephasing_bath_hamiltonian_is_the_kron_sum():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)  # a few ulps; the sum order differs
     assert np.array_equal(DephasingBath(b1, b2).hamiltonian((0, 2), 3),
                           np.kron(z0, b1) + np.kron(z2, b2))
+
+
+@pytest.mark.parametrize("bad", [[[0, 1], [0, 0]], [[1, 1j], [1j, 1]], [[np.nan, 0], [0, 1]],
+                                 [[1, np.inf], [0, 1]]])
+def test_dephasing_bath_rejects_a_bad_bath_operator(bad):
+    with pytest.raises(ValueError, match="h_bath must be Hermitian"):
+        DephasingBath(SIGMA["Z"], SIGMA["X"], np.array(bad))
+    with pytest.raises(ValueError, match="b2 must be Hermitian"):
+        DephasingBath(SIGMA["Z"], np.array(bad))
+
+
+@pytest.mark.parametrize("mode", ["differential", "collective", "independent"])
+def test_rate_coefficients_are_the_draws_of_the_noise_seed(mode):
+    noise = storage_noise(n_harmonics=16, seed=7)
+    om, coef = baths_mod._rate_coefficients(noise, 5, mode)
+
+    def stream(s):
+        draws = [noise.draw(np.random.default_rng([7, s, i])) for i in range(5)]
+        weights = np.array([d[0] for d in draws]) / noise.frequencies()
+        phases = np.array([d[1] for d in draws])
+        return np.hstack([weights * np.cos(phases), weights * np.sin(phases)])
+
+    want = {"differential": lambda: 2.0 * stream(0),
+            "independent": lambda: stream(1) - stream(2),
+            "collective": lambda: np.zeros((5, 0))}[mode]()
+    assert np.array_equal(coef, want)
+    assert np.array_equal(om, noise.frequencies()[:want.shape[1] // 2])
+    rows = suppression_scan(symmetrize_pair, [8e-3, 4e-3, 2e-3, 1e-3], noise, 5, 0.1,
+                            mode=mode)
+    assert {r.seed for r in rows} == {7}
 
 
 def test_spectral_noise_draw_streams_unchanged():

@@ -17,9 +17,11 @@ from dfspulse.cli import (
 import dfspulse
 import dfspulse.cli as cli_mod
 from dfspulse.dfs import block_collective_residual
-from dfspulse.pauli import _blocks, _stacked, generator_of, to_dense
+from dfspulse.pauli import (
+    BathSlotError, _blocks, _stacked, generator_of, kron_all, to_dense,
+)
 from dfspulse.sequences import EvolutionModel, propagator, symmetrize_block4
-from dfspulse.verification import CheckResult
+from dfspulse.verification import CheckResult, _rand_herm
 
 
 def test_parse_minimal_scenario_gets_defaults():
@@ -258,6 +260,19 @@ def test_block4_blocks_from_masks_equal_the_dense_blocks(d):
             assert np.array_equal(stack, dense[_stacked(want)])
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_block4_bindings_equal_the_kron_formula(d):
+    # each ion's bath factor b_q is the q-th of four bath factors
+    for seed in (0, 5):
+        _, bdim, bindings = cli_mod._block4_hamiltonian(_block4(seed, d))
+        rng = np.random.default_rng(seed)
+        assert bdim == d ** 4 and list(bindings) == ["b0", "b1", "b2", "b3"]
+        for q in range(4):
+            mats = [np.eye(d, dtype=complex)] * 4
+            mats[q] = _rand_herm(rng, d)
+            assert np.array_equal(bindings[f"b{q}"], kron_all(*mats))
+
+
 def test_block4_model_memory_at_d3():
     # the dense 1296^2 h_static alone is 27 MB; its 16 blocks of 81 are 1.7 MB
     sc = _block4(5, 3)
@@ -276,10 +291,10 @@ def test_block4_model_memory_at_d3():
 
 
 def test_block4_model_rejects_a_non_finite_bath(monkeypatch):
-    # as the dense model does
+    # the shared binding check rejects it in the symbolic and the dense model
     monkeypatch.setattr(cli_mod, "_rand_herm", lambda rng, d: np.full((d, d), np.nan))
     for build in (cli_mod._block4_model, _dense_block4):
-        with pytest.raises(ValueError, match="h_static must be finite"):
+        with pytest.raises(BathSlotError, match=r"binding for 'b\d' must be finite"):
             build(_block4(0, 2))
 
 

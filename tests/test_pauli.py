@@ -6,9 +6,10 @@ from scipy.sparse.csgraph import connected_components
 
 from dfspulse.pauli import (
     BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
-    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _dense, _from_masks,
-    _log_blocks, _stacked, _sum_blocks, commutator, commutes, embed_sites, expm_i,
-    generator_of, is_unitary, kron_all, pauli_mul, spectral_norm, to_dense, SIGMA,
+    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _dense, _embed,
+    _from_masks, _log_blocks, _stacked, _sum_blocks, commutator, commutes, embed_sites, expm_i,
+    generator_of, is_hermitian_matrix, is_unitary, kron_all, pauli_mul, spectral_norm,
+    to_dense, SIGMA,
 )
 
 LABELS1 = ["I", "X", "Y", "Z"]
@@ -163,6 +164,52 @@ def test_embed_sites_matches_opsum():
     # site order (3, 1) transposes the two-site factors
     emb_rev = embed_sites(dense("ZX"), (3, 1), 4)
     np.testing.assert_allclose(emb_rev, via_opsum, atol=1e-14)
+
+
+def _kron_oracle(mat, axes, dims):
+    """mat placed on `axes` by an explicit sum over its matrix units: the
+    unit |i><j| of mat is the kron, factor by factor, of the units of its
+    digits on `axes` and the identity on every other factor."""
+    out = 0
+    sub = [dims[a] for a in axes]
+    for (i, j), m in np.ndenumerate(mat):
+        ri, cj = np.unravel_index(i, sub), np.unravel_index(j, sub)
+        factors = [np.eye(d, dtype=complex) for d in dims]
+        for a, r, c in zip(axes, ri, cj):
+            factors[a] = np.zeros((dims[a], dims[a]), dtype=complex)
+            factors[a][r, c] = 1
+        out = out + m * kron_all(*factors)
+    return out
+
+
+@st.composite
+def _placements(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    axes = draw(st.permutations(range(len(dims))))[:draw(st.integers(0, len(dims)))]
+    k = int(np.prod([dims[a] for a in axes]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)), tuple(axes), tuple(dims)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_placements())
+def test_embed_is_the_kron_of_identities_permuted(case):
+    # random, out-of-order and multi-axis placements over unequal factors
+    mat, axes, dims = case
+    assert np.array_equal(_embed(mat, axes, dims), _kron_oracle(mat, axes, dims))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda w: st.tuples(
+    st.just(w), st.permutations(range(w)), st.integers(1, w), st.integers(0, 2 ** 32 - 1))))
+def test_embed_sites_is_the_core_on_qubit_sites(case):
+    width, order, k, seed = case
+    sites = tuple(order[:k])
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(2 ** k,) * 2) + 1j * rng.normal(size=(2 ** k,) * 2)
+    got = embed_sites(mat, sites, width)
+    assert np.array_equal(got, _embed(mat, sites, (2,) * width))
+    assert np.array_equal(got, _kron_oracle(mat, sites, (2,) * width))
 
 
 def test_expm_i_basics():
@@ -589,11 +636,26 @@ def test_sum_blocks_are_the_blocks_of_to_dense(case):
 
 
 def test_sum_blocks_reject_what_to_dense_rejects():
-    op = OperatorSum.single(2, 0, "Z", 1.0, "b") + OperatorSum.single(2, 1, "X")
-    for bindings in ({}, {"c": np.eye(2)}, {"b": np.eye(3)}):
+    op = OperatorSum.single(2, 0, "Z", 1j, "b") + OperatorSum.single(2, 1, "X")
+    for bindings, match in (
+            ({}, "unbound"), ({"c": np.eye(2)}, "unbound"), ({"b": np.eye(3)}, "shape"),
+            # a non-Hermitian binding would make dagger() disagree with the
+            # conjugate transpose, and a non-finite one would give a NaN matrix
+            ({"b": [[0, 1], [0, 0]]}, "must be Hermitian"),
+            ({"b": [[1, 1j], [1j, 1]]}, "must be Hermitian"),
+            ({"b": [[np.nan, 0], [0, 1]]}, "must be finite"),
+            ({"b": [[1, np.inf], [0, 1]]}, "must be finite")):
         for build in (to_dense, _sum_blocks):
-            with pytest.raises(BathSlotError):
-                build(op, 2, bindings)
+            for which in (op, op.dagger()):
+                with pytest.raises(BathSlotError, match=match):
+                    build(which, 2, bindings)
+        to_dense(OperatorSum.single(2, 1, "X"), 2, bindings)  # an unused binding is not read
+
+
+def test_is_hermitian_matrix_rejects_non_finite_entries():
+    assert is_hermitian_matrix(np.array([[1, 2j], [-2j, 1]]))
+    for m in ([[1, np.inf], [0, 1]], [[1, np.inf], [np.inf, 1]], [[np.nan, 0], [0, 1]]):
+        assert not is_hermitian_matrix(np.array(m))
 
 
 def test_is_unitary_requires_a_square_matrix():

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from dfspulse.sequences import (
     PULSE_LABELS, Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
     RawPulse, SerializationError, SmPulse, combined_gate, euler_angles_xyx,
     euler_rotation, event_unitary, four_pulse_cycle, leak_elim_cycle,
-    _propagator_blocks, named_pulse, parity_kick, propagator, seq_from_text,
-    seq_to_text, symmetrize_block4, symmetrize_pair, ten_pulse_cycle,
+    _drive_hamiltonian, _hamiltonian, _propagator_blocks, named_pulse, parity_kick,
+    propagator, seq_from_text, seq_to_text, symmetrize_block4, symmetrize_pair,
+    ten_pulse_cycle,
 )
 
 
@@ -563,10 +565,56 @@ def test_drive_needs_finite_amplitude(amplitude):
 
 @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
 def test_drive_needs_finite_phase(phi):
-    with pytest.raises(ValueError, match="phase"):
-        Drive(OperatorSum.from_label("XX"), 0.1, 1.0, phi=phi)
-    with pytest.raises(ValueError, match="phase"):
-        seq_from_text(f"[DRIVE(axis=X;pair=0:1;tau=0.25;amp=1.0;phi={phi})]")
+    # checked before any cosine of it, so with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phase"):
+            Drive(OperatorSum.from_label("XX"), 0.1, 1.0, phi=phi)
+        for axis in ("X", "Y"):
+            with pytest.raises(ValueError, match="phase"):
+                seq_from_text(f"[DRIVE(axis={axis};pair=0:1;tau=0.25;amp=1.0;phi={phi})]")
+            with pytest.raises(ValueError, match="phase"):
+                combined_gate(axis, 0.5, 1.0, phi=phi)
+
+
+def test_a_named_drive_is_the_program_its_text_names():
+    xx = OperatorSum.from_label("XX")
+    # h_sys that is not the axis, pair and phi Hamiltonian would serialize as
+    # another program
+    for h_sys, fields in ((OperatorSum.from_label("ZZ"), dict(axis="X", pair=(0, 1))),
+                          (xx, dict(axis="X", pair=(0, 1), phi=0.7)),
+                          (xx, dict(axis="Y", pair=(0, 1))),
+                          (xx, dict(axis="X", pair=(1, 0), phi=0.7)),
+                          (_drive_hamiltonian("Y", (0, 1), 2, 0.0), dict(axis="Z", pair=(0, 1)))):
+        with pytest.raises(ValueError, match="h_sys"):
+            Drive(h_sys, 0.3, 1.0, **fields)
+    for fields in (dict(axis="X"), dict(pair=(0, 1))):
+        with pytest.raises(ValueError, match="together"):
+            Drive(xx, 0.3, 1.0, **fields)
+    with pytest.raises(ValueError):  # the pair lies outside the register
+        Drive(xx, 0.3, 1.0, axis="X", pair=(0, 2))
+    model = EvolutionModel(3, 2, rand_herm(np.random.default_rng(1), 16))
+    for axis, pair, phi in (("X", (0, 1), 0.0), ("Y", (2, 0), 0.7), ("X", (1, 2), -1.3)):
+        drive = Drive(_drive_hamiltonian(axis, pair, 3, phi), 0.3, 1.7, axis, pair, phi)
+        seq = PulseSequence((drive, NamedPulse((("P", (0, 1)),)), Free(0.2)))
+        back = seq_from_text(seq_to_text(seq), width=3)
+        assert back == seq
+        assert np.array_equal(propagator(back, model), propagator(seq, model))
+    # the XX drive of the text form is the one combined_gate builds
+    assert Drive(xx, 0.3, 1.0, axis="X", pair=(0, 1)).h_sys == combined_gate(
+        "X", 1.2, 1.0).events[0].h_sys
+
+
+@pytest.mark.parametrize("bath_dim", [1, 3])
+def test_drive_hamiltonian_lifts_h_sys_by_the_bath_identity(bath_dim):
+    rng = np.random.default_rng(bath_dim)
+    h_static = rand_herm(rng, 4 * bath_dim)
+    for drive in (combined_gate("Y", 0.5, 2.0, phi=0.4).events[0],
+                  Drive(OperatorSum.from_label("XY", 0.3) + OperatorSum.from_label("ZI", -1.1)
+                        + OperatorSum.from_label("YY", 0.25), 0.2, 1.7)):
+        want = h_static + drive.amplitude * np.kron(to_dense(drive.h_sys), np.eye(bath_dim))
+        assert np.array_equal(_hamiltonian(drive, h_static, bath_dim), want)
+    assert _hamiltonian(Free(0.1), h_static, bath_dim) is h_static
 
 
 def test_named_pulse_needs_integer_ions():
