@@ -50,6 +50,7 @@ _TRAJ_CHUNK = 25         # trajectories per matmul; bounds memory in n_traj
 _BOUNDARY_BLOCK = 256    # segment boundaries per engine block; bounds memory in
                          # n_cycles and sets how soon a scan run stops
 _T2_LEVEL = 1.0 / np.e   # T2 is the first crossing of this coherence
+_TIMESCALE_MARGIN = 10.0  # the "much less" of dt << min(1/omega_c, t_dec)
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +108,17 @@ class VibBath:
     temperature: float
 
     def __post_init__(self):
-        if self.n_trunc < 2:
+        # each test is written so that NaN fails it
+        if not self.n_trunc >= 2:
             raise ValueError("n_trunc must be at least 2")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        object.__setattr__(self, "mode_freqs", tuple(float(w) for w in self.mode_freqs))
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and nonnegative")
+        if not (0 < self.omega0 < math.inf and 0 < self.temperature < math.inf):
+            raise ValueError("omega0 and temperature must be finite and positive")
+        mode_freqs = tuple(float(w) for w in self.mode_freqs)
+        if not all(map(math.isfinite, mode_freqs)):
+            raise ValueError("mode_freqs must be finite")
+        object.__setattr__(self, "mode_freqs", mode_freqs)
 
 
 @dataclass(frozen=True)
@@ -122,8 +129,6 @@ class ThermalNumbers:
 
 def thermal_numbers(v: VibBath) -> ThermalNumbers:
     """Mean occupation n(T) and thermal decoherence time 1/(gamma(1+2n))."""
-    if v.temperature <= 0:
-        raise ValueError("temperature must be positive")
     x = HBAR * v.omega0 / (KB * v.temperature)
     n = 1.0 / math.expm1(x)
     t_dec = math.inf if v.gamma == 0 else 1.0 / (v.gamma * (1 + 2 * n))
@@ -136,15 +141,19 @@ class TimescaleCheck:
     margin: float
 
 
-def timescale_check(dt: float, omega_c: float, t_dec: float,
-                    threshold: float = 10.0) -> TimescaleCheck:
+def timescale_check(dt: float, omega_c: float, t_dec: float) -> TimescaleCheck:
     """Pulse-interval condition dt << min(1/omega_c, t_dec); the "much less"
-    is encoded as margin >= threshold."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    is encoded as margin >= `_TIMESCALE_MARGIN` (10).  Inputs may be
+    infinite (an undamped mode has t_dec = inf); a NaN input, or a margin
+    inf/inf, raises ValueError."""
+    # each test is written so that NaN fails it
+    if not (dt > 0 and omega_c >= 0 and t_dec > 0):
+        raise ValueError("require dt > 0, omega_c >= 0 and t_dec > 0")
     limit = t_dec if omega_c == 0 else min(1.0 / omega_c, t_dec)
     margin = limit / dt
-    return TimescaleCheck(satisfied=bool(margin >= threshold), margin=float(margin))
+    if math.isnan(margin):
+        raise ValueError("dt and min(1/omega_c, t_dec) are both infinite")
+    return TimescaleCheck(satisfied=bool(margin >= _TIMESCALE_MARGIN), margin=float(margin))
 
 
 def _ladder(n: int) -> np.ndarray:

@@ -70,13 +70,21 @@ class DfsRegister:
     width: int
 
     def __post_init__(self):
+        try:
+            width = operator.index(self.width)
+            pairs = tuple((operator.index(i), operator.index(j)) for i, j in self.pairs)
+        except TypeError:
+            raise ValueError(f"register sites must be integers, got {self.pairs!r} "
+                             f"of width {self.width!r}") from None
         seen = set()
-        for i, j in self.pairs:
-            if not (0 <= i < j < self.width):
-                raise ValueError(f"bad pair ({i},{j}) for width {self.width}")
+        for i, j in pairs:
+            if not (0 <= i < j < width):
+                raise ValueError(f"bad pair ({i},{j}) for width {width}")
             if i in seen or j in seen:
                 raise ValueError("pairs must be disjoint")
             seen.update((i, j))
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "width", width)
 
     @property
     def n_logical(self) -> int:
@@ -257,6 +265,8 @@ def leakage_probability(state: np.ndarray, register: DfsRegister,
     p_sys = v @ v.conj().T
     proj = np.kron(p_sys, np.eye(bath_dim, dtype=complex))
     state = np.asarray(state, dtype=complex)
+    if not np.isfinite(state).all():
+        raise ValueError("state must be finite")
     if state.ndim == 1:
         val = np.vdot(state, proj @ state).real
     else:

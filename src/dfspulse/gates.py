@@ -10,6 +10,7 @@ seconds, everything else dimensionless.
 """
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dfs import DfsRegister, _pair_register, code_isometry, logical_operators
 from .pauli import (
-    SIGMA, OperatorSum, PauliTerm, embed_sites, expm_i, kron_all,
+    SIGMA, _CHECK_TOL, OperatorSum, PauliTerm, embed_sites, expm_i, kron_all,
     spectral_norm, to_dense,
 )
 
@@ -51,10 +52,15 @@ class SmGateSpec:
             raise ValueError(f"gate ions must be integers, got {self.ions!r}") from None
         if len(set(ions)) != len(ions) or min(ions) < 0:
             raise ValueError("gate ions must be distinct and nonnegative")
-        object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
-        object.__setattr__(self, "ions", ions)
-        if not np.isfinite((self.theta, *self.phis)).all():
+        try:
+            angles = tuple(map(float, (self.theta, *self.phis)))
+        except (TypeError, ValueError):
+            raise ValueError("gate angle and phases must be real numbers") from None
+        if not all(map(math.isfinite, angles)):
             raise ValueError("gate angle and phases must be finite")
+        object.__setattr__(self, "theta", angles[0])
+        object.__setattr__(self, "phis", angles[1:])
+        object.__setattr__(self, "ions", ions)
 
     @property
     def delta_phi(self) -> float:
@@ -113,12 +119,12 @@ def sm_decompose(spec: SmGateSpec) -> dict[str, complex]:
     }
 
 
-def dfs_restrict(u: np.ndarray, register: DfsRegister | tuple[int, int],
-                 tol: float = 1e-10) -> np.ndarray:
+def dfs_restrict(u: np.ndarray, register: DfsRegister | tuple[int, int]) -> np.ndarray:
     """Code-space block of a register unitary, in the encoded basis.
 
     Raises LeakageError when the unitary does not block-preserve the code
-    space to within `tol`.
+    space: when the spectral norm of its off-block part exceeds
+    `pauli._CHECK_TOL` (1e-10).
     """
     if not isinstance(register, DfsRegister):
         register = _pair_register(register)
@@ -129,7 +135,7 @@ def dfs_restrict(u: np.ndarray, register: DfsRegister | tuple[int, int],
     block = v.conj().T @ u @ v
     off = u @ v - v @ block
     off_norm = spectral_norm(off)
-    if off_norm > tol:
+    if off_norm > _CHECK_TOL:
         raise LeakageError(off_norm)
     return block
 
@@ -221,8 +227,13 @@ class HardwareParams:
     n_ions: int = 2
 
     def __post_init__(self):
-        if self.eta <= 0 or self.omega_rabi <= 0 or self.k_int < 1:
-            raise ValueError("require eta > 0, omega_rabi > 0, k_int >= 1")
+        # each test is written so that NaN fails it
+        if not (0 < self.eta < math.inf and 0 < self.omega_rabi < math.inf
+                and 1 <= self.k_int < math.inf):
+            raise ValueError("require finite eta > 0, omega_rabi > 0, k_int >= 1")
+        if not (math.isfinite(self.detuning) and 0 <= self.n_mean < math.inf
+                and 1 <= self.n_ions < math.inf):
+            raise ValueError("require finite detuning, n_mean >= 0, n_ions >= 1")
 
 
 def tau_sm(p: HardwareParams) -> float:

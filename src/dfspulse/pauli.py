@@ -72,6 +72,13 @@ _LETTER = "IXZY"
 # _SPREAD[b] moves bit k of the byte b to bit 2k
 _SPREAD = tuple(sum(((b >> k) & 1) << (2 * k) for k in range(8)) for b in range(256))
 
+# The fixed thresholds of the exactness checks.  What they guard is exact
+# up to rounding, so none of them is a parameter.
+_CHECK_TOL = 1e-10     # the Hermitian, unitary, state and code-space leakage checks
+_BRANCH_TOL = 1e-6     # least distance pi - |phase| of an eigenphase the log accepts
+_SELFCHECK_TOL = 1e-8  # largest max|T - diag e^{i phase}| the log accepts
+_COEF_TOL = 1e-12      # relative bound on coefficient checks and comparisons
+
 
 class WidthMismatchError(ValueError):
     """Operands act on registers of different widths."""
@@ -363,13 +370,13 @@ class OperatorSum:
         return _new_sum(self.width, self._keys,
                         tuple(0j + c.conjugate() for c in self._coefs))
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol * max(1.0, abs(c)) for c in self._coefs)
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) <= _COEF_TOL * max(1.0, abs(c)) for c in self._coefs)
 
     def bath_slots(self) -> tuple[str, ...]:
         return tuple(sorted({slot for *_, slot in self._keys if slot}))
 
-    def isclose(self, other: "OperatorSum", tol: float = 1e-12) -> bool:
+    def isclose(self, other: "OperatorSum", tol: float = _COEF_TOL) -> bool:
         if self.width != other.width:
             return False
         ca = dict(zip(self._keys, self._coefs))
@@ -574,27 +581,27 @@ def _norm_blocks(stacks) -> float:
                default=0.0)
 
 
-def is_hermitian_matrix(m: np.ndarray, tol: float = 1e-10) -> bool:
+def is_hermitian_matrix(m: np.ndarray) -> bool:
     m = np.asarray(m)
     scale = max_abs(m)  # inf or NaN for a non-finite m, which fails the first test
-    return scale < math.inf and max_abs(m - dag(m)) <= tol * max(1.0, scale)
+    return scale < math.inf and max_abs(m - dag(m)) <= _CHECK_TOL * max(1.0, scale)
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m)
     return (m.ndim == 2 and m.shape[0] == m.shape[1]
-            and max_abs(m @ dag(m) - np.eye(m.shape[0])) <= tol)
+            and max_abs(m @ dag(m) - np.eye(m.shape[0])) <= _CHECK_TOL)
 
 
-def is_valid_state(state: np.ndarray, tol: float = 1e-10) -> bool:
+def is_valid_state(state: np.ndarray) -> bool:
     """True for a unit-norm vector or a Hermitian unit-trace density matrix."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        return abs(np.linalg.norm(state) - 1.0) <= tol
+        return abs(np.linalg.norm(state) - 1.0) <= _CHECK_TOL
     if state.ndim == 2 and state.shape[0] == state.shape[1]:
-        return (abs(np.trace(state).real - 1.0) <= tol
-                and abs(np.trace(state).imag) <= tol
-                and max_abs(state - dag(state)) <= tol)
+        return (abs(np.trace(state).real - 1.0) <= _CHECK_TOL
+                and abs(np.trace(state).imag) <= _CHECK_TOL
+                and max_abs(state - dag(state)) <= _CHECK_TOL)
     return False
 
 
@@ -693,13 +700,13 @@ def _dense(blocks, dim: int) -> np.ndarray:
     return out
 
 
-def expm_i(h: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
+def expm_i(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition (exact, unitary)."""
     h = np.asarray(h, dtype=complex)
-    return _dense(_expm_blocks(_gather(h), t, tol), h.shape[0])
+    return _dense(_expm_blocks(_gather(h), t), h.shape[0])
 
 
-def _expm_blocks(blocks, t: float, tol: float = 1e-10) -> list[tuple]:
+def _expm_blocks(blocks, t: float) -> list[tuple]:
     """exp(-i h t) of the complex Hermitian h with [(idx, stack)] blocks, as
     blocks on the same components: the (count, size, size) stack of
     exponentials of each stack.
@@ -708,7 +715,7 @@ def _expm_blocks(blocks, t: float, tol: float = 1e-10) -> list[tuple]:
     block by block is the dense check.  It is written as `not err <=`, so
     that a NaN fails it.
     """
-    bound = tol * max([1.0] + [max_abs(s) for _, s in blocks])
+    bound = _CHECK_TOL * max([1.0] + [max_abs(s) for _, s in blocks])
     if not all(max_abs(s - s.conj().swapaxes(1, 2)) <= bound for _, s in blocks):
         raise NonHermitianError("expm_i requires a Hermitian generator")
     if not np.isfinite(t):
@@ -722,22 +729,20 @@ def _expm_blocks(blocks, t: float, tol: float = 1e-10) -> list[tuple]:
     return out
 
 
-def generator_of(u: np.ndarray, total_time: float,
-                 branch_tol: float = 1e-6) -> np.ndarray:
+def generator_of(u: np.ndarray, total_time: float) -> np.ndarray:
     """Effective Hermitian generator H with u = exp(-i H total_time).
 
-    Uses the principal matrix logarithm; eigenphases must stay away from
-    the +-pi branch cut by `branch_tol`.  u is split into its blocks and
-    each is taken by `_log_blocks`.
+    Uses the principal matrix logarithm; eigenphases must stay at least
+    `_BRANCH_TOL` (1e-6) away from the +-pi branch cut.  u is split into its
+    blocks and each is taken by `_log_blocks`.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NonUnitaryError("generator_of requires a unitary input")
-    return _dense(_log_blocks(_gather(u), total_time, branch_tol)[0], u.shape[0])
+    return _dense(_log_blocks(_gather(u), total_time)[0], u.shape[0])
 
 
-def _log_blocks(blocks, total_time: float,
-                branch_tol: float = 1e-6) -> tuple[list[tuple], float, float]:
+def _log_blocks(blocks, total_time: float) -> tuple[list[tuple], float, float]:
     """The generator of a block-diagonal unitary, blockwise.
 
     Takes and returns [(idx, stack)] blocks, and returns with them the
@@ -749,12 +754,12 @@ def _log_blocks(blocks, total_time: float,
     all blocks of one size in one stacked call.  A singular 1 + g is an
     eigenphase exactly at pi.  T = Q^+ g Q checks the result:
     g - exp(-i H total_time) = Q (T - diag e^{i phase}) Q^+.  The basis
-    loses accuracy as 1/(pi - |phase|), to about 1e-9 in H at the default
-    `branch_tol`; a `branch_tol` below about 1e-7 can make that check fail
-    with ArithmeticError.
+    loses accuracy as 1/(pi - |phase|), to about 1e-9 in H at the branch
+    margin `_BRANCH_TOL`.  A margin below it raises BranchCutError, and a
+    self-check above `_SELFCHECK_TOL` raises ArithmeticError.
     """
     # u u^+ - 1 is exactly zero between blocks, so this is the full check
-    if not all(max_abs(g @ g.conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= 1e-10
+    if not all(max_abs(g @ g.conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= _CHECK_TOL
                for _, g in blocks):
         raise NonUnitaryError("generator_of requires a unitary input")
     if total_time == 0 or not np.isfinite(total_time):
@@ -772,11 +777,11 @@ def _log_blocks(blocks, total_time: float,
         tmat = qh @ g @ q
         phases = np.angle(np.diagonal(tmat, axis1=1, axis2=2))
         margin = min(margin, float((np.pi - np.abs(phases)).min()))
-        if margin < branch_tol:
+        if margin < _BRANCH_TOL:
             raise BranchCutError(
-                "eigenphase within branch_tol of +-pi; shorten total_time")
+                f"eigenphase within {_BRANCH_TOL:g} of +-pi; shorten total_time")
         selfcheck = max(selfcheck, max_abs(tmat - np.exp(1j * phases)[:, :, None] * one))
-        if selfcheck > 1e-8:
+        if selfcheck > _SELFCHECK_TOL:
             raise ArithmeticError("principal log failed to reproduce the unitary")
         hg = (q * (-phases / total_time)[:, None, :]) @ qh
         out.append((idx, 0.5 * (hg + hg.conj().swapaxes(1, 2))))

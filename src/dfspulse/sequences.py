@@ -20,6 +20,7 @@ system-bath coupling.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,13 +75,24 @@ class NamedPulse:
     ops: tuple[tuple[str, tuple[int, int]], ...]
 
     def __post_init__(self):
+        ops = []
         for label, pair in self.ops:
             if label not in PULSE_LABELS:
                 raise ValueError(f"unknown pulse label {label!r}")
-            if not all(isinstance(q, (int, np.integer)) for q in pair):
-                raise ValueError(f"pulse ions must be integers, got {pair!r}")
+            pair = _ions(pair, "pulse")
             if len(pair) != 2 or pair[0] == pair[1] or min(pair) < 0:
                 raise ValueError("pulse pair must have two distinct nonnegative ions")
+            ops.append((label, pair))
+        # stored as tuples of ints, so an event hashes as the key of its action
+        object.__setattr__(self, "ops", tuple(ops))
+
+
+def _ions(pair, what: str) -> tuple[int, ...]:
+    """A pair of ions as a tuple of ints; ValueError for any non-integer."""
+    try:
+        return tuple(map(operator.index, pair))
+    except TypeError:
+        raise ValueError(f"{what} ions must be integers, got {pair!r}") from None
 
 
 @dataclass(frozen=True)
@@ -120,6 +132,8 @@ class Drive:
             raise ValueError("drive phase must be finite")
         if (self.axis is None) != (self.pair is None):
             raise ValueError("drive axis and pair must be set together")
+        if self.pair is not None:
+            object.__setattr__(self, "pair", _ions(self.pair, "drive"))
         if self.axis is not None and (self.axis not in ("X", "Y") or self.h_sys != (
                 _drive_hamiltonian(self.axis, self.pair, self.h_sys.width, self.phi))):
             raise ValueError("drive h_sys is not the Hamiltonian of its axis, pair and phi")
@@ -284,6 +298,8 @@ def euler_rotation(alpha: float, beta: float, gamma: float,
     Zero-angle factors are elided; the emitted program never exceeds
     24 pulses (8 per factor).
     """
+    if not 0 < omega_drive < math.inf:
+        raise ValueError("omega_drive must be finite and positive")
     events: tuple = ()
     for axis, angle in (("X", alpha), ("Y", beta), ("X", gamma)):
         angle = math.fmod(angle, 2 * np.pi)
@@ -333,7 +349,16 @@ class EvolutionModel:
     h_static: np.ndarray | None = None  # full-dimension H_SB + H_B, rad/s
 
     def __post_init__(self):
-        dim = (2 ** self.width) * self.bath_dim
+        try:
+            width, bath_dim = operator.index(self.width), operator.index(self.bath_dim)
+        except TypeError:
+            raise ValueError(f"width and bath_dim must be integers, got {self.width!r} "
+                             f"and {self.bath_dim!r}") from None
+        if width < 0 or bath_dim < 1:
+            raise ValueError(f"need width >= 0 and bath_dim >= 1, got {width} and {bath_dim}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "bath_dim", bath_dim)
+        dim = (2 ** width) * bath_dim
         h = self.h_static
         if h is None:
             h = np.zeros((dim, dim), dtype=complex)

@@ -70,12 +70,12 @@ def check_pauli_products() -> list[CheckResult]:
     ]
 
 
-def check_sm_closed_form(n_samples: int = 100, seed: int = 11) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_sm_closed_form() -> list[CheckResult]:
+    rng = np.random.default_rng(11)
     worst_exp = worst_blk = worst_shift = 0.0
     xb, yb, _ = (to_dense(op) for op in dfs.logical_operators((0, 1), 2))
     v = dfs.code_isometry(dfs.DfsRegister(((0, 1),), 2))
-    for _ in range(n_samples):
+    for _ in range(100):
         th, p1, p2, c = rng.uniform(-np.pi, np.pi, size=4)
         spec = gates.SmGateSpec(th, (p1, p2))
         u = gates.sm_unitary(spec)
@@ -146,8 +146,8 @@ def check_classification() -> list[CheckResult]:
     ]
 
 
-def check_symmetrization(seed: int = 13) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_symmetrization() -> list[CheckResult]:
+    rng = np.random.default_rng(13)
     worst = 0.0
     zsum = to_dense(OperatorSum.single(2, 0, "Z") + OperatorSum.single(2, 1, "Z"))
     for _ in range(20):
@@ -160,8 +160,8 @@ def check_symmetrization(seed: int = 13) -> list[CheckResult]:
     return [CheckResult.error_below("pair_symmetrization_exact_20", worst, 1e-10)]
 
 
-def check_leak_elimination(seed: int = 17) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_leak_elimination() -> list[CheckResult]:
+    rng = np.random.default_rng(17)
     b = _rand_herm(rng, 3)
     h = to_dense(
         OperatorSum.single(2, 0, "Y", 1.0, "B") + OperatorSum.single(2, 1, "Y", 1.0, "B"),
@@ -172,8 +172,8 @@ def check_leak_elimination(seed: int = 17) -> list[CheckResult]:
                                     np.abs(u - np.eye(12)).max(), 1e-10)]
 
 
-def check_u4(seed: int = 19) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_u4() -> list[CheckResult]:
+    rng = np.random.default_rng(19)
     phi = rng.uniform(-1, 1)
     spec = gates.SmGateSpec(np.pi / 4, (phi,) * 4, (0, 1, 2, 3))
     u = gates.u4(spec)
@@ -220,8 +220,8 @@ def check_formulas() -> list[CheckResult]:
     ]
 
 
-def check_generator_roundtrip(seed: int = 23) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_generator_roundtrip() -> list[CheckResult]:
+    rng = np.random.default_rng(23)
     worst = 0.0
     for _ in range(20):
         h = _rand_herm(rng, 6)
@@ -231,8 +231,8 @@ def check_generator_roundtrip(seed: int = 23) -> list[CheckResult]:
     return [CheckResult.error_below("generator_roundtrip_20", worst, 1e-8)]
 
 
-def check_bch(seed: int = 29) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_bch() -> list[CheckResult]:
+    rng = np.random.default_rng(29)
     xb, _, _ = (to_dense(op) for op in dfs.logical_operators((0, 1), 2))
     h_s = np.kron(xb + to_dense(dfs.basis_operator("Xtilde")), np.eye(2))
     b = _rand_herm(rng, 2)

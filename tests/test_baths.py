@@ -15,6 +15,7 @@ from dfspulse.baths import (
 from dfspulse.dfs import (
     CODE_ONE_INDEX, CODE_ZERO_INDEX, basis_operator, bucket_norms, classify,
 )
+from dfspulse.gates import HardwareParams
 from dfspulse.pauli import OperatorSum, SIGMA, expm_i, generator_of, kron_all, to_dense
 from dfspulse.sequences import (
     PULSE_LABELS, EvolutionModel, Free, NamedPulse, PulseSequence, RawPulse,
@@ -86,6 +87,35 @@ def test_timescale_check():
     assert ts.margin == pytest.approx(0.01) and not ts.satisfied
     ts = timescale_check(1e-5, 0.0, 1e-3)
     assert ts.margin == pytest.approx(100.0) and ts.satisfied
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: HardwareParams(eta=NAN), id="eta"),
+    pytest.param(lambda: HardwareParams(omega_rabi=NAN), id="omega_rabi"),
+    pytest.param(lambda: HardwareParams(detuning=NAN), id="detuning"),
+    pytest.param(lambda: HardwareParams(n_mean=NAN), id="n_mean"),
+    pytest.param(lambda: VibBath(gamma=NAN, mode_freqs=(), omega0=1e7, n_trunc=2,
+                                 temperature=0.01), id="gamma"),
+    pytest.param(lambda: VibBath(gamma=1.0, mode_freqs=(NAN,), omega0=1e7, n_trunc=2,
+                                 temperature=0.01), id="mode_freqs"),
+    pytest.param(lambda: thermal_numbers(VibBath(gamma=1.0, mode_freqs=(), omega0=NAN,
+                                                 n_trunc=2, temperature=0.01)), id="omega0"),
+    pytest.param(lambda: thermal_numbers(VibBath(gamma=1.0, mode_freqs=(), omega0=1e7,
+                                                 n_trunc=2, temperature=NAN)),
+                 id="temperature"),
+    pytest.param(lambda: timescale_check(1e-3, 1.0, NAN), id="t_dec"),
+    pytest.param(lambda: timescale_check(NAN, 1.0, 1e-3), id="dt"),
+    pytest.param(lambda: timescale_check(1e-3, NAN, 1e-3), id="omega_c"),
+    pytest.param(lambda: timescale_check(math.inf, 0.0, math.inf), id="inf-over-inf"),
+])
+def test_nan_at_a_formula_boundary_raises(make):
+    # a NaN input makes every `x <= 0` test false, so each check is written
+    # to fail on it
+    with pytest.raises(ValueError):
+        make()
 
 
 # --- vibrational bath

@@ -179,6 +179,26 @@ def test_leakage_probability():
     assert leakage_probability(joint, reg, bath_dim=2) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_leakage_probability_rejects_a_non_finite_state(bad):
+    reg = DfsRegister(((0, 1),), 2)
+    psi = ket("d", "u")
+    rho = np.outer(psi, psi.conj())
+    psi[0] = rho[0, 0] = bad
+    for state in (psi, rho):
+        with pytest.raises(ValueError, match="finite"):
+            leakage_probability(state, reg)
+
+
+def test_register_sites_must_be_integers():
+    for pairs, width in ((((0.0, 1.0),), 2), (((0, 1),), 2.0), (((0, None),), 2)):
+        with pytest.raises(ValueError, match="integers"):
+            DfsRegister(pairs, width)
+    reg = DfsRegister(((np.int64(0), np.int64(1)),), np.int64(2))
+    assert reg.pairs == ((0, 1),) and type(reg.width) is int
+    assert code_isometry(reg).shape == (4, 2)
+
+
 def test_logical_error_norms():
     zdif = OperatorSum.single(2, 0, "Z") - OperatorSum.single(2, 1, "Z")
     norms = logical_error_norms(classify(zdif))

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
+import dfspulse.pauli as pauli_mod
 from dfspulse.pauli import (
     BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
     OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _dense, _embed,
@@ -494,21 +495,22 @@ def test_generator_branch_cut_in_one_block_of_a_stack():
 
 
 @pytest.mark.parametrize("distance", [1e-8, 1e-11])
-def test_generator_is_exact_or_refuses_inside_branch_tol(distance):
-    # closer to the cut than the default branch_tol: a lowered branch_tol
-    # lets the phase through, and the answer is right or ArithmeticError
+def test_generator_is_exact_or_refuses_inside_branch_tol(monkeypatch, distance):
+    # closer to the cut than the branch tolerance: a lowered tolerance lets
+    # the phase through, and the answer is right or ArithmeticError
+    monkeypatch.setattr(pauli_mod, "_BRANCH_TOL", 1e-14)
     rng = np.random.default_rng(62)
     phases = rng.uniform(-2.5, 2.5, 12)
     phases[0] = np.pi - distance
     u, h = hidden_unitary(rng, [phases])
     try:
-        g = generator_of(u, 1.0, branch_tol=1e-14)
+        g = generator_of(u, 1.0)
     except ArithmeticError:
         return
     np.testing.assert_allclose(g, h, atol=1e-8)
 
 
-def test_block_log_raises_as_the_dense_one():
+def test_block_log_raises_as_the_dense_one(monkeypatch):
     # the block path takes no scan of its own: its blocks are given
     rng = np.random.default_rng(62)
     phases = rng.uniform(-2.5, 2.5, 12)
@@ -524,8 +526,9 @@ def test_block_log_raises_as_the_dense_one():
     u, _ = hidden_unitary(np.random.default_rng(62), [phases])
     with pytest.raises(BranchCutError):
         _log_blocks([(whole, u[None])], 1.0)
+    monkeypatch.setattr(pauli_mod, "_BRANCH_TOL", 1e-14)
     with pytest.raises(ArithmeticError):
-        _log_blocks([(whole, u[None])], 1.0, branch_tol=1e-14)
+        _log_blocks([(whole, u[None])], 1.0)
 
 
 # --- OperatorSum algebra against the dense matrices

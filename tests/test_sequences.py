@@ -624,6 +624,23 @@ def test_named_pulse_needs_integer_ions():
     assert NamedPulse((("P", (np.int64(0), 1)),)).ops[0][1] == (0, 1)
 
 
+def test_a_list_pair_propagates_as_the_tuple_pair():
+    # pairs are stored as tuples of ints, so a list pair keys the action cache
+    model = EvolutionModel(2, 2, rand_herm(np.random.default_rng(71), 8))
+    h = _drive_hamiltonian("X", (0, 1), 2, 0.0)
+
+    def cycle(pair):
+        return PulseSequence((Drive(h, 0.1, 1.0, axis="X", pair=pair),
+                              NamedPulse((("P", pair),)), Free(0.2)))
+
+    as_list, as_tuple = cycle([0, 1]), cycle((0, 1))
+    assert as_list == as_tuple and as_list.events[0].pair == (0, 1)
+    assert np.array_equal(propagator(as_list, model), propagator(as_tuple, model))
+    assert cycle((np.int64(0), np.int64(1))).events[1].ops == (("P", (0, 1)),)
+    with pytest.raises(ValueError, match="integers"):
+        cycle([0.0, 1.0])
+
+
 def test_named_pulse_needs_distinct_ions():
     with pytest.raises(ValueError):
         NamedPulse((("P", (1, 1)),))
@@ -748,6 +765,18 @@ def _ordered_product(events, model):
     for e in events:
         want = want @ event_unitary(e, model)
     return want
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: EvolutionModel(2, bath_dim=0), id="zero-bath-dim"),
+    pytest.param(lambda: EvolutionModel(1.5, 1), id="float-width"),
+    pytest.param(lambda: EvolutionModel(-1, 1), id="negative-width"),
+    pytest.param(lambda: euler_rotation(1.0, 0, 0, omega_drive=0.0), id="zero-omega-drive"),
+    pytest.param(lambda: SmGateSpec("x", (0.0, 0.0)), id="string-angle"),
+])
+def test_bad_constructor_arguments_raise_value_error(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_evolution_model_rejects_a_non_finite_h_static():
