@@ -25,8 +25,8 @@ class CheckResult:
     passed: bool
 
     @classmethod
-    def error_below(cls, name: str, measured: float, tol: float) -> "CheckResult":
-        return cls(name, float(measured), 0.0, tol, bool(measured <= tol))
+    def error_below(cls, name: str, measured: float, bound: float) -> "CheckResult":
+        return cls(name, float(measured), 0.0, bound, bool(measured <= bound))
 
     @classmethod
     def flag(cls, name: str, ok: bool) -> "CheckResult":
