@@ -420,14 +420,18 @@ def _block4_model(sc: Scenario) -> tuple[list, int, PulseSequence]:
 def _run_block4(sc: Scenario):
     p = sc.parameters
     static, bdim, seq = _block4_model(sc)
-    # the private cores hand the blocks on: no dense matrix, no scan
+    # the private cores hand the blocks on: no dense matrix, no scan; each
+    # stage's input is dropped once the next holds its output
     u = sequences._propagator_blocks(seq, 4, bdim, static)
+    del static
+    block_sizes = [len(row) for idx, _ in u for row in idx]
     g, margin, selfcheck = pauli._log_blocks(u, 4 * p["tau"])
+    del u
     resid = dfs._block_residual(g, 4, bdim, ((0, 1, 2, 3),))
     checks = [CheckResult("block4_residual", float(resid), 0.0,
                           p["tolerance"], bool(resid <= p["tolerance"]))]
     return checks, {"residual": resid, "dim": 16 * bdim,
-                    "block_sizes": [len(row) for idx, _ in u for row in idx],
+                    "block_sizes": block_sizes,
                     "branch_margin": margin, "log_selfcheck": selfcheck,
                     "checks": [c.__dict__ for c in checks]}, None
 

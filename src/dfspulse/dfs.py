@@ -23,7 +23,7 @@ import numpy as np
 
 from .pauli import (
     OperatorSum, _components, _connect, _edges, _from_masks, _gather, _layout, _masks,
-    _norm_blocks, _place, spectral_norm, to_dense,
+    _norm_blocks, _place, _slabs, spectral_norm, to_dense,
 )
 
 CODE_ZERO_INDEX = 2  # |down, up>
@@ -349,7 +349,9 @@ def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,
     start, col, spans, size = _layout(groups, dim)
     flat = np.zeros(size, dtype=complex)
     for idx, stack in hblocks:
-        flat[start[idx][..., None] + col[idx][..., None, :]] = stack
+        for sl in _slabs(stack):
+            ix = idx[sl]
+            flat[start[ix][..., None] + col[ix][..., None, :]] = stack[sl]
     # a joined block holds m whole system states, ascending; its (j, j)
     # sub-block is the (s, s) block of its j-th state s
     subs = [(flat[at:at + count * b * b].reshape(count, b // bath_dim, bath_dim,
@@ -359,12 +361,13 @@ def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,
     for d, states in subs:
         for j, s in enumerate(states.T):
             hss[s] = d[:, j, :, j, :]
-    resid = hss.copy()
-    for p in ps:
-        resid -= p[:, None, None] * (np.einsum("s,sab->ab", p.conj(), hss)
-                                      / np.vdot(p, p).real)
+    # every B_p first, from h; then h_ss turns into the residual in place
+    bs = [np.einsum("s,sab->ab", p.conj(), hss) / np.vdot(p, p).real for p in ps]
+    for p, b in zip(ps, bs):
+        for s in range(dim_sys):
+            hss[s] -= p[s] * b
     for d, states in subs:
         for j, s in enumerate(states.T):
-            d[:, j, :, j, :] = resid[s]
+            d[:, j, :, j, :] = hss[s]
     return _norm_blocks(flat[at:at + count * b * b].reshape(count, b, b)
                         for at, count, b in spans)

@@ -11,6 +11,7 @@ seconds, everything else dimensionless.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,26 @@ class LeakageError(ValueError):
         self.off_block_norm = off_block_norm
 
 
+def _real(x, what: str) -> float:
+    """x as a float; ValueError unless x is a real number other than a bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{what}: expected a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} must be finite") from None
+
+
+def _integer(x, what: str) -> int:
+    """x through `operator.index`; ValueError for a bool or a non-integer."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what}: expected an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class SmGateSpec:
     """Rotation angle and per-ion laser phases for a 2- or 4-ion gate."""
@@ -46,16 +67,10 @@ class SmGateSpec:
             raise ValueError("gate acts on 2 or 4 ions")
         if len(self.phis) != len(self.ions):
             raise ValueError("one phase per ion required")
-        try:
-            ions = tuple(map(operator.index, self.ions))
-        except TypeError:
-            raise ValueError(f"gate ions must be integers, got {self.ions!r}") from None
+        ions = tuple(_integer(i, "gate ions") for i in self.ions)
         if len(set(ions)) != len(ions) or min(ions) < 0:
             raise ValueError("gate ions must be distinct and nonnegative")
-        try:
-            angles = tuple(map(float, (self.theta, *self.phis)))
-        except (TypeError, ValueError):
-            raise ValueError("gate angle and phases must be real numbers") from None
+        angles = tuple(_real(a, "gate angle and phases") for a in (self.theta, *self.phis))
         if not all(map(math.isfinite, angles)):
             raise ValueError("gate angle and phases must be finite")
         object.__setattr__(self, "theta", angles[0])
@@ -124,13 +139,16 @@ def dfs_restrict(u: np.ndarray, register: DfsRegister | tuple[int, int]) -> np.n
 
     Raises LeakageError when the unitary does not block-preserve the code
     space: when the spectral norm of its off-block part exceeds
-    `pauli._CHECK_TOL` (1e-10).
+    `pauli._CHECK_TOL` (1e-10); ValueError for a wrong shape or an entry
+    that is not finite.
     """
     if not isinstance(register, DfsRegister):
         register = _pair_register(register)
     u = np.asarray(u, dtype=complex)
     if u.shape != (2 ** register.width,) * 2:
         raise ValueError("unitary dimension does not match register width")
+    if not np.isfinite(u).all():
+        raise ValueError("unitary must be finite")
     v = code_isometry(register)
     block = v.conj().T @ u @ v
     off = u @ v - v @ block
@@ -227,12 +245,16 @@ class HardwareParams:
     n_ions: int = 2
 
     def __post_init__(self):
+        for name in ("eta", "omega_rabi", "detuning", "n_mean"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        for name in ("k_int", "n_ions"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         # each test is written so that NaN fails it
         if not (0 < self.eta < math.inf and 0 < self.omega_rabi < math.inf
-                and 1 <= self.k_int < math.inf):
+                and self.k_int >= 1):
             raise ValueError("require finite eta > 0, omega_rabi > 0, k_int >= 1")
         if not (math.isfinite(self.detuning) and 0 <= self.n_mean < math.inf
-                and 1 <= self.n_ions < math.inf):
+                and self.n_ions >= 1):
             raise ValueError("require finite detuning, n_mean >= 0, n_ions >= 1")
 
 

@@ -39,6 +39,15 @@ diagonalizes a unitary through its Cayley transform, a Hermitian matrix
 with the same eigenvectors, so `eigh` serves for both exponential and
 logarithm.
 
+The block kernels (`_expm_blocks`, `_log_blocks`, `_norm_blocks`, and the
+products of `sequences` and the residual of `dfs` that use them) work slab
+by slab: `_slabs` cuts each (count, b, b) stack into consecutive runs of at
+most `_SLAB_BYTES`, and each kernel runs its checks, LAPACK calls and
+products on one slab at a time into one preallocated output stack.  A pass
+so holds its inputs and outputs plus one slab of temporaries.  Each slab
+makes the same per-matrix call as the whole stack would, so the slab bound
+changes no result.
+
 Conventions, fixed globally:
   * qubit 0 is the slowest-varying tensor factor,
   * bath factors are appended after all qubit factors,
@@ -78,6 +87,8 @@ _CHECK_TOL = 1e-10     # the Hermitian, unitary, state and code-space leakage ch
 _BRANCH_TOL = 1e-6     # least distance pi - |phase| of an eigenphase the log accepts
 _SELFCHECK_TOL = 1e-8  # largest max|T - diag e^{i phase}| the log accepts
 _COEF_TOL = 1e-12      # relative bound on coefficient checks and comparisons
+
+_SLAB_BYTES = 1 << 18  # bytes of one slab of a block kernel; bounds its temporaries
 
 
 class WidthMismatchError(ValueError):
@@ -573,12 +584,17 @@ def _norm_blocks(stacks) -> float:
 
     A stack that is exactly Hermitian has singular values |eigenvalue|, and
     `eigvalsh` finds them in less than half the time of `svd`; any other
-    stack takes `svd`.
+    stack takes `svd`.  The choice is made for the whole stack, and both the
+    check and the norms are taken slab by slab.
     """
-    return max((float(np.abs(np.linalg.eigvalsh(s)).max())
-                if (s == s.conj().swapaxes(1, 2)).all()
-                else float(np.linalg.svd(s, compute_uv=False).max()) for s in stacks),
-               default=0.0)
+    norms = [0.0]
+    for s in stacks:
+        slabs = [s[sl] for sl in _slabs(s)]
+        if all((m == m.conj().swapaxes(1, 2)).all() for m in slabs):
+            norms += [np.abs(np.linalg.eigvalsh(m)).max() for m in slabs]
+        else:
+            norms += [np.linalg.svd(m, compute_uv=False).max() for m in slabs]
+    return float(np.max(norms))  # a NaN norm stays NaN
 
 
 def is_hermitian_matrix(m: np.ndarray) -> bool:
@@ -659,6 +675,13 @@ def _components(lab: np.ndarray) -> list[np.ndarray]:
     return [order[a:b].reshape(-1, size[a]) for a, b in zip(cuts, cuts[1:])]
 
 
+def _slabs(stack: np.ndarray) -> list[slice]:
+    """Consecutive slices of a (count, b, b) stack, each of at most
+    `_SLAB_BYTES` or of a single matrix, whichever is more."""
+    per = max(1, _SLAB_BYTES // (stack.itemsize * stack.shape[1] * stack.shape[2]))
+    return [slice(k, k + per) for k in range(0, len(stack), per)]
+
+
 def _stacked(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the (count, size, size) stack of blocks on the components `idx`."""
     return idx[:, :, None], idx[:, None, :]
@@ -709,23 +732,28 @@ def expm_i(h: np.ndarray, t: float) -> np.ndarray:
 def _expm_blocks(blocks, t: float) -> list[tuple]:
     """exp(-i h t) of the complex Hermitian h with [(idx, stack)] blocks, as
     blocks on the same components: the (count, size, size) stack of
-    exponentials of each stack.
+    exponentials of each stack, filled slab by slab.
 
     h - h^+ is exactly zero between blocks, so the Hermiticity check run
     block by block is the dense check.  It is written as `not err <=`, so
     that a NaN fails it.
     """
-    bound = _CHECK_TOL * max([1.0] + [max_abs(s) for _, s in blocks])
-    if not all(max_abs(s - s.conj().swapaxes(1, 2)) <= bound for _, s in blocks):
+    bound = _CHECK_TOL * max([1.0] + [max_abs(s[sl]) for _, s in blocks for sl in _slabs(s)])
+    if not all(max_abs(s[sl] - s[sl].conj().swapaxes(1, 2)) <= bound
+               for _, s in blocks for sl in _slabs(s)):
         raise NonHermitianError("expm_i requires a Hermitian generator")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     out = []
-    for idx, hb in blocks:
-        # numpy's eigh takes longer on a stack of one than on its matrix
-        vals, vecs = np.linalg.eigh(hb[0] if len(hb) == 1 else hb)
-        u = (vecs * np.exp(-1j * vals * t)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-        out.append((idx, u.reshape(hb.shape)))
+    for idx, hs in blocks:
+        u = np.empty(hs.shape, dtype=complex)
+        for sl in _slabs(hs):
+            hb = hs[sl]
+            # numpy's eigh takes longer on a stack of one than on its matrix
+            vals, vecs = np.linalg.eigh(hb[0] if len(hb) == 1 else hb)
+            phase = np.exp(-1j * vals * t)[..., None, :]
+            u[sl] = (vecs * phase) @ vecs.conj().swapaxes(-1, -2)
+        out.append((idx, u))
     return out
 
 
@@ -745,9 +773,9 @@ def generator_of(u: np.ndarray, total_time: float) -> np.ndarray:
 def _log_blocks(blocks, total_time: float) -> tuple[list[tuple], float, float]:
     """The generator of a block-diagonal unitary, blockwise.
 
-    Takes and returns [(idx, stack)] blocks, and returns with them the
-    branch margin min(pi - |phase|) and the self-check max|T - diag
-    e^{i phase}| over all blocks.  Each block g is diagonalized through its
+    Takes and returns [(idx, stack)] blocks, each filled slab by slab, and
+    returns with them the branch margin min(pi - |phase|) and the
+    self-check max|T - diag e^{i phase}| over all blocks.  Each block g is diagonalized through its
     Cayley transform A = i (1 + g)^-1 (1 - g), which is Hermitian with
     eigenvalue tan(phase/2) for each eigenphase of g, one to one on
     (-pi, pi): so `eigh` of A gives an orthonormal eigenbasis Q of g, for
@@ -759,30 +787,34 @@ def _log_blocks(blocks, total_time: float) -> tuple[list[tuple], float, float]:
     self-check above `_SELFCHECK_TOL` raises ArithmeticError.
     """
     # u u^+ - 1 is exactly zero between blocks, so this is the full check
-    if not all(max_abs(g @ g.conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= _CHECK_TOL
-               for _, g in blocks):
+    if not all(max_abs(g[sl] @ g[sl].conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= _CHECK_TOL
+               for _, g in blocks for sl in _slabs(g)):
         raise NonUnitaryError("generator_of requires a unitary input")
     if total_time == 0 or not np.isfinite(total_time):
         raise ValueError(f"total_time must be finite and nonzero, got {total_time}")
     out, margin, selfcheck = [], np.pi, 0.0
-    for idx, g in blocks:
-        one = np.eye(g.shape[1])
-        try:
-            a = 1j * np.linalg.solve(one + g, one - g)
-        except np.linalg.LinAlgError:
-            raise BranchCutError(
-                "eigenphase at +-pi; shorten total_time") from None
-        q = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(1, 2)))[1]
-        qh = q.conj().swapaxes(1, 2)
-        tmat = qh @ g @ q
-        phases = np.angle(np.diagonal(tmat, axis1=1, axis2=2))
-        margin = min(margin, float((np.pi - np.abs(phases)).min()))
-        if margin < _BRANCH_TOL:
-            raise BranchCutError(
-                f"eigenphase within {_BRANCH_TOL:g} of +-pi; shorten total_time")
-        selfcheck = max(selfcheck, max_abs(tmat - np.exp(1j * phases)[:, :, None] * one))
-        if selfcheck > _SELFCHECK_TOL:
-            raise ArithmeticError("principal log failed to reproduce the unitary")
-        hg = (q * (-phases / total_time)[:, None, :]) @ qh
-        out.append((idx, 0.5 * (hg + hg.conj().swapaxes(1, 2))))
+    for idx, gs in blocks:
+        one = np.eye(gs.shape[1])
+        h = np.empty(gs.shape, dtype=complex)
+        for sl in _slabs(gs):
+            g = gs[sl]
+            try:
+                a = 1j * np.linalg.solve(one + g, one - g)
+            except np.linalg.LinAlgError:
+                raise BranchCutError(
+                    "eigenphase at +-pi; shorten total_time") from None
+            q = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(1, 2)))[1]
+            qh = q.conj().swapaxes(1, 2)
+            tmat = qh @ g @ q
+            phases = np.angle(np.diagonal(tmat, axis1=1, axis2=2))
+            margin = min(margin, float((np.pi - np.abs(phases)).min()))
+            if margin < _BRANCH_TOL:
+                raise BranchCutError(
+                    f"eigenphase within {_BRANCH_TOL:g} of +-pi; shorten total_time")
+            selfcheck = max(selfcheck, max_abs(tmat - np.exp(1j * phases)[:, :, None] * one))
+            if selfcheck > _SELFCHECK_TOL:
+                raise ArithmeticError("principal log failed to reproduce the unitary")
+            hg = (q * (-phases / total_time)[:, None, :]) @ qh
+            h[sl] = 0.5 * (hg + hg.conj().swapaxes(1, 2))
+        out.append((idx, h))
     return out, margin, selfcheck

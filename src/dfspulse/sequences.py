@@ -31,8 +31,8 @@ from .dfs import _checked_pair, logical_operators
 from .gates import SmGateSpec, sm_gate_dense, x_phi
 from .pauli import (
     OperatorSum, NonUnitaryError, _blocks, _components, _connect, _dense, _edges,
-    _expm_blocks, _from_masks, _gather, _layout, _place, _stacked, expm_i, is_unitary,
-    to_dense,
+    _expm_blocks, _from_masks, _gather, _layout, _place, _slabs, _stacked, expm_i,
+    is_unitary, to_dense,
 )
 
 PULSE_LABELS = ("P", "PDAG", "PI", "Q", "QDAG", "LAM")
@@ -481,9 +481,10 @@ def _propagator_blocks(seq: PulseSequence, width: int, bath_dim: int,
     over it, and q maps each of its blocks onto itself, so U has the same
     blocks, row r of a block being w[r] times row q[r] of D's.  Once the
     join is known from the frames, each factor in turn is laid out over it
-    and multiplied into D with one stacked matmul per block size,
-    O(sum b^3), so memory does not grow with the sequence beyond one frame
-    per factor.
+    and multiplied into D slab by slab, O(sum b^3), so memory does not grow
+    with the sequence beyond one frame per factor, nor with the blocks
+    beyond one slab of temporaries.  U is then gathered into the scratch
+    stacks of `_frame_product`, once the factors are dropped.
     """
     dim = 2 ** width * bath_dim
     q, w = np.arange(dim), np.ones(dim, dtype=complex)
@@ -492,25 +493,31 @@ def _propagator_blocks(seq: PulseSequence, width: int, bath_dim: int,
     for event in reversed(seq.events):
         if event not in actions:
             actions[event] = _event_action(event, width, bath_dim, static)
-        mono, blocks = actions[event]
+        mono = actions[event][0]
         if mono is None:
-            frames.append((blocks, q, w))
+            frames.append((actions[event][1], q, w))
         else:
             q, w = q[mono[0]], mono[1] * w[mono[0]]
     edges = [_edges([qf[idx] for idx, _ in blocks]) for blocks, qf, _ in frames]
     groups = _components(_connect(dim, *np.concatenate(
         edges + [np.stack((np.arange(dim), q))], axis=1)))
-    col, ds = _frame_product(frames, groups, dim)
-    # index i is column col[i] of its block, so row r is row col[q[r]] of D's
-    return [(idx, w[idx][..., None] * d[np.arange(len(d))[:, None], col[q[idx]]])
-            for idx, d in zip(groups, ds)]
+    col, ds, rows = _frame_product(frames, groups, dim)
+    del actions, frames  # the factors' blocks are no longer needed
+    # index i is column col[i] of its block, so row r is row col[q[r]] of D's;
+    # U is written slab by slab into the scratch row of the last factor
+    for idx, d, u in zip(groups, ds, rows):
+        for sl in _slabs(d):
+            ix = idx[sl]
+            u[sl] = w[ix][..., None] * d[sl][np.arange(len(ix))[:, None], col[q[ix]]]
+    return list(zip(groups, rows))
 
 
 def _frame_product(frames, groups, dim: int) -> tuple:
-    """D of `_propagator_blocks` over the partition `groups`: (col, stacks),
-    with D's (count, b, b) stack on each group and col[i] the place of index
-    i in its block.  D starts as the identity, which the first factor
-    replaces."""
+    """D of `_propagator_blocks` over the partition `groups`: (col, stacks,
+    scratch), with D's (count, b, b) stack on each group, col[i] the place
+    of index i in its block, and a free stack of the same shape on each
+    group.  D starts as the identity, which the first factor replaces.
+    Each factor is scattered and multiplied in slab by slab."""
     # D and the next factor each fill one flat row laid out over the groups
     start, col, spans, size = _layout(groups, dim)
     acc, nxt = np.zeros(size, dtype=complex), np.empty(size, dtype=complex)
@@ -522,13 +529,16 @@ def _frame_product(frames, groups, dim: int) -> tuple:
         flat[:] = 0
         inv = 1 / wf
         for idx, stack in blocks:
-            j = qf[idx]
-            flat[start[j][..., None] + col[j][..., None, :]] = (
-                stack * inv[idx][..., None] * wf[idx][..., None, :])
+            for sl in _slabs(stack):
+                ix = idx[sl]
+                j = qf[ix]
+                flat[start[j][..., None] + col[j][..., None, :]] = (
+                    stack[sl] * inv[ix][..., None] * wf[ix][..., None, :])
         if k:
             for d, f in views:
-                d[...] = f @ d
-    return col, [d for d, _ in views]
+                for sl in _slabs(d):
+                    d[sl] = f[sl] @ d[sl]
+    return col, [d for d, _ in views], [f for _, f in views]
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,21 @@ def test_block4_model_memory_at_d3():
     assert peak(lambda: cli_mod._block4_model(sc)) < 5e6
 
 
+def test_block4_pass_working_set_at_d3():
+    # a pass holds its stage's inputs and outputs, each a (16, 81, 81) stack
+    # of 1.7 MB, plus one slab of temporaries; whole-stack temporaries
+    # would take it past 15 MB
+    sc = _block4(5, 3)
+    tracemalloc.start()
+    try:
+        checks, _, _ = cli_mod._run_block4(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak < 10e6
+
+
 def test_block4_model_rejects_a_non_finite_bath(monkeypatch):
     # the shared binding check rejects it in the symbolic and the dense model
     monkeypatch.setattr(cli_mod, "_rand_herm", lambda rng, d: np.full((d, d), np.nan))

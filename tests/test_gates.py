@@ -256,3 +256,45 @@ def test_cancellation_constraints_always_incompatible():
     assert con.delta_required == pytest.approx(6 * HardwareParams().omega_rabi)
     with pytest.raises(ValueError):
         cancellation_constraints(0, p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_dfs_restrict_rejects_a_non_finite_unitary(bad):
+    u = np.eye(4, dtype=complex)
+    u[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dfs_restrict(u, (0, 1))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", "0.1"), ("omega_rabi", None), ("detuning", [1.0]), ("n_mean", True),
+    ("eta", 1j), ("k_int", 2.5), ("k_int", "1"), ("k_int", True), ("n_ions", 2.0),
+    ("n_ions", None),
+])
+def test_hardware_params_take_numbers_of_their_type(field, value):
+    with pytest.raises(ValueError, match=field):
+        HardwareParams(**{field: value})
+
+
+def test_hardware_params_store_floats_and_integers():
+    p = HardwareParams(eta=np.float32(0.5), omega_rabi=3, k_int=np.int64(2), n_ions=4)
+    assert (type(p.eta), type(p.omega_rabi), type(p.k_int), type(p.n_ions)) == (
+        float, float, int, int)
+    assert tau_sm(p) == np.pi * np.sqrt(2) / (0.5 * 3)
+
+
+@pytest.mark.parametrize("theta, phis", [
+    ("0.5", (0.0, 1.0)), (0.5, ("0", "1")), (True, (0.0, 1.0)), (0.5, (0.0, False)),
+    (np.bool_(True), (0.0, 1.0)), (0.5j, (0.0, 1.0)), (None, (0.0, 1.0)),
+    pytest.param(10 ** 400, (0.0, 1.0), id="int-beyond-float"),
+])
+def test_sm_gate_spec_takes_only_real_angles(theta, phis):
+    with pytest.raises(ValueError, match="gate angle and phases"):
+        SmGateSpec(theta, phis)
+
+
+def test_sm_gate_spec_rejects_bool_ions():
+    with pytest.raises(ValueError, match="gate ions"):
+        SmGateSpec(0.5, (0.0, 1.0), (True, 2))
+    spec = SmGateSpec(1, (np.float64(0.25), np.int64(1)), (np.int64(2), 3))
+    assert spec.theta == 1.0 and spec.phis == (0.25, 1.0) and spec.ions == (2, 3)

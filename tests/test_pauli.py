@@ -8,9 +8,9 @@ import dfspulse.pauli as pauli_mod
 from dfspulse.pauli import (
     BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
     OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _dense, _embed,
-    _from_masks, _log_blocks, _stacked, _sum_blocks, commutator, commutes, embed_sites, expm_i,
-    generator_of, is_hermitian_matrix, is_unitary, kron_all, pauli_mul, spectral_norm,
-    to_dense, SIGMA,
+    _from_masks, _log_blocks, _slabs, _stacked, _sum_blocks, commutator, commutes,
+    embed_sites, expm_i, generator_of, is_hermitian_matrix, is_unitary, kron_all,
+    pauli_mul, spectral_norm, to_dense, SIGMA,
 )
 
 LABELS1 = ["I", "X", "Y", "Z"]
@@ -508,6 +508,28 @@ def test_generator_is_exact_or_refuses_inside_branch_tol(monkeypatch, distance):
     except ArithmeticError:
         return
     np.testing.assert_allclose(g, h, atol=1e-8)
+
+
+@pytest.mark.parametrize("count, b, per", [(16, 81, 2), (16, 16, 64), (3, 256, 1),
+                                           (5, 128, 1), (1, 2, 1), (0, 81, 2)])
+def test_slabs_cover_a_stack_within_the_bound(count, b, per):
+    # consecutive slices of at most _SLAB_BYTES, or of one larger matrix
+    stack = np.empty((count, b, b), dtype=complex)
+    slabs = _slabs(stack)
+    assert [k for sl in slabs for k in range(count)[sl]] == list(range(count))
+    assert all(sl.stop - sl.start == per for sl in slabs[:-1])
+    assert all(stack[sl].nbytes <= max(pauli_mod._SLAB_BYTES, stack[:1].nbytes)
+               for sl in slabs)
+
+
+def test_spectral_norm_of_an_infinite_entry_is_nan():
+    # the svd of the block {1, 2} reads NaN, and no finite block read
+    # before it may hide that
+    m = np.diag([2.0, 1.0, 1.0, 1.0])
+    m[1, 2] = np.inf
+    assert [idx.tolist() for idx in _blocks(m)] == [[[0], [3]], [[1, 2]]]
+    assert np.isnan(spectral_norm(m))
+    assert np.isnan(spectral_norm(m[1:3, 1:3]))
 
 
 def test_block_log_raises_as_the_dense_one(monkeypatch):

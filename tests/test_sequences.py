@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dfspulse.pauli as pauli_mod
 from dfspulse.baths import DephasingBath
 from dfspulse.dfs import (
     DfsRegister, _block_residual, basis_operator, bucket_norms, code_isometry,
@@ -13,8 +14,8 @@ from dfspulse.dfs import (
 )
 from dfspulse.gates import SmGateSpec, dfs_restrict
 from dfspulse.pauli import (
-    NonUnitaryError, OperatorSum, SIGMA, _blocks, _gather, _log_blocks, _sum_blocks,
-    expm_i, generator_of, spectral_norm, to_dense,
+    NonUnitaryError, OperatorSum, SIGMA, _blocks, _expm_blocks, _gather, _log_blocks,
+    _norm_blocks, _sum_blocks, expm_i, generator_of, spectral_norm, to_dense,
 )
 from dfspulse.sequences import (
     PULSE_LABELS, Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
@@ -969,3 +970,52 @@ def test_block4_chain_memory_at_d3():
         tracemalloc.stop()
     assert resid < 1e-10
     assert peak < 32e6
+
+
+def _seam_case(case):
+    """(static, seq, width, bath_dim, site blocks) of a block chain."""
+    rng = np.random.default_rng(13)
+    if case == "mixed":
+        # Xbar on (0, 1) joins 01 and 10 of the pair: static blocks of 2 and 4
+        model = _collective_model(4, 2, rng)
+        xbar = to_dense(logical_operators((0, 1), 4)[0])
+        h = model.h_static + np.kron(xbar, rand_herm(rng, 2))
+        return _gather(h), symmetrize_block4(0.05, 4), 4, 2, ((0, 1), (2, 3))
+    d = int(case[-1])
+    _, embedded = _block4_baths(rng, d)
+    h = sum((OperatorSum.single(4, q, "Z", 1.0, f"b{q}") for q in range(4)),
+            OperatorSum.zero(4))
+    static = _sum_blocks(h, d ** 4, {f"b{q}": b for q, b in enumerate(embedded)})
+    return static, symmetrize_block4(0.05, 4), 4, d ** 4, ((0, 1, 2, 3),)
+
+
+def _block_chain(static, seq, width, bath_dim, sites):
+    exp = _expm_blocks(static, 0.3)
+    u = _propagator_blocks(seq, width, bath_dim, static)
+    g, margin, selfcheck = _log_blocks(u, seq.cycle_time)
+    arrays = [a for blocks in (exp, u, g) for pair in blocks for a in pair]
+    floats = [margin, selfcheck, _block_residual(g, width, bath_dim, sites),
+              _norm_blocks(s for _, s in g), _norm_blocks(s for _, s in u)]
+    # the margin, self-check and norm reduce over every slab: with the
+    # matrices of each stack in reverse order they read the same
+    turned = [(idx[::-1], np.ascontiguousarray(s[::-1])) for idx, s in u]
+    assert [*_log_blocks(turned, seq.cycle_time)[1:], _norm_blocks(s for _, s in turned)] == [
+        margin, selfcheck, floats[-1]]
+    return arrays, floats
+
+
+@pytest.mark.parametrize("case", ["block4 d=2", "block4 d=3", "mixed"])
+def test_block_kernels_are_bitwise_equal_at_every_slab_bound(case, monkeypatch):
+    # each slab makes the per-matrix calls of the whole stack, so one matrix
+    # per slab, the default bound and one slab per stack agree bit for bit
+    args = _seam_case(case)
+    if case == "mixed":
+        assert sorted(idx.shape[1] for idx, _ in args[0]) == [2, 4]
+    want = _block_chain(*args)
+    for bound in (1, 1 << 40):
+        monkeypatch.setattr(pauli_mod, "_SLAB_BYTES", bound)
+        arrays, floats = _block_chain(*args)
+        assert floats == want[1]
+        assert len(arrays) == len(want[0])
+        assert all(a.shape == b.shape and np.array_equal(a, b)
+                   for a, b in zip(arrays, want[0]))
