@@ -39,7 +39,8 @@ import numpy as np
 
 from .dfs import CODE_ONE_INDEX, CODE_ZERO_INDEX
 from .pauli import (
-    OperatorSum, PauliTerm, _embed, is_hermitian_matrix, spectral_norm, to_dense,
+    OperatorSum, PauliTerm, _embed, _finite, _integer, _tuple, is_hermitian_matrix,
+    spectral_norm, to_dense,
 )
 from .sequences import Free, NamedPulse, PulseSequence, _named_action
 
@@ -108,17 +109,17 @@ class VibBath:
     temperature: float
 
     def __post_init__(self):
-        # each test is written so that NaN fails it
-        if not self.n_trunc >= 2:
+        for name in ("gamma", "omega0", "temperature"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        object.__setattr__(self, "n_trunc", _integer(self.n_trunc, "n_trunc"))
+        object.__setattr__(self, "mode_freqs", tuple(
+            _finite(w, "mode_freqs") for w in _tuple(self.mode_freqs, "mode_freqs")))
+        if self.n_trunc < 2:
             raise ValueError("n_trunc must be at least 2")
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError("gamma must be finite and nonnegative")
-        if not (0 < self.omega0 < math.inf and 0 < self.temperature < math.inf):
-            raise ValueError("omega0 and temperature must be finite and positive")
-        mode_freqs = tuple(float(w) for w in self.mode_freqs)
-        if not all(map(math.isfinite, mode_freqs)):
-            raise ValueError("mode_freqs must be finite")
-        object.__setattr__(self, "mode_freqs", mode_freqs)
+        if self.gamma < 0:
+            raise ValueError("gamma must be nonnegative")
+        if not (self.omega0 > 0 and self.temperature > 0):
+            raise ValueError("omega0 and temperature must be positive")
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,10 @@ class ThermalNumbers:
 def thermal_numbers(v: VibBath) -> ThermalNumbers:
     """Mean occupation n(T) and thermal decoherence time 1/(gamma(1+2n))."""
     x = HBAR * v.omega0 / (KB * v.temperature)
-    n = 1.0 / math.expm1(x)
+    try:
+        n = 1.0 / math.expm1(x)
+    except OverflowError:  # x > 709.78; there 1/(e^x - 1) is e^-x in double precision
+        n = math.exp(-x)
     t_dec = math.inf if v.gamma == 0 else 1.0 / (v.gamma * (1 + 2 * n))
     return ThermalNumbers(n_mean=n, t_dec=t_dec)
 
@@ -240,12 +244,14 @@ class SpectralNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.omega_min < self.omega_max < math.inf:
-            raise ValueError("require 0 < omega_min < omega_max < inf")
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if not 0 <= self.amplitude < math.inf:
-            raise ValueError("amplitude must be finite and nonnegative")
+        for name in ("alpha", "omega_min", "omega_max", "amplitude"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        for name in ("n_harmonics", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if not 0 < self.omega_min < self.omega_max:
+            raise ValueError("require 0 < omega_min < omega_max")
+        if self.amplitude < 0:
+            raise ValueError("amplitude must be nonnegative")
         if self.n_harmonics < 8:
             raise ValueError("n_harmonics must be at least 8")
 
@@ -277,9 +283,9 @@ class SpectralNoise:
 def sample_1f_trajectory(s: SpectralNoise, horizon: float,
                          dt_sample: float) -> tuple[np.ndarray, np.ndarray]:
     """One realization sampled on a uniform grid; deterministic given seed."""
-    if dt_sample >= 2 * np.pi / s.omega_max:
-        raise ValueError("dt_sample violates the Nyquist guard 2*pi/omega_max")
-    t = np.arange(0.0, horizon, dt_sample)
+    if not 0 < _finite(dt_sample, "dt_sample") < 2 * np.pi / s.omega_max:
+        raise ValueError("dt_sample must lie in (0, 2*pi/omega_max), the Nyquist guard")
+    t = np.arange(0.0, _finite(horizon, "horizon"), dt_sample)
     amps, phases = s.draw(s.trajectory_rng(0))
     values = np.cos(np.multiply.outer(t, s.frequencies()) + phases) @ amps
     return t, values
@@ -324,9 +330,11 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
     boundaries are processed _BOUNDARY_BLOCK at a time to bound peak memory;
     each trajectory's last antiderivative and Phi carry across blocks.
     """
-    if not n_cycles >= 0:
+    n_cycles = _integer(n_cycles, "n_cycles")
+    if n_cycles < 0:
         raise ValueError("n_cycles must be nonnegative")
-    if not record_every >= 1:
+    record_every = _integer(record_every, "record_every")
+    if record_every < 1:
         raise ValueError("record_every must be at least 1")
     return _toggling_run(seq, pair, n_cycles, record_every,
                          *_rate_coefficients(noise, n_traj, mode))
@@ -338,7 +346,7 @@ def _rate_coefficients(noise: SpectralNoise, n_traj: int,
     antiderivative of the rate difference c1 - c2 on [sin wt | cos wt]."""
     if mode not in ("collective", "differential", "independent"):
         raise ValueError(f"unknown noise mode {mode!r}")
-    if n_traj < 1:
+    if _integer(n_traj, "n_traj") < 1:
         raise ValueError("n_traj must be positive")
     om = noise.frequencies()
 

@@ -22,7 +22,7 @@ from . import baths, dfs, gates, pauli, sequences, verification
 from .baths import (
     SpectralNoise, suppression_scan, thermal_numbers, timescale_check, VibBath,
 )
-from .pauli import OperatorSum, expm_i, to_dense
+from .pauli import OperatorSum, _finite, _integer, expm_i, to_dense
 from .sequences import EvolutionModel, Free, PulseSequence, propagator, symmetrize_pair
 from .verification import CheckResult, _rand_herm
 
@@ -125,28 +125,17 @@ class Scenario:
         }
 
 
-def _finite(x, reason: str) -> float:
-    """`x` as a finite float; ValueError(reason) for anything else, bools included."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(reason)
-    try:
-        x = float(x)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ValueError("must be finite") from None
-    if not math.isfinite(x):
-        raise ValueError("must be finite")
-    return x
-
-
 def _coerce(typ, value):
     """A parameter value as `typ`; floats and list entries are finite numbers."""
     if typ is float:
-        return _finite(value, "expected float")
+        return _finite(value, "value")
+    if typ is int:
+        return _integer(value, "value")
     if typ is list:
         if not isinstance(value, list):
             raise ValueError("expected list")
-        return [_finite(x, "entries must be numbers") for x in value]
-    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
+        return [_finite(x, "list entries") for x in value]
+    if not isinstance(value, typ):
         raise ValueError(f"expected {typ.__name__}")
     return value
 
@@ -167,8 +156,11 @@ def _validate_scenario(obj: dict, where: str, errors: list) -> Scenario | None:
     if kind not in KINDS:
         errors.append((where, "kind", f"unknown kind {kind!r}"))
         return None
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    try:
+        seed = _integer(obj.get("seed", 0), "seed")
+    except ValueError:
+        seed = -1
+    if seed < 0:
         errors.append((where, "seed", "must be a nonnegative integer"))
         return None
     out = obj.get("output_path", name)

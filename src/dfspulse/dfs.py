@@ -16,14 +16,13 @@ below is a projection onto its templates; nothing restates them.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import (
-    OperatorSum, _components, _connect, _edges, _from_masks, _gather, _layout, _masks,
-    _norm_blocks, _place, _slabs, spectral_norm, to_dense,
+    OperatorSum, _components, _connect, _edges, _from_masks, _gather, _integer, _layout,
+    _masks, _norm_blocks, _place, _slabs, _tuple, spectral_norm, to_dense,
 )
 
 CODE_ZERO_INDEX = 2  # |down, up>
@@ -70,12 +69,9 @@ class DfsRegister:
     width: int
 
     def __post_init__(self):
-        try:
-            width = operator.index(self.width)
-            pairs = tuple((operator.index(i), operator.index(j)) for i, j in self.pairs)
-        except TypeError:
-            raise ValueError(f"register sites must be integers, got {self.pairs!r} "
-                             f"of width {self.width!r}") from None
+        width = _integer(self.width, "register width")
+        pairs = tuple(tuple(_integer(q, "register sites") for q in _tuple(p, "register pair"))
+                      for p in _tuple(self.pairs, "register pairs"))
         seen = set()
         for i, j in pairs:
             if not (0 <= i < j < width):
@@ -97,7 +93,7 @@ def _pair_register(pair) -> DfsRegister:
 
 
 def _checked_pair(pair, width: int) -> tuple[int, int]:
-    i, j = (operator.index(q) for q in pair)
+    i, j = (_integer(q, "pair sites") for q in _tuple(pair, "pair"))
     if i == j or not (0 <= i < width and 0 <= j < width):
         raise SupportError(
             f"pair {tuple(pair)} is not two distinct sites of a {width}-qubit register")
@@ -333,7 +329,7 @@ def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,
     subtracted on the (s, s) blocks in the order and with the products of
     the Kronecker form, and its norm is taken block by block.
     """
-    sites = [operator.index(q) for block in blocks for q in block]
+    sites = [_integer(q, "block sites") for block in blocks for q in block]
     if (not all(blocks) or len(set(sites)) != len(sites)
             or not all(0 <= q < width for q in sites)):
         raise ValueError(f"site blocks {blocks} must be nonempty, disjoint groups "

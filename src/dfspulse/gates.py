@@ -10,9 +10,6 @@ seconds, everything else dimensionless.
 """
 from __future__ import annotations
 
-import math
-import numbers
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -20,8 +17,8 @@ import numpy as np
 
 from .dfs import DfsRegister, _pair_register, code_isometry, logical_operators
 from .pauli import (
-    SIGMA, _CHECK_TOL, OperatorSum, PauliTerm, embed_sites, expm_i, kron_all,
-    spectral_norm, to_dense,
+    SIGMA, _CHECK_TOL, OperatorSum, PauliTerm, _finite, _integer, _tuple, embed_sites,
+    expm_i, kron_all, spectral_norm, to_dense,
 )
 
 
@@ -34,26 +31,6 @@ class LeakageError(ValueError):
         self.off_block_norm = off_block_norm
 
 
-def _real(x, what: str) -> float:
-    """x as a float; ValueError unless x is a real number other than a bool."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"{what}: expected a real number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{what} must be finite") from None
-
-
-def _integer(x, what: str) -> int:
-    """x through `operator.index`; ValueError for a bool or a non-integer."""
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError(f"{what}: expected an integer, got {x!r}")
-
-
 @dataclass(frozen=True)
 class SmGateSpec:
     """Rotation angle and per-ion laser phases for a 2- or 4-ion gate."""
@@ -63,16 +40,15 @@ class SmGateSpec:
     ions: tuple[int, ...] = (0, 1)
 
     def __post_init__(self):
-        if len(self.ions) not in (2, 4):
+        ions = tuple(_integer(i, "gate ions") for i in _tuple(self.ions, "gate ions"))
+        angles = tuple(_finite(a, "gate angle and phases")
+                       for a in (self.theta, *_tuple(self.phis, "gate angle and phases")))
+        if len(ions) not in (2, 4):
             raise ValueError("gate acts on 2 or 4 ions")
-        if len(self.phis) != len(self.ions):
+        if len(angles) != 1 + len(ions):
             raise ValueError("one phase per ion required")
-        ions = tuple(_integer(i, "gate ions") for i in self.ions)
         if len(set(ions)) != len(ions) or min(ions) < 0:
             raise ValueError("gate ions must be distinct and nonnegative")
-        angles = tuple(_real(a, "gate angle and phases") for a in (self.theta, *self.phis))
-        if not all(map(math.isfinite, angles)):
-            raise ValueError("gate angle and phases must be finite")
         object.__setattr__(self, "theta", angles[0])
         object.__setattr__(self, "phis", angles[1:])
         object.__setattr__(self, "ions", ions)
@@ -246,16 +222,13 @@ class HardwareParams:
 
     def __post_init__(self):
         for name in ("eta", "omega_rabi", "detuning", "n_mean"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
         for name in ("k_int", "n_ions"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        # each test is written so that NaN fails it
-        if not (0 < self.eta < math.inf and 0 < self.omega_rabi < math.inf
-                and self.k_int >= 1):
-            raise ValueError("require finite eta > 0, omega_rabi > 0, k_int >= 1")
-        if not (math.isfinite(self.detuning) and 0 <= self.n_mean < math.inf
-                and self.n_ions >= 1):
-            raise ValueError("require finite detuning, n_mean >= 0, n_ions >= 1")
+        if not (self.eta > 0 and self.omega_rabi > 0 and self.k_int >= 1):
+            raise ValueError("require eta > 0, omega_rabi > 0, k_int >= 1")
+        if not (self.n_mean >= 0 and self.n_ions >= 1):
+            raise ValueError("require n_mean >= 0, n_ions >= 1")
 
 
 def tau_sm(p: HardwareParams) -> float:
@@ -299,8 +272,9 @@ def cancellation_constraints(m: int, p: HardwareParams,
     m, K >= 1, which breaks the Lamb-Dicke requirement; the two conditions
     are incompatible.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m, k_prime = _integer(m, "m"), _integer(k_prime, "k_prime")
+    if m < 1 or k_prime < 1:
+        raise ValueError("m and k_prime must be positive integers")
     eta_req = m * np.sqrt(p.k_int)
     return CancellationCheck(
         delta_required=m * k_prime * p.omega_rabi,

@@ -56,6 +56,7 @@ Conventions, fixed globally:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -89,6 +90,39 @@ _SELFCHECK_TOL = 1e-8  # largest max|T - diag e^{i phase}| the log accepts
 _COEF_TOL = 1e-12      # relative bound on coefficient checks and comparisons
 
 _SLAB_BYTES = 1 << 18  # bytes of one slab of a block kernel; bounds its temporaries
+
+
+def _finite(x, what: str) -> float:
+    """x as a float; ValueError naming `what` unless x is a finite real
+    number other than a bool.  numpy scalars count, and an integer beyond
+    the float range counts as infinite."""
+    if not isinstance(x, bool) and isinstance(x, numbers.Real):
+        try:
+            value = float(x)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"{what}: only finite real numbers are accepted, got {x!r}")
+
+
+def _integer(x, what: str) -> int:
+    """x as an int through `operator.index`; ValueError naming `what` for a
+    bool or any value that is not an integer."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what}: only integers are accepted, got {x!r}")
+
+
+def _tuple(x, what: str) -> tuple:
+    """x as a tuple; ValueError naming `what` unless x can be iterated."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValueError(f"{what}: only sequences are accepted, got {x!r}") from None
 
 
 class WidthMismatchError(ValueError):
@@ -326,7 +360,7 @@ class OperatorSum:
     @classmethod
     def single(cls, width: int, site: int, label: str,
                coefficient: complex = 1.0, bath_slot: str | None = None) -> "OperatorSum":
-        site = operator.index(site)
+        site = _integer(site, "site")
         if not 0 <= site < width:
             raise ValueError(f"site {site} is outside a {width}-qubit register")
         if label not in PAULI_LABELS:
@@ -442,6 +476,8 @@ def _term_entries(op: OperatorSum, bath_dim: int, bindings: dict | None) -> tupl
     and column c.  The values round as coefficient * kron(string, bath)
     does, and are computed nowhere else.
     """
+    if _integer(bath_dim, "bath_dim") < 1:
+        raise ValueError(f"bath_dim must be at least 1, got {bath_dim}")
     bindings = bindings or {}
     # the distinct bath factors, and the one of each term
     baths, slot_index = [np.eye(bath_dim, dtype=complex)], {None: 0}
@@ -541,6 +577,8 @@ def embed_sites(mat: np.ndarray, sites: tuple[int, ...], width: int) -> np.ndarr
 
     `mat` is indexed with sites[0] as its slowest factor.
     """
+    sites = tuple(_integer(s, "sites") for s in _tuple(sites, "sites"))
+    width = _integer(width, "width")
     k = len(sites)
     if mat.shape != (2 ** k, 2 ** k):
         raise ValueError("matrix shape does not match number of sites")
@@ -582,15 +620,18 @@ def spectral_norm(m: np.ndarray) -> float:
 def _norm_blocks(stacks) -> float:
     """Largest singular value of a direct sum, given its (count, b, b) stacks.
 
-    A stack that is exactly Hermitian has singular values |eigenvalue|, and
-    `eigvalsh` finds them in less than half the time of `svd`; any other
-    stack takes `svd`.  The choice is made for the whole stack, and both the
-    check and the norms are taken slab by slab.
+    A stack with an entry that is not finite reads NaN.  A stack that is
+    exactly Hermitian has singular values |eigenvalue|, and `eigvalsh` finds
+    them in less than half the time of `svd`; any other stack takes `svd`.
+    The choice is made for the whole stack, and both the check and the
+    norms are taken slab by slab.
     """
     norms = [0.0]
     for s in stacks:
         slabs = [s[sl] for sl in _slabs(s)]
-        if all((m == m.conj().swapaxes(1, 2)).all() for m in slabs):
+        if not all(np.isfinite(m).all() for m in slabs):
+            norms.append(math.nan)  # the SVD would not converge on it
+        elif all((m == m.conj().swapaxes(1, 2)).all() for m in slabs):
             norms += [np.abs(np.linalg.eigvalsh(m)).max() for m in slabs]
         else:
             norms += [np.linalg.svd(m, compute_uv=False).max() for m in slabs]

@@ -20,7 +20,6 @@ system-bath coupling.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,8 +30,8 @@ from .dfs import _checked_pair, logical_operators
 from .gates import SmGateSpec, sm_gate_dense, x_phi
 from .pauli import (
     OperatorSum, NonUnitaryError, _blocks, _components, _connect, _dense, _edges,
-    _expm_blocks, _from_masks, _gather, _layout, _place, _slabs, _stacked, expm_i,
-    is_unitary, to_dense,
+    _expm_blocks, _finite, _from_masks, _gather, _integer, _layout, _place, _slabs,
+    _stacked, _tuple, expm_i, is_unitary, to_dense,
 )
 
 PULSE_LABELS = ("P", "PDAG", "PI", "Q", "QDAG", "LAM")
@@ -60,12 +59,14 @@ class Free:
     tau: float
 
     def __post_init__(self):
-        _check_tau(self.tau)
+        object.__setattr__(self, "tau", _checked_tau(self.tau))
 
 
-def _check_tau(tau: float) -> None:
-    if not 0 <= tau < math.inf:
-        raise ValueError("tau must be finite and nonnegative")
+def _checked_tau(tau) -> float:
+    tau = _finite(tau, "tau")
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -76,23 +77,16 @@ class NamedPulse:
 
     def __post_init__(self):
         ops = []
-        for label, pair in self.ops:
+        for op in _tuple(self.ops, "pulse ops"):
+            label, pair = _tuple(op, "pulse op")
             if label not in PULSE_LABELS:
                 raise ValueError(f"unknown pulse label {label!r}")
-            pair = _ions(pair, "pulse")
+            pair = tuple(_integer(q, "pulse ions") for q in _tuple(pair, "pulse ions"))
             if len(pair) != 2 or pair[0] == pair[1] or min(pair) < 0:
                 raise ValueError("pulse pair must have two distinct nonnegative ions")
             ops.append((label, pair))
         # stored as tuples of ints, so an event hashes as the key of its action
         object.__setattr__(self, "ops", tuple(ops))
-
-
-def _ions(pair, what: str) -> tuple[int, ...]:
-    """A pair of ions as a tuple of ints; ValueError for any non-integer."""
-    try:
-        return tuple(map(operator.index, pair))
-    except TypeError:
-        raise ValueError(f"{what} ions must be integers, got {pair!r}") from None
 
 
 @dataclass(frozen=True)
@@ -125,15 +119,14 @@ class Drive:
     phi: float = 0.0
 
     def __post_init__(self):
-        _check_tau(self.tau)
-        if not math.isfinite(self.amplitude):
-            raise ValueError("drive amplitude must be finite")
-        if not math.isfinite(self.phi):
-            raise ValueError("drive phase must be finite")
+        object.__setattr__(self, "tau", _checked_tau(self.tau))
+        object.__setattr__(self, "amplitude", _finite(self.amplitude, "drive amplitude"))
+        object.__setattr__(self, "phi", _finite(self.phi, "drive phase"))
         if (self.axis is None) != (self.pair is None):
             raise ValueError("drive axis and pair must be set together")
         if self.pair is not None:
-            object.__setattr__(self, "pair", _ions(self.pair, "drive"))
+            object.__setattr__(self, "pair", tuple(
+                _integer(q, "drive ions") for q in _tuple(self.pair, "drive ions")))
         if self.axis is not None and (self.axis not in ("X", "Y") or self.h_sys != (
                 _drive_hamiltonian(self.axis, self.pair, self.h_sys.width, self.phi))):
             raise ValueError("drive h_sys is not the Hamiltonian of its axis, pair and phi")
@@ -211,7 +204,7 @@ def symmetrize_block4(tau: float, n_ions: int) -> PulseSequence:
     flips the surviving next-nearest differentials, with the nnn couplings
     restricted to each disjoint 4-ion block.
     """
-    if n_ions % 4 != 0:
+    if _integer(n_ions, "n_ions") % 4 != 0:
         raise ValueError("n_ions must be a multiple of 4")
     nn = tuple((2 * j, 2 * j + 1) for j in range(n_ions // 2))
     nnn = tuple(p for k in range(n_ions // 4)
@@ -253,8 +246,7 @@ def _drive_hamiltonian(axis: str, pair: tuple[int, int], width: int,
                        phi: float) -> OperatorSum:
     """X_phi (x) X_phi for axis X (encoded +Xbar); for axis Y the first ion
     gets phi + pi/2 so dphi = +pi/2 and the encoded generator is +Ybar."""
-    if not math.isfinite(phi):  # before any cosine of it
-        raise ValueError("drive phase must be finite")
+    phi = _finite(phi, "drive phase")  # before any cosine of it
     pair = _checked_pair(pair, width)
     phi_i = phi if axis == "X" else phi + np.pi / 2
     return _from_masks(width, (
@@ -349,11 +341,7 @@ class EvolutionModel:
     h_static: np.ndarray | None = None  # full-dimension H_SB + H_B, rad/s
 
     def __post_init__(self):
-        try:
-            width, bath_dim = operator.index(self.width), operator.index(self.bath_dim)
-        except TypeError:
-            raise ValueError(f"width and bath_dim must be integers, got {self.width!r} "
-                             f"and {self.bath_dim!r}") from None
+        width, bath_dim = _integer(self.width, "width"), _integer(self.bath_dim, "bath_dim")
         if width < 0 or bath_dim < 1:
             raise ValueError(f"need width >= 0 and bath_dim >= 1, got {width} and {bath_dim}")
         object.__setattr__(self, "width", width)
@@ -593,8 +581,7 @@ def seq_from_text(text: str, width: int | None = None) -> PulseSequence:
         except KeyError as exc:
             raise ValueError(f"{token!r} lacks the field {exc.args[0]!r}") from None
     sites = [q for e in events for q in _sites(e)]
-    if width is None:
-        width = max([2] + [q + 1 for q in sites])
+    width = max([2] + [q + 1 for q in sites]) if width is None else _integer(width, "width")
     if any(q >= width for q in sites):
         raise ValueError(f"ion {max(sites)} lies outside a {width}-qubit register")
     return PulseSequence(tuple(_text_drive(*e, width) if isinstance(e, tuple) else e

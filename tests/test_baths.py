@@ -51,6 +51,22 @@ def test_thermal_numbers_low_temperature_limit():
     assert tn.t_dec == pytest.approx(1 / 5.0, rel=1e-9)
 
 
+def test_thermal_numbers_past_the_overflow_of_expm1():
+    # x = hbar omega0 / (kB T) passes log(DBL_MAX) = 709.78; below it the
+    # closed form is unchanged, above it 1/(e^x - 1) is e^-x, then 0.0
+    omega0 = TWO_PI * 5e6
+    for x in (700.0, 709.78):
+        temp = HBAR * omega0 / (KB * x)
+        tn = thermal_numbers(VibBath(gamma=5.0, mode_freqs=(), omega0=omega0,
+                                     n_trunc=2, temperature=temp))
+        assert tn.n_mean == 1.0 / math.expm1(HBAR * omega0 / (KB * temp))
+    for temp, n_mean in ((HBAR * omega0 / (KB * 720.0), math.exp(-720.0)), (1e-7, 0.0)):
+        tn = thermal_numbers(VibBath(gamma=5.0, mode_freqs=(), omega0=omega0,
+                                     n_trunc=2, temperature=temp))
+        assert tn.n_mean == pytest.approx(n_mean, rel=1e-9, abs=0.0)  # a subnormal at 720
+        assert tn.t_dec == 1 / 5.0
+
+
 def test_thermal_numbers_trap_regime():
     # omega0 = 2pi*5 MHz, T = 10 mK, gamma = 1e3/s; oracle evaluated inline
     omega0, temp, gamma = TWO_PI * 5e6, 10e-3, 1e3

@@ -1,0 +1,123 @@
+"""The one number rule at every input boundary: `pauli._finite` for real
+numbers, `pauli._integer` for integers.  A bad value raises ValueError (or a
+documented subclass); it never raises a stray TypeError, and no bool, string,
+None or non-finite value is read as a number."""
+import math
+
+import numpy as np
+import pytest
+
+from dfspulse.baths import SpectralNoise, VibBath, dephasing_run, sample_1f_trajectory
+from dfspulse.dfs import DfsRegister
+from dfspulse.gates import HardwareParams, SmGateSpec, cancellation_constraints
+from dfspulse.pauli import OperatorSum, embed_sites, to_dense
+from dfspulse.sequences import (
+    Drive, EvolutionModel, Free, NamedPulse, PulseSequence, _drive_hamiltonian,
+    seq_from_text, symmetrize_block4,
+)
+
+BAD = [math.nan, math.inf, -math.inf, -1, 0, 2.5, "1", None, [1, 2], True, np.bool_(True)]
+_BAD_IDS = ["nan", "inf", "-inf", "-1", "0", "2.5", "str", "None", "list", "True", "np.True_"]
+
+_DRIVE = dict(h_sys=OperatorSum.from_label("XX"), tau=0.1, amplitude=1.0, phi=0.0)
+_NAMED_DRIVE = dict(_DRIVE, h_sys=_drive_hamiltonian("X", (0, 1), 2, 0.0), axis="X",
+                    pair=(0, 1))
+_GATE = dict(theta=0.3, phis=(0.1, 0.2), ions=(0, 1))
+_VIB = dict(gamma=1.0, mode_freqs=(3.0,), omega0=1e7, n_trunc=2, temperature=0.01)
+_NOISE = dict(alpha=2.0, omega_min=1.0, omega_max=100.0, amplitude=10.0, n_harmonics=8,
+              seed=0)
+
+
+def _same(bad):
+    return bad
+
+
+# the bad values a field may take: a real, an integer, a sequence or none
+REAL, INT, SEQ, NONE = (-1, 0, 2.5), (-1, 0), ([1, 2],), ()
+
+# (constructor, valid arguments, field, the field's value holding `bad`,
+# declared type, the bad values it may accept); a declared type is a type,
+# [spec] for a tuple of any length, or a tuple of specs for one of that length
+FIELDS = [
+    (Free, dict(tau=0.1), "tau", _same, float, REAL),
+    *[(Drive, _DRIVE, f, _same, float, REAL) for f in ("tau", "amplitude", "phi")],
+    (Drive, _NAMED_DRIVE, "pair", _same, (int, int), SEQ),
+    (Drive, _NAMED_DRIVE, "pair", lambda b: (b, 1), (int, int), INT),
+    (NamedPulse, dict(ops=(("P", (0, 1)),)), "ops", _same, [(str, (int, int))], NONE),
+    (NamedPulse, dict(ops=(("P", (0, 1)),)), "ops", lambda b: (("P", (0, b)),),
+     [(str, (int, int))], INT),
+    (SmGateSpec, _GATE, "theta", _same, float, REAL),
+    (SmGateSpec, _GATE, "phis", _same, [float], SEQ),
+    (SmGateSpec, _GATE, "phis", lambda b: (0.1, b), [float], REAL),
+    (SmGateSpec, _GATE, "ions", _same, [int], SEQ),
+    (SmGateSpec, _GATE, "ions", lambda b: (b, 1), [int], INT),
+    *[(HardwareParams, {}, f, _same, float, REAL)
+      for f in ("eta", "omega_rabi", "detuning", "n_mean")],
+    *[(HardwareParams, {}, f, _same, int, INT) for f in ("k_int", "n_ions")],
+    *[(VibBath, _VIB, f, _same, float, REAL) for f in ("gamma", "omega0", "temperature")],
+    (VibBath, _VIB, "n_trunc", _same, int, INT),
+    (VibBath, _VIB, "mode_freqs", _same, [float], SEQ),
+    (VibBath, _VIB, "mode_freqs", lambda b: (3.0, b), [float], REAL),
+    *[(SpectralNoise, _NOISE, f, _same, float, REAL)
+      for f in ("alpha", "omega_min", "omega_max", "amplitude")],
+    *[(SpectralNoise, _NOISE, f, _same, int, INT) for f in ("n_harmonics", "seed")],
+    *[(EvolutionModel, dict(width=2, bath_dim=1), f, _same, int, INT)
+      for f in ("width", "bath_dim")],
+    (DfsRegister, dict(pairs=((0, 1),), width=3), "width", _same, int, INT),
+    (DfsRegister, dict(pairs=((0, 1),), width=3), "pairs", _same, [(int, int)], NONE),
+    (DfsRegister, dict(pairs=((0, 1),), width=3), "pairs", lambda b: ((0, b),),
+     [(int, int)], INT),
+]
+
+
+def _typed(value, spec) -> bool:
+    if isinstance(spec, type):
+        return type(value) is spec
+    if isinstance(spec, list):
+        return type(value) is tuple and all(_typed(v, spec[0]) for v in value)
+    return (type(value) is tuple and len(value) == len(spec)
+            and all(map(_typed, value, spec)))
+
+
+@pytest.mark.parametrize("bad", BAD, ids=_BAD_IDS)
+@pytest.mark.parametrize("make, valid, field, put, spec, ok", FIELDS,
+                         ids=[f"{c.__name__}.{f}{'' if p is _same else '-entry'}"
+                              for c, _, f, p, *_ in FIELDS])
+def test_a_bad_field_raises_value_error_or_is_stored_as_declared(make, valid, field, put,
+                                                                  spec, ok, bad):
+    try:
+        obj = make(**{**valid, field: put(bad)})
+    except ValueError:
+        return
+    # type() first, so that True is not taken for 1
+    assert any(type(bad) is type(a) and bad == a for a in ok), (
+        f"{bad!r} was read as {getattr(obj, field)!r}")
+    assert _typed(getattr(obj, field), spec)
+
+
+_NOISE8 = SpectralNoise(**_NOISE)
+_FREE = PulseSequence((Free(1e-3),))
+_XZ = OperatorSum.from_label("XZ")
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: dephasing_run(_FREE, _NOISE8, 3, n_cycles=2.5), "n_cycles"),
+    (lambda: dephasing_run(_FREE, _NOISE8, 3, n_cycles=3, record_every=1.5), "record_every"),
+    (lambda: dephasing_run(_FREE, _NOISE8, "3", n_cycles=3), "n_traj"),
+    (lambda: embed_sites(np.eye(2), (0.0,), 2), "sites"),
+    (lambda: symmetrize_block4(0.1, 4.0), "n_ions"),
+    (lambda: to_dense(_XZ, 1.5), "bath_dim"),
+    (lambda: to_dense(_XZ, 0), "bath_dim"),
+    (lambda: seq_from_text("[tau=0.1, P@0:1]", width=2.5), "width"),
+    (lambda: cancellation_constraints(1.5, HardwareParams()), "m"),
+    (lambda: cancellation_constraints(math.nan, HardwareParams()), "m"),
+    (lambda: cancellation_constraints(True, HardwareParams()), "m"),
+    (lambda: cancellation_constraints(1, HardwareParams(), k_prime=-1), "k_prime"),
+    (lambda: sample_1f_trajectory(_NOISE8, 1.0, 0), "dt_sample"),
+    (lambda: sample_1f_trajectory(_NOISE8, 1.0, -1e-3), "dt_sample"),
+], ids=["n_cycles", "record_every", "n_traj", "embed_sites", "symmetrize_block4",
+        "to_dense-1.5", "to_dense-0", "seq_from_text", "m-1.5", "m-nan", "m-True",
+        "k_prime", "dt_sample-0", "dt_sample-negative"])
+def test_a_bad_function_argument_raises_value_error(call, what):
+    with pytest.raises(ValueError, match=what):
+        call()

@@ -532,6 +532,17 @@ def test_spectral_norm_of_an_infinite_entry_is_nan():
     assert np.isnan(spectral_norm(m[1:3, 1:3]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_spectral_norm_of_a_non_finite_stack_is_nan_with_no_lapack_call(bad, monkeypatch):
+    def no_call(*_, **__):
+        raise AssertionError("LAPACK called on a non-finite stack")
+
+    monkeypatch.setattr(np.linalg, "svd", no_call)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_call)
+    for m in (np.full((2, 2), bad), np.diag([bad, 1.0, 2.0])):
+        assert np.isnan(spectral_norm(m))
+
+
 def test_block_log_raises_as_the_dense_one(monkeypatch):
     # the block path takes no scan of its own: its blocks are given
     rng = np.random.default_rng(62)
