@@ -150,7 +150,9 @@ def timescale_check(dt: float, omega_c: float, t_dec: float) -> TimescaleCheck:
     is encoded as margin >= `_TIMESCALE_MARGIN` (10).  Inputs may be
     infinite (an undamped mode has t_dec = inf); a NaN input, or a margin
     inf/inf, raises ValueError."""
-    # each test is written so that NaN fails it
+    # an infinite input stays; any other must be a finite real
+    dt, omega_c, t_dec = (x if x == math.inf else _finite(x, what) for x, what in
+                          ((dt, "dt"), (omega_c, "omega_c"), (t_dec, "t_dec")))
     if not (dt > 0 and omega_c >= 0 and t_dec > 0):
         raise ValueError("require dt > 0, omega_c >= 0 and t_dec > 0")
     limit = t_dec if omega_c == 0 else min(1.0 / omega_c, t_dec)
@@ -219,6 +221,7 @@ def bch_bound(h_s: np.ndarray, h_sb: np.ndarray, h_b: np.ndarray,
     bound = t^2 ||[H_SB, H_S] + [H_SB, H_B]|| / 2;
     t_max_weak = 1 / sqrt(||H_S|| ||H_SB||).
     """
+    t = _finite(t, "t")
     h_s, h_sb, h_b = (np.asarray(m, dtype=complex) for m in (h_s, h_sb, h_b))
     comm = (h_sb @ h_s - h_s @ h_sb) + (h_sb @ h_b - h_b @ h_sb)
     omega = spectral_norm(h_s)
@@ -336,6 +339,7 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
     record_every = _integer(record_every, "record_every")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
+    pair = tuple(_integer(q, "pair") for q in _tuple(pair, "pair"))
     return _toggling_run(seq, pair, n_cycles, record_every,
                          *_rate_coefficients(noise, n_traj, mode))
 
@@ -456,6 +460,11 @@ def _toggling_run(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
                            t2=_t2_from_curve(times, coherence))
 
 
+def _t2_gain(t2_pulsed: float, t2_base: float) -> float:
+    """t2_pulsed / t2_base; an unbounded T2 on either side makes the gain inf."""
+    return t2_pulsed / t2_base if math.isfinite(t2_pulsed) and math.isfinite(t2_base) else math.inf
+
+
 @dataclass(frozen=True)
 class ScanRow:
     dt: float
@@ -478,9 +487,9 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
     the blocks are those of `dephasing_run`, every T2 equals the full run's.
     t_max must be finite and positive.
     """
-    if not 0 < t_max < math.inf:
-        raise ValueError("t_max must be finite and positive")
-    dt_grid = list(dt_grid)
+    if _finite(t_max, "t_max") <= 0:
+        raise ValueError("t_max must be positive")
+    dt_grid = [_finite(dt, "dt_grid") for dt in _tuple(dt_grid, "dt_grid")]
     if len(dt_grid) < 4:
         raise ValueError("dt grid needs at least 4 points")
     # every run sees the same trajectories, so they are drawn once
@@ -504,7 +513,6 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
         n_cycles = max(4, int(math.ceil(t_max / cyc)))
         res = _toggling_run(seq, (0, 1), n_cycles, max(1, n_cycles // 4000), *drawn,
                             stop_at_t2=True)
-        gain = res.t2 / base.t2 if math.isfinite(res.t2) and math.isfinite(base.t2) else math.inf
         rows.append(ScanRow(dt=dt, t2_base=base.t2, t2_pulsed=res.t2,
-                            gain=gain, n_traj=n_traj, seed=noise.seed))
+                            gain=_t2_gain(res.t2, base.t2), n_traj=n_traj, seed=noise.seed))
     return rows

@@ -26,9 +26,6 @@ from .pauli import OperatorSum, _finite, _integer, expm_i, to_dense
 from .sequences import EvolutionModel, Free, PulseSequence, propagator, symmetrize_pair
 from .verification import CheckResult, _rand_herm
 
-KINDS = ("verify-algebra", "storage-sim", "gate-sim", "block4-sim",
-         "dt-scan", "formulas")
-
 # parameter schema per kind: name -> (type, default, validator or None)
 _POS = ("must be positive", lambda v: v > 0)
 _NONNEG = ("must be nonnegative", lambda v: v >= 0)
@@ -96,6 +93,7 @@ SCHEMAS: dict[str, dict] = {
                          lambda v: not v or (len(v) == 2 and v[0] <= v[1]))),
     },
 }
+KINDS = tuple(SCHEMAS)
 
 
 class ConfigError(ValueError):
@@ -290,8 +288,7 @@ def _noise(sc: Scenario) -> SpectralNoise:
 
 
 def _run_verify(sc: Scenario):
-    checks = verification.run_all()
-    return checks, {"checks": [c.__dict__ for c in checks]}, None
+    return verification.run_all(), {}, None
 
 
 def _run_formulas(sc: Scenario):
@@ -324,7 +321,7 @@ def _run_formulas(sc: Scenario):
         CheckResult.flag("cancellation_incompatible_for_m>=1",
                          not con.lamb_dicke_compatible),
     ]
-    return checks, {"values": values, "checks": [c.__dict__ for c in checks]}, None
+    return checks, {"values": values}, None
 
 
 def _run_storage(sc: Scenario):
@@ -336,8 +333,7 @@ def _run_storage(sc: Scenario):
                                2 * p["n_cycles"], 1, *drawn)
     pulsed = baths._toggling_run(symmetrize_pair(p["dt"]), (0, 1),
                                  p["n_cycles"], 1, *drawn)
-    gain = (pulsed.t2 / base.t2 if math.isfinite(pulsed.t2) and
-            math.isfinite(base.t2) else math.inf)
+    gain = baths._t2_gain(pulsed.t2, base.t2)
     summary = {"t2_base": base.t2, "t2_pulsed": pulsed.t2, "gain": gain,
                "final_coherence_base": float(base.coherence[-1]),
                "final_coherence_pulsed": float(pulsed.coherence[-1])}
@@ -351,7 +347,7 @@ def _run_storage(sc: Scenario):
     rows = np.column_stack([t, np.interp(t, base.times, base.coherence),
                             pulsed.coherence[:t.size]]).tolist()
     table = (["t", "coherence_base", "coherence_pulsed"], rows)
-    return checks, {"summary": summary, "checks": [c.__dict__ for c in checks]}, table
+    return checks, {"summary": summary}, table
 
 
 def _run_gate(sc: Scenario):
@@ -384,8 +380,7 @@ def _run_gate(sc: Scenario):
         checks.append(CheckResult(f"gate_infidelity_gamma={gamma:g}",
                                   float(infid), float(bound), 0.0,
                                   bool(infid <= bound)))
-    return checks, {"checks": [c.__dict__ for c in checks]}, \
-        (["gamma_sb", "infidelity", "bound"], rows)
+    return checks, {}, (["gamma_sb", "infidelity", "bound"], rows)
 
 
 def _block4_hamiltonian(sc: Scenario) -> tuple[OperatorSum, int, dict]:
@@ -424,8 +419,7 @@ def _run_block4(sc: Scenario):
                           p["tolerance"], bool(resid <= p["tolerance"]))]
     return checks, {"residual": resid, "dim": 16 * bdim,
                     "block_sizes": block_sizes,
-                    "branch_margin": margin, "log_selfcheck": selfcheck,
-                    "checks": [c.__dict__ for c in checks]}, None
+                    "branch_margin": margin, "log_selfcheck": selfcheck}, None
 
 
 def _run_dtscan(sc: Scenario):
@@ -450,8 +444,7 @@ def _run_dtscan(sc: Scenario):
                                  np.log([gains[k] for k in finite]), 1)[0])
         checks.append(CheckResult("gain_slope", slope, (lo + hi) / 2,
                                   (hi - lo) / 2, bool(lo <= slope <= hi)))
-    return checks, {"checks": [c.__dict__ for c in checks]}, \
-        (["dt", "t2_base", "t2_pulsed", "gain", "n_traj", "seed"], rows)
+    return checks, {}, (["dt", "t2_base", "t2_pulsed", "gain", "n_traj", "seed"], rows)
 
 
 _RUNNERS = {
@@ -480,7 +473,7 @@ def run_scenario(sc: Scenario, out_dir: Path, jobs: int = 1) -> list[CheckResult
         _write_json(json_path, partial)
         raise
     report = {"scenario": sc.normalized(), "partial": False, **payload,
-              "passed": all(c.passed for c in checks)}
+              "checks": [c.__dict__ for c in checks], "passed": all(c.passed for c in checks)}
     _write_json(json_path, report)
     if table is not None:
         _write_csv(out_dir / f"{sc.output_path}.csv", table[0], table[1])

@@ -93,6 +93,7 @@ def _pair_register(pair) -> DfsRegister:
 
 
 def _checked_pair(pair, width: int) -> tuple[int, int]:
+    width = _integer(width, "width")
     i, j = (_integer(q, "pair sites") for q in _tuple(pair, "pair"))
     if i == j or not (0 <= i < width and 0 <= j < width):
         raise SupportError(
@@ -257,6 +258,8 @@ def encode(logical_state: np.ndarray, register: DfsRegister) -> np.ndarray:
 def leakage_probability(state: np.ndarray, register: DfsRegister,
                         bath_dim: int = 1) -> float:
     """1 - <P_DFS> with P_DFS projecting every pair onto its code space."""
+    if _integer(bath_dim, "bath_dim") < 1:
+        raise ValueError(f"bath_dim must be at least 1, got {bath_dim}")
     v = code_isometry(register)
     p_sys = v @ v.conj().T
     proj = np.kron(p_sys, np.eye(bath_dim, dtype=complex))
@@ -281,6 +284,8 @@ def _bath_block(h4: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def bucket_operators(h: np.ndarray, bath_dim: int) -> dict[str, np.ndarray]:
     """Dense DFS/Leak/Xbar/Ybar/Zbar components of a two-qubit (x) bath operator."""
+    if _integer(bath_dim, "bath_dim") < 1:
+        raise ValueError(f"bath_dim must be at least 1, got {bath_dim}")
     h = np.asarray(h, dtype=complex)
     if h.shape != (4 * bath_dim, 4 * bath_dim):
         raise ValueError("expected a (4*bath_dim) square matrix")
@@ -309,6 +314,9 @@ def block_collective_residual(h: np.ndarray, width: int, bath_dim: int,
     sites raise ValueError, as does an h that is not (2^width * bath_dim)
     square.  h is split into its blocks and taken by `_block_residual`.
     """
+    width, bath_dim = _integer(width, "width"), _integer(bath_dim, "bath_dim")
+    if width < 0 or bath_dim < 1:
+        raise ValueError(f"need width >= 0 and bath_dim >= 1, got {width} and {bath_dim}")
     h = np.asarray(h, dtype=complex)
     dim = 2 ** width * bath_dim
     if h.shape != (dim, dim):

@@ -72,6 +72,7 @@ class SmGateSpec:
 
 def x_phi(phi: float) -> OperatorSum:
     """Single-qubit X cos(phi) + Y sin(phi); Hermitian and involutory."""
+    phi = _finite(phi, "phi")
     return OperatorSum(1, (
         PauliTerm(("X",), np.cos(phi)),
         PauliTerm(("Y",), np.sin(phi)),
@@ -79,6 +80,7 @@ def x_phi(phi: float) -> OperatorSum:
 
 
 def x_phi_dense(phi: float) -> np.ndarray:
+    phi = _finite(phi, "phi")
     return np.cos(phi) * SIGMA["X"] + np.sin(phi) * SIGMA["Y"]
 
 
@@ -152,6 +154,8 @@ def logical_gate(axis: str, theta: float,
 
 def program_unitary(program: list[SmGateSpec], width: int) -> np.ndarray:
     """Dense product of a gate program, first list entry leftmost."""
+    if _integer(width, "width") < 0:
+        raise ValueError(f"width must be nonnegative, got {width}")
     out = np.eye(2 ** width, dtype=complex)
     for spec in program:
         out = out @ sm_gate_dense(spec, width)

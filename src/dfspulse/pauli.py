@@ -323,6 +323,9 @@ class OperatorSum:
     __slots__ = ("width", "_keys", "_coefs")
 
     def __init__(self, width: int, terms=()):
+        width = _integer(width, "width")
+        if width < 0:
+            raise ValueError(f"width must be nonnegative, got {width}")
         items = []
         for t in terms:
             if t.width != width:
@@ -360,7 +363,7 @@ class OperatorSum:
     @classmethod
     def single(cls, width: int, site: int, label: str,
                coefficient: complex = 1.0, bath_slot: str | None = None) -> "OperatorSum":
-        site = _integer(site, "site")
+        width, site = _integer(width, "width"), _integer(site, "site")
         if not 0 <= site < width:
             raise ValueError(f"site {site} is outside a {width}-qubit register")
         if label not in PAULI_LABELS:
@@ -783,8 +786,7 @@ def _expm_blocks(blocks, t: float) -> list[tuple]:
     if not all(max_abs(s[sl] - s[sl].conj().swapaxes(1, 2)) <= bound
                for _, s in blocks for sl in _slabs(s)):
         raise NonHermitianError("expm_i requires a Hermitian generator")
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    t = _finite(t, "t")
     out = []
     for idx, hs in blocks:
         u = np.empty(hs.shape, dtype=complex)
@@ -831,8 +833,9 @@ def _log_blocks(blocks, total_time: float) -> tuple[list[tuple], float, float]:
     if not all(max_abs(g[sl] @ g[sl].conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= _CHECK_TOL
                for _, g in blocks for sl in _slabs(g)):
         raise NonUnitaryError("generator_of requires a unitary input")
-    if total_time == 0 or not np.isfinite(total_time):
-        raise ValueError(f"total_time must be finite and nonzero, got {total_time}")
+    total_time = _finite(total_time, "total_time")
+    if total_time == 0:
+        raise ValueError("total_time must be nonzero")
     out, margin, selfcheck = [], np.pi, 0.0
     for idx, gs in blocks:
         one = np.eye(gs.shape[1])

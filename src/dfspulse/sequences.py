@@ -34,8 +34,6 @@ from .pauli import (
     _stacked, _tuple, expm_i, is_unitary, to_dense,
 )
 
-PULSE_LABELS = ("P", "PDAG", "PI", "Q", "QDAG", "LAM")
-
 _LABEL_GENERATOR = {
     # label -> (generator picker, cos t, sin t) of exp(-i t G); t is a
     # multiple of pi/2, so the exact values keep every pulse a monomial
@@ -46,6 +44,7 @@ _LABEL_GENERATOR = {
     "QDAG": ("Ybar", 0, -1),
     "LAM": ("Ybar", -1, 0),
 }
+PULSE_LABELS = tuple(_LABEL_GENERATOR)
 
 
 class SerializationError(ValueError):
@@ -119,6 +118,8 @@ class Drive:
     phi: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.h_sys, OperatorSum):
+            raise ValueError(f"drive h_sys must be an OperatorSum, got {self.h_sys!r}")
         object.__setattr__(self, "tau", _checked_tau(self.tau))
         object.__setattr__(self, "amplitude", _finite(self.amplitude, "drive amplitude"))
         object.__setattr__(self, "phi", _finite(self.phi, "drive phase"))
@@ -183,8 +184,6 @@ def named_pulse(label: str, pair: tuple[int, int] = (0, 1),
 def parity_kick(r: np.ndarray, tau: float) -> PulseSequence:
     """[tau, R, tau, Rdag]: cancels ambient terms that anticommute with R."""
     r = np.asarray(r, dtype=complex)
-    if not is_unitary(r):
-        raise NonUnitaryError("parity-kick pulse must be unitary")
     return PulseSequence((Free(tau), RawPulse(r), Free(tau), RawPulse(r.conj().T)))
 
 
@@ -263,7 +262,7 @@ def combined_gate(axis: str, t: float, omega_drive: float,
 
     Bath off, the code-space action is exp(-i omega_drive * t * axis-bar).
     """
-    if t <= 0:
+    if _finite(t, "t") <= 0:
         raise ValueError("t must be positive")
     if axis == "X":
         big, half = ("PI", pair), ("P", pair)
@@ -290,11 +289,11 @@ def euler_rotation(alpha: float, beta: float, gamma: float,
     Zero-angle factors are elided; the emitted program never exceeds
     24 pulses (8 per factor).
     """
-    if not 0 < omega_drive < math.inf:
-        raise ValueError("omega_drive must be finite and positive")
+    if _finite(omega_drive, "omega_drive") <= 0:
+        raise ValueError("omega_drive must be positive")
     events: tuple = ()
-    for axis, angle in (("X", alpha), ("Y", beta), ("X", gamma)):
-        angle = math.fmod(angle, 2 * np.pi)
+    for axis, angle, what in (("X", alpha, "alpha"), ("Y", beta, "beta"), ("X", gamma, "gamma")):
+        angle = math.fmod(_finite(angle, what), 2 * np.pi)
         if angle < 0:
             angle += 2 * np.pi
         if abs(angle) < 1e-15 or abs(angle - 2 * np.pi) < 1e-15:

@@ -7,13 +7,22 @@ import math
 import numpy as np
 import pytest
 
-from dfspulse.baths import SpectralNoise, VibBath, dephasing_run, sample_1f_trajectory
-from dfspulse.dfs import DfsRegister
-from dfspulse.gates import HardwareParams, SmGateSpec, cancellation_constraints
-from dfspulse.pauli import OperatorSum, embed_sites, to_dense
+from dfspulse.baths import (
+    DephasingBath, SpectralNoise, VibBath, bch_bound, dephasing_run, qubit_motional_error,
+    sample_1f_trajectory, suppression_scan, timescale_check,
+)
+from dfspulse.dfs import (
+    DfsRegister, basis_operator, block_collective_residual, bucket_operators,
+    leakage_probability, logical_operators,
+)
+from dfspulse.gates import (
+    HardwareParams, SmGateSpec, cancellation_constraints, program_unitary, x_phi, x_phi_dense,
+)
+from dfspulse.pauli import OperatorSum, embed_sites, expm_i, generator_of, to_dense
 from dfspulse.sequences import (
     Drive, EvolutionModel, Free, NamedPulse, PulseSequence, _drive_hamiltonian,
-    seq_from_text, symmetrize_block4,
+    combined_gate, euler_rotation, named_pulse, seq_from_text, symmetrize_block4,
+    symmetrize_pair,
 )
 
 BAD = [math.nan, math.inf, -math.inf, -1, 0, 2.5, "1", None, [1, 2], True, np.bool_(True)]
@@ -98,6 +107,9 @@ def test_a_bad_field_raises_value_error_or_is_stored_as_declared(make, valid, fi
 _NOISE8 = SpectralNoise(**_NOISE)
 _FREE = PulseSequence((Free(1e-3),))
 _XZ = OperatorSum.from_label("XZ")
+_GRID = [8e-3, 4e-3, 2e-3, 1e-3]
+_REG = DfsRegister(((0, 1),), 2)
+_CODE_STATE = np.eye(4)[2]
 
 
 @pytest.mark.parametrize("call, what", [
@@ -115,9 +127,53 @@ _XZ = OperatorSum.from_label("XZ")
     (lambda: cancellation_constraints(1, HardwareParams(), k_prime=-1), "k_prime"),
     (lambda: sample_1f_trajectory(_NOISE8, 1.0, 0), "dt_sample"),
     (lambda: sample_1f_trajectory(_NOISE8, 1.0, -1e-3), "dt_sample"),
+    (lambda: expm_i(np.eye(2), "1"), "^t:"),
+    (lambda: expm_i(np.eye(2), True), "^t:"),
+    (lambda: generator_of(np.eye(2), "1"), "total_time"),
+    (lambda: combined_gate("X", "1", 1.0), "^t:"),
+    (lambda: euler_rotation("1", 0.1, 0.1, 1.0), "alpha"),
+    (lambda: euler_rotation(0.1, 0.1, 0.1, "1"), "omega_drive"),
+    (lambda: suppression_scan(symmetrize_pair, _GRID, _NOISE8, 3, "1"), "t_max"),
+    (lambda: suppression_scan(symmetrize_pair, _GRID[:3] + ["1"], _NOISE8, 3, 3.0),
+     "dt_grid"),
+    *[(lambda w=w: OperatorSum(w, ()), "width")
+      for w in ("1", None, True, math.nan, math.inf, [1, 2])],
+    (lambda: OperatorSum.single("1", 0, "Z"), "width"),
+    (lambda: basis_operator("II", (0, 1), "1"), "width"),
+    (lambda: logical_operators((0, 1), "1"), "width"),
+    (lambda: named_pulse("P", (0, 1), "1"), "width"),
+    (lambda: combined_gate("X", 1.0, 1.0, (0, 1), "1"), "width"),
+    (lambda: qubit_motional_error((0, 1), "1"), "width"),
+    (lambda: DephasingBath(np.eye(2), np.eye(2)).hamiltonian((0, 1), "1"), "width"),
+    (lambda: program_unitary([], "1"), "width"),
+    (lambda: leakage_probability(_CODE_STATE, _REG, "1"), "bath_dim"),
+    (lambda: leakage_probability(_CODE_STATE, _REG, True), "bath_dim"),
+    (lambda: bucket_operators(np.eye(4), None), "bath_dim"),
+    (lambda: block_collective_residual(np.eye(4), "1", 1, ((0, 1),)), "width"),
+    (lambda: block_collective_residual(np.eye(4), 2, None, ((0, 1),)), "bath_dim"),
+    (lambda: dephasing_run(_FREE, _NOISE8, 3, None), "pair"),
+    (lambda: x_phi("1"), "phi"),
+    (lambda: x_phi_dense("1"), "phi"),
+    (lambda: x_phi(math.nan), "phi"),
+    (lambda: bch_bound(np.eye(2), np.eye(2), np.eye(2), "1"), "^t:"),
+    (lambda: bch_bound(np.eye(2), np.eye(2), np.eye(2), math.nan), "^t:"),
+    (lambda: timescale_check("1", 1.0, 1.0), "^dt:"),
+    (lambda: timescale_check(1e-9, "1", 1.0), "^omega_c:"),
+    (lambda: timescale_check(1e-9, 1.0, "1"), "^t_dec:"),
+    (lambda: Drive(np.eye(4), 0.1, 1.0), "h_sys"),
+    (lambda: Drive("1", 0.1, 1.0), "h_sys"),
 ], ids=["n_cycles", "record_every", "n_traj", "embed_sites", "symmetrize_block4",
         "to_dense-1.5", "to_dense-0", "seq_from_text", "m-1.5", "m-nan", "m-True",
-        "k_prime", "dt_sample-0", "dt_sample-negative"])
+        "k_prime", "dt_sample-0", "dt_sample-negative",
+        "expm_i-str", "expm_i-True", "generator_of", "combined_gate-t", "euler-alpha",
+        "euler-omega_drive", "scan-t_max", "scan-dt_grid",
+        *[f"OperatorSum-{w}" for w in ("str", "None", "True", "nan", "inf", "list")],
+        "single", "basis_operator", "logical_operators", "named_pulse",
+        "combined_gate-width", "qubit_motional_error", "DephasingBath.hamiltonian",
+        "program_unitary", "leakage-str", "leakage-True", "bucket_operators",
+        "block_residual-width", "block_residual-bath_dim", "dephasing_run-pair",
+        "x_phi", "x_phi_dense", "x_phi-nan", "bch_bound", "bch_bound-nan",
+        "timescale-dt", "timescale-omega_c", "timescale-t_dec", "Drive-array", "Drive-str"])
 def test_a_bad_function_argument_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()

@@ -108,6 +108,10 @@ def test_parse_rejects_negative_seed():
     assert [k for _, k, _ in err.value.errors] == ["seed"]
 
 
+def test_every_kind_has_one_schema_and_one_runner():
+    assert set(SCHEMAS) == set(cli_mod._RUNNERS) == set(cli_mod.KINDS)
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=4)
