@@ -37,9 +37,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dfs import CODE_ONE_INDEX, CODE_ZERO_INDEX
+from .dfs import CODE_ONE_INDEX, CODE_ZERO_INDEX, _checked_pair
 from .pauli import (
-    OperatorSum, PauliTerm, _embed, _finite, _integer, _tuple, is_hermitian_matrix,
+    OperatorSum, PauliTerm, _embed, _finite, _integer, _pair, _tuple, is_hermitian_matrix,
     spectral_norm, to_dense,
 )
 from .sequences import Free, NamedPulse, PulseSequence, _named_action
@@ -87,7 +87,7 @@ class DephasingBath:
 
     def hamiltonian(self, pair: tuple[int, int] = (0, 1), width: int = 2) -> np.ndarray:
         """Dense H_SB + H_B on the width-qubit (x) bath space."""
-        i, j = pair
+        i, j = _checked_pair(pair, width)
         op = (OperatorSum.single(width, i, "Z", 1.0, "b1")
               + OperatorSum.single(width, j, "Z", 1.0, "b2"))
         bindings = {"b1": self.b1, "b2": self.b2}
@@ -111,11 +111,9 @@ class VibBath:
     def __post_init__(self):
         for name in ("gamma", "omega0", "temperature"):
             object.__setattr__(self, name, _finite(getattr(self, name), name))
-        object.__setattr__(self, "n_trunc", _integer(self.n_trunc, "n_trunc"))
+        object.__setattr__(self, "n_trunc", _integer(self.n_trunc, "n_trunc", 2))
         object.__setattr__(self, "mode_freqs", tuple(
             _finite(w, "mode_freqs") for w in _tuple(self.mode_freqs, "mode_freqs")))
-        if self.n_trunc < 2:
-            raise ValueError("n_trunc must be at least 2")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         if not (self.omega0 > 0 and self.temperature > 0):
@@ -210,8 +208,9 @@ def qubit_motional_error(pair: tuple[int, int] = (0, 1), width: int = 2,
                          bath_slot: str = "motional") -> OperatorSum:
     """(Y_i + Y_j) (x) bath slot: the leakage coupling left by a decohered
     vibrational mode during gate drive."""
-    return (OperatorSum.single(width, pair[0], "Y", 1.0, bath_slot)
-            + OperatorSum.single(width, pair[1], "Y", 1.0, bath_slot))
+    i, j = _checked_pair(pair, width)
+    return (OperatorSum.single(width, i, "Y", 1.0, bath_slot)
+            + OperatorSum.single(width, j, "Y", 1.0, bath_slot))
 
 
 def bch_bound(h_s: np.ndarray, h_sb: np.ndarray, h_b: np.ndarray,
@@ -249,14 +248,12 @@ class SpectralNoise:
     def __post_init__(self):
         for name in ("alpha", "omega_min", "omega_max", "amplitude"):
             object.__setattr__(self, name, _finite(getattr(self, name), name))
-        for name in ("n_harmonics", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name, least in (("n_harmonics", 8), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         if not 0 < self.omega_min < self.omega_max:
             raise ValueError("require 0 < omega_min < omega_max")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
-        if self.n_harmonics < 8:
-            raise ValueError("n_harmonics must be at least 8")
 
     def frequencies(self) -> np.ndarray:
         """Deterministic log-spaced grid over [omega_min, omega_max]."""
@@ -333,13 +330,9 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
     boundaries are processed _BOUNDARY_BLOCK at a time to bound peak memory;
     each trajectory's last antiderivative and Phi carry across blocks.
     """
-    n_cycles = _integer(n_cycles, "n_cycles")
-    if n_cycles < 0:
-        raise ValueError("n_cycles must be nonnegative")
-    record_every = _integer(record_every, "record_every")
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
-    pair = tuple(_integer(q, "pair") for q in _tuple(pair, "pair"))
+    n_cycles = _integer(n_cycles, "n_cycles", 0)
+    record_every = _integer(record_every, "record_every", 1)
+    pair = _pair(pair, "pair")
     return _toggling_run(seq, pair, n_cycles, record_every,
                          *_rate_coefficients(noise, n_traj, mode))
 
@@ -350,8 +343,7 @@ def _rate_coefficients(noise: SpectralNoise, n_traj: int,
     antiderivative of the rate difference c1 - c2 on [sin wt | cos wt]."""
     if mode not in ("collective", "differential", "independent"):
         raise ValueError(f"unknown noise mode {mode!r}")
-    if _integer(n_traj, "n_traj") < 1:
-        raise ValueError("n_traj must be positive")
+    n_traj = _integer(n_traj, "n_traj", 1)
     om = noise.frequencies()
 
     def coefficients(stream: int) -> np.ndarray:
@@ -375,7 +367,7 @@ def _sign_template(seq: PulseSequence, pair: tuple[int, int]) -> tuple[list, np.
     orientation against `pair`) exchanges |0_L> and |1_L>.  An odd number of
     swaps per cycle flips the pattern of the next cycle, so two cycles are
     always a period."""
-    orient = {tuple(pair): (0, 1), tuple(pair[::-1]): (1, 0)}
+    orient = {pair: (0, 1), pair[::-1]: (1, 0)}
     q = np.arange(4)
     frees, swapped = [], []
     for e in seq.events:

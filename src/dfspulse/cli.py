@@ -155,10 +155,8 @@ def _validate_scenario(obj: dict, where: str, errors: list) -> Scenario | None:
         errors.append((where, "kind", f"unknown kind {kind!r}"))
         return None
     try:
-        seed = _integer(obj.get("seed", 0), "seed")
+        seed = _integer(obj.get("seed", 0), "seed", 0)
     except ValueError:
-        seed = -1
-    if seed < 0:
         errors.append((where, "seed", "must be a nonnegative integer"))
         return None
     out = obj.get("output_path", name)
@@ -246,31 +244,24 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def _json_default(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    return str(v)
-
-
 def _strict(v):
-    """`v` with every non-finite float replaced by None (JSON null)."""
+    """`v` in plain JSON values: numpy scalars through `.item()`, and every
+    non-finite float replaced by None (JSON null)."""
     if isinstance(v, dict):
         return {k: _strict(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_strict(x) for x in v]
-    if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
         return None
     return v
 
 
 def _write_json(path: Path, obj) -> None:
-    """Strict RFC 8259 JSON: unbounded values (an infinite T2) become null."""
-    text = json.dumps(_strict(obj), indent=2, sort_keys=True,
-                      default=_json_default, allow_nan=False)
+    """Strict RFC 8259 JSON: unbounded values (an infinite T2) become null;
+    a value with no JSON form raises."""
+    text = json.dumps(_strict(obj), indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n", newline="\n")
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
-    OperatorSum, _components, _connect, _edges, _from_masks, _gather, _integer, _layout,
-    _masks, _norm_blocks, _place, _slabs, _tuple, spectral_norm, to_dense,
+    OperatorSum, _components, _connect, _edges, _from_masks, _gather, _integer, _ions,
+    _layout, _masks, _norm_blocks, _pair, _place, _slabs, _tuple, spectral_norm, to_dense,
 )
 
 CODE_ZERO_INDEX = 2  # |down, up>
@@ -69,16 +69,11 @@ class DfsRegister:
     width: int
 
     def __post_init__(self):
-        width = _integer(self.width, "register width")
-        pairs = tuple(tuple(_integer(q, "register sites") for q in _tuple(p, "register pair"))
-                      for p in _tuple(self.pairs, "register pairs"))
-        seen = set()
-        for i, j in pairs:
-            if not (0 <= i < j < width):
-                raise ValueError(f"bad pair ({i},{j}) for width {width}")
-            if i in seen or j in seen:
-                raise ValueError("pairs must be disjoint")
-            seen.update((i, j))
+        width = _integer(self.width, "register width", 0)
+        pairs = tuple(_pair(p, "register pair") for p in _tuple(self.pairs, "register pairs"))
+        _ions([q for p in pairs for q in p], "sites of disjoint register pairs", width)
+        if any(i > j for i, j in pairs):
+            raise ValueError(f"register pairs {pairs} must each be ordered")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "width", width)
 
@@ -88,17 +83,17 @@ class DfsRegister:
 
 
 def _pair_register(pair) -> DfsRegister:
-    i, j = pair
-    return DfsRegister(((min(i, j), max(i, j)),), max(i, j) + 1)
+    i, j = sorted(_pair(pair, "register pair"))
+    return DfsRegister(((i, j),), j + 1)
 
 
 def _checked_pair(pair, width: int) -> tuple[int, int]:
-    width = _integer(width, "width")
-    i, j = (_integer(q, "pair sites") for q in _tuple(pair, "pair"))
-    if i == j or not (0 <= i < width and 0 <= j < width):
+    width = _integer(width, "width", 0)
+    try:
+        return _pair(pair, "pair", width)
+    except ValueError:
         raise SupportError(
-            f"pair {tuple(pair)} is not two distinct sites of a {width}-qubit register")
-    return i, j
+            f"pair {pair!r} is not two distinct sites of a {width}-qubit register") from None
 
 
 @functools.cache  # 16 labels for each (pair, width) a program uses
@@ -258,8 +253,7 @@ def encode(logical_state: np.ndarray, register: DfsRegister) -> np.ndarray:
 def leakage_probability(state: np.ndarray, register: DfsRegister,
                         bath_dim: int = 1) -> float:
     """1 - <P_DFS> with P_DFS projecting every pair onto its code space."""
-    if _integer(bath_dim, "bath_dim") < 1:
-        raise ValueError(f"bath_dim must be at least 1, got {bath_dim}")
+    bath_dim = _integer(bath_dim, "bath_dim", 1)
     v = code_isometry(register)
     p_sys = v @ v.conj().T
     proj = np.kron(p_sys, np.eye(bath_dim, dtype=complex))
@@ -284,8 +278,7 @@ def _bath_block(h4: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def bucket_operators(h: np.ndarray, bath_dim: int) -> dict[str, np.ndarray]:
     """Dense DFS/Leak/Xbar/Ybar/Zbar components of a two-qubit (x) bath operator."""
-    if _integer(bath_dim, "bath_dim") < 1:
-        raise ValueError(f"bath_dim must be at least 1, got {bath_dim}")
+    bath_dim = _integer(bath_dim, "bath_dim", 1)
     h = np.asarray(h, dtype=complex)
     if h.shape != (4 * bath_dim, 4 * bath_dim):
         raise ValueError("expected a (4*bath_dim) square matrix")
@@ -314,9 +307,7 @@ def block_collective_residual(h: np.ndarray, width: int, bath_dim: int,
     sites raise ValueError, as does an h that is not (2^width * bath_dim)
     square.  h is split into its blocks and taken by `_block_residual`.
     """
-    width, bath_dim = _integer(width, "width"), _integer(bath_dim, "bath_dim")
-    if width < 0 or bath_dim < 1:
-        raise ValueError(f"need width >= 0 and bath_dim >= 1, got {width} and {bath_dim}")
+    width, bath_dim = _integer(width, "width", 0), _integer(bath_dim, "bath_dim", 1)
     h = np.asarray(h, dtype=complex)
     dim = 2 ** width * bath_dim
     if h.shape != (dim, dim):
@@ -337,11 +328,9 @@ def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,
     subtracted on the (s, s) blocks in the order and with the products of
     the Kronecker form, and its norm is taken block by block.
     """
-    sites = [_integer(q, "block sites") for block in blocks for q in block]
-    if (not all(blocks) or len(set(sites)) != len(sites)
-            or not all(0 <= q < width for q in sites)):
-        raise ValueError(f"site blocks {blocks} must be nonempty, disjoint groups "
-                         f"of distinct sites of a {width}-qubit register")
+    _ions([q for block in blocks for q in block], "sites of disjoint site blocks", width)
+    if not all(blocks):
+        raise ValueError(f"site blocks {blocks} must be nonempty, disjoint groups")
     dim_sys = 2 ** width
     dim = dim_sys * bath_dim
     states = np.arange(dim_sys)

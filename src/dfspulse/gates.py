@@ -17,8 +17,8 @@ import numpy as np
 
 from .dfs import DfsRegister, _pair_register, code_isometry, logical_operators
 from .pauli import (
-    SIGMA, _CHECK_TOL, OperatorSum, PauliTerm, _finite, _integer, _tuple, embed_sites,
-    expm_i, kron_all, spectral_norm, to_dense,
+    SIGMA, _CHECK_TOL, OperatorSum, PauliTerm, _finite, _integer, _ions, _tuple,
+    embed_sites, expm_i, kron_all, spectral_norm, to_dense,
 )
 
 
@@ -40,15 +40,13 @@ class SmGateSpec:
     ions: tuple[int, ...] = (0, 1)
 
     def __post_init__(self):
-        ions = tuple(_integer(i, "gate ions") for i in _tuple(self.ions, "gate ions"))
+        ions = _ions(self.ions, "gate ions")
         angles = tuple(_finite(a, "gate angle and phases")
                        for a in (self.theta, *_tuple(self.phis, "gate angle and phases")))
         if len(ions) not in (2, 4):
             raise ValueError("gate acts on 2 or 4 ions")
         if len(angles) != 1 + len(ions):
             raise ValueError("one phase per ion required")
-        if len(set(ions)) != len(ions) or min(ions) < 0:
-            raise ValueError("gate ions must be distinct and nonnegative")
         object.__setattr__(self, "theta", angles[0])
         object.__setattr__(self, "phis", angles[1:])
         object.__setattr__(self, "ions", ions)
@@ -154,8 +152,7 @@ def logical_gate(axis: str, theta: float,
 
 def program_unitary(program: list[SmGateSpec], width: int) -> np.ndarray:
     """Dense product of a gate program, first list entry leftmost."""
-    if _integer(width, "width") < 0:
-        raise ValueError(f"width must be nonnegative, got {width}")
+    width = _integer(width, "width", 0)
     out = np.eye(2 ** width, dtype=complex)
     for spec in program:
         out = out @ sm_gate_dense(spec, width)
@@ -228,11 +225,9 @@ class HardwareParams:
         for name in ("eta", "omega_rabi", "detuning", "n_mean"):
             object.__setattr__(self, name, _finite(getattr(self, name), name))
         for name in ("k_int", "n_ions"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not (self.eta > 0 and self.omega_rabi > 0 and self.k_int >= 1):
-            raise ValueError("require eta > 0, omega_rabi > 0, k_int >= 1")
-        if not (self.n_mean >= 0 and self.n_ions >= 1):
-            raise ValueError("require n_mean >= 0, n_ions >= 1")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
+        if not (self.eta > 0 and self.omega_rabi > 0 and self.n_mean >= 0):
+            raise ValueError("require eta > 0, omega_rabi > 0, n_mean >= 0")
 
 
 def tau_sm(p: HardwareParams) -> float:
@@ -276,9 +271,7 @@ def cancellation_constraints(m: int, p: HardwareParams,
     m, K >= 1, which breaks the Lamb-Dicke requirement; the two conditions
     are incompatible.
     """
-    m, k_prime = _integer(m, "m"), _integer(k_prime, "k_prime")
-    if m < 1 or k_prime < 1:
-        raise ValueError("m and k_prime must be positive integers")
+    m, k_prime = _integer(m, "m", 1), _integer(k_prime, "k_prime", 1)
     eta_req = m * np.sqrt(p.k_int)
     return CancellationCheck(
         delta_required=m * k_prime * p.omega_rabi,

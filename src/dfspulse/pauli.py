@@ -106,15 +106,18 @@ def _finite(x, what: str) -> float:
     raise ValueError(f"{what}: only finite real numbers are accepted, got {x!r}")
 
 
-def _integer(x, what: str) -> int:
+def _integer(x, what: str, least: int | None = None) -> int:
     """x as an int through `operator.index`; ValueError naming `what` for a
-    bool or any value that is not an integer."""
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError(f"{what}: only integers are accepted, got {x!r}")
+    bool, any value that is not an integer, or one below `least`."""
+    try:
+        value = None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        value = None
+    if value is None:
+        raise ValueError(f"{what}: only integers are accepted, got {x!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what}: only integers >= {least} are accepted, got {x!r}")
+    return value
 
 
 def _tuple(x, what: str) -> tuple:
@@ -123,6 +126,24 @@ def _tuple(x, what: str) -> tuple:
         return tuple(x)
     except TypeError:
         raise ValueError(f"{what}: only sequences are accepted, got {x!r}") from None
+
+
+def _ions(x, what: str, width: int | None = None) -> tuple[int, ...]:
+    """x as a tuple of ints; ValueError naming `what` unless x is a sequence
+    of distinct nonnegative integers, each below `width` when one is given."""
+    ions = tuple(_integer(q, what) for q in _tuple(x, what))
+    if len(set(ions)) == len(ions) and all(0 <= q and (width is None or q < width) for q in ions):
+        return ions
+    below = "" if width is None else f" below {width}"
+    raise ValueError(f"{what}: only distinct nonnegative integers{below} are accepted, got {ions}")
+
+
+def _pair(x, what: str, width: int | None = None) -> tuple[int, int]:
+    """x as `_ions` reads it, and exactly two of them."""
+    ions = _ions(x, what, width)
+    if len(ions) != 2:
+        raise ValueError(f"{what}: only two ions are accepted, got {ions}")
+    return ions
 
 
 class WidthMismatchError(ValueError):
@@ -323,9 +344,7 @@ class OperatorSum:
     __slots__ = ("width", "_keys", "_coefs")
 
     def __init__(self, width: int, terms=()):
-        width = _integer(width, "width")
-        if width < 0:
-            raise ValueError(f"width must be nonnegative, got {width}")
+        width = _integer(width, "width", 0)
         items = []
         for t in terms:
             if t.width != width:
@@ -479,8 +498,7 @@ def _term_entries(op: OperatorSum, bath_dim: int, bindings: dict | None) -> tupl
     and column c.  The values round as coefficient * kron(string, bath)
     does, and are computed nowhere else.
     """
-    if _integer(bath_dim, "bath_dim") < 1:
-        raise ValueError(f"bath_dim must be at least 1, got {bath_dim}")
+    bath_dim = _integer(bath_dim, "bath_dim", 1)
     bindings = bindings or {}
     # the distinct bath factors, and the one of each term
     baths, slot_index = [np.eye(bath_dim, dtype=complex)], {None: 0}
@@ -580,13 +598,10 @@ def embed_sites(mat: np.ndarray, sites: tuple[int, ...], width: int) -> np.ndarr
 
     `mat` is indexed with sites[0] as its slowest factor.
     """
-    sites = tuple(_integer(s, "sites") for s in _tuple(sites, "sites"))
-    width = _integer(width, "width")
-    k = len(sites)
-    if mat.shape != (2 ** k, 2 ** k):
+    width = _integer(width, "width", 0)
+    sites = _ions(sites, "sites", width)
+    if mat.shape != (2 ** len(sites),) * 2:
         raise ValueError("matrix shape does not match number of sites")
-    if len(set(sites)) != k or any(s < 0 or s >= width for s in sites):
-        raise ValueError(f"bad site list {sites} for width {width}")
     return _embed(mat, sites, (2,) * width)
 
 
@@ -604,10 +619,6 @@ def _embed(mat: np.ndarray, axes: tuple[int, ...], dims: tuple[int, ...]) -> np.
     return tensor.transpose(perm + [n + p for p in perm]).reshape(full.shape)
 
 
-def dag(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if np.asarray(m).size else 0.0
 
@@ -615,7 +626,7 @@ def max_abs(m: np.ndarray) -> float:
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value; a square input is split into its blocks."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if not _square([m[None]]):
         return float(np.linalg.norm(m, 2))
     return _norm_blocks(stack for _, stack in _gather(m))
 
@@ -631,8 +642,8 @@ def _norm_blocks(stacks) -> float:
     """
     norms = [0.0]
     for s in stacks:
-        slabs = [s[sl] for sl in _slabs(s)]
-        if not all(np.isfinite(m).all() for m in slabs):
+        slabs = _finite_slabs([s])
+        if slabs is None:
             norms.append(math.nan)  # the SVD would not converge on it
         elif all((m == m.conj().swapaxes(1, 2)).all() for m in slabs):
             norms += [np.abs(np.linalg.eigvalsh(m)).max() for m in slabs]
@@ -641,16 +652,43 @@ def _norm_blocks(stacks) -> float:
     return float(np.max(norms))  # a NaN norm stays NaN
 
 
+def _square(stacks) -> bool:
+    """True when every stack is a (count, b, b) stack of square matrices."""
+    return all(s.ndim == 3 and s.shape[1] == s.shape[2] for s in stacks)
+
+
+def _finite_slabs(stacks) -> list[np.ndarray] | None:
+    """The slabs of the (count, b, b) `stacks`; None unless each is square and
+    every entry finite, so that no test computes with a non-finite value."""
+    if not _square(stacks):
+        return None
+    slabs = [s[sl] for s in stacks for sl in _slabs(s)]
+    return slabs if all(np.isfinite(m).all() for m in slabs) else None
+
+
+def _hermitian(stacks) -> bool:
+    """True when the direct sum of the (count, b, b) `stacks` is Hermitian:
+    max|m - m^+| <= `_CHECK_TOL` max(1, max|m|), taken slab by slab."""
+    slabs = _finite_slabs(stacks)
+    bound = _CHECK_TOL * max([1.0] + [max_abs(m) for m in slabs or ()])
+    return slabs is not None and all(
+        max_abs(m - m.conj().swapaxes(1, 2)) <= bound for m in slabs)
+
+
+def _unitary(stacks) -> bool:
+    """True when the direct sum of the (count, b, b) `stacks` is unitary:
+    max|g g^+ - 1| <= `_CHECK_TOL`, taken slab by slab."""
+    slabs = _finite_slabs(stacks)
+    return slabs is not None and all(
+        max_abs(g @ g.conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= _CHECK_TOL for g in slabs)
+
+
 def is_hermitian_matrix(m: np.ndarray) -> bool:
-    m = np.asarray(m)
-    scale = max_abs(m)  # inf or NaN for a non-finite m, which fails the first test
-    return scale < math.inf and max_abs(m - dag(m)) <= _CHECK_TOL * max(1.0, scale)
+    return _hermitian([np.asarray(m)[None]])
 
 
 def is_unitary(m: np.ndarray) -> bool:
-    m = np.asarray(m)
-    return (m.ndim == 2 and m.shape[0] == m.shape[1]
-            and max_abs(m @ dag(m) - np.eye(m.shape[0])) <= _CHECK_TOL)
+    return _unitary([np.asarray(m)[None]])
 
 
 def is_valid_state(state: np.ndarray) -> bool:
@@ -658,11 +696,8 @@ def is_valid_state(state: np.ndarray) -> bool:
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         return abs(np.linalg.norm(state) - 1.0) <= _CHECK_TOL
-    if state.ndim == 2 and state.shape[0] == state.shape[1]:
-        return (abs(np.trace(state).real - 1.0) <= _CHECK_TOL
-                and abs(np.trace(state).imag) <= _CHECK_TOL
-                and max_abs(state - dag(state)) <= _CHECK_TOL)
-    return False
+    return (is_hermitian_matrix(state) and abs(np.trace(state).real - 1.0) <= _CHECK_TOL
+            and abs(np.trace(state).imag) <= _CHECK_TOL)
 
 
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -722,7 +757,7 @@ def _components(lab: np.ndarray) -> list[np.ndarray]:
 def _slabs(stack: np.ndarray) -> list[slice]:
     """Consecutive slices of a (count, b, b) stack, each of at most
     `_SLAB_BYTES` or of a single matrix, whichever is more."""
-    per = max(1, _SLAB_BYTES // (stack.itemsize * stack.shape[1] * stack.shape[2]))
+    per = max(1, _SLAB_BYTES // (stack.itemsize * stack.shape[1] * stack.shape[2] or 1))
     return [slice(k, k + per) for k in range(0, len(stack), per)]
 
 
@@ -770,6 +805,8 @@ def _dense(blocks, dim: int) -> np.ndarray:
 def expm_i(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition (exact, unitary)."""
     h = np.asarray(h, dtype=complex)
+    if not _square([h[None]]):
+        raise NonHermitianError("expm_i requires a Hermitian generator h")
     return _dense(_expm_blocks(_gather(h), t), h.shape[0])
 
 
@@ -778,14 +815,11 @@ def _expm_blocks(blocks, t: float) -> list[tuple]:
     blocks on the same components: the (count, size, size) stack of
     exponentials of each stack, filled slab by slab.
 
-    h - h^+ is exactly zero between blocks, so the Hermiticity check run
-    block by block is the dense check.  It is written as `not err <=`, so
-    that a NaN fails it.
+    h - h^+ is exactly zero between blocks, so the Hermitian test run on
+    the blocks is the dense test.
     """
-    bound = _CHECK_TOL * max([1.0] + [max_abs(s[sl]) for _, s in blocks for sl in _slabs(s)])
-    if not all(max_abs(s[sl] - s[sl].conj().swapaxes(1, 2)) <= bound
-               for _, s in blocks for sl in _slabs(s)):
-        raise NonHermitianError("expm_i requires a Hermitian generator")
+    if not _hermitian([s for _, s in blocks]):
+        raise NonHermitianError("expm_i requires a Hermitian generator h")
     t = _finite(t, "t")
     out = []
     for idx, hs in blocks:
@@ -808,8 +842,8 @@ def generator_of(u: np.ndarray, total_time: float) -> np.ndarray:
     blocks and each is taken by `_log_blocks`.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NonUnitaryError("generator_of requires a unitary input")
+    if not _square([u[None]]):
+        raise NonUnitaryError("generator_of requires a unitary input u")
     return _dense(_log_blocks(_gather(u), total_time)[0], u.shape[0])
 
 
@@ -829,10 +863,9 @@ def _log_blocks(blocks, total_time: float) -> tuple[list[tuple], float, float]:
     margin `_BRANCH_TOL`.  A margin below it raises BranchCutError, and a
     self-check above `_SELFCHECK_TOL` raises ArithmeticError.
     """
-    # u u^+ - 1 is exactly zero between blocks, so this is the full check
-    if not all(max_abs(g[sl] @ g[sl].conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= _CHECK_TOL
-               for _, g in blocks for sl in _slabs(g)):
-        raise NonUnitaryError("generator_of requires a unitary input")
+    # u u^+ - 1 is exactly zero between blocks, so this is the dense test
+    if not _unitary([g for _, g in blocks]):
+        raise NonUnitaryError("generator_of requires a unitary input u")
     total_time = _finite(total_time, "total_time")
     if total_time == 0:
         raise ValueError("total_time must be nonzero")

@@ -30,7 +30,7 @@ from .dfs import _checked_pair, logical_operators
 from .gates import SmGateSpec, sm_gate_dense, x_phi
 from .pauli import (
     OperatorSum, NonUnitaryError, _blocks, _components, _connect, _dense, _edges,
-    _expm_blocks, _finite, _from_masks, _gather, _integer, _layout, _place, _slabs,
+    _expm_blocks, _finite, _from_masks, _gather, _integer, _layout, _pair, _place, _slabs,
     _stacked, _tuple, expm_i, is_unitary, to_dense,
 )
 
@@ -80,10 +80,7 @@ class NamedPulse:
             label, pair = _tuple(op, "pulse op")
             if label not in PULSE_LABELS:
                 raise ValueError(f"unknown pulse label {label!r}")
-            pair = tuple(_integer(q, "pulse ions") for q in _tuple(pair, "pulse ions"))
-            if len(pair) != 2 or pair[0] == pair[1] or min(pair) < 0:
-                raise ValueError("pulse pair must have two distinct nonnegative ions")
-            ops.append((label, pair))
+            ops.append((label, _pair(pair, "pulse ions")))
         # stored as tuples of ints, so an event hashes as the key of its action
         object.__setattr__(self, "ops", tuple(ops))
 
@@ -126,8 +123,7 @@ class Drive:
         if (self.axis is None) != (self.pair is None):
             raise ValueError("drive axis and pair must be set together")
         if self.pair is not None:
-            object.__setattr__(self, "pair", tuple(
-                _integer(q, "drive ions") for q in _tuple(self.pair, "drive ions")))
+            object.__setattr__(self, "pair", _pair(self.pair, "drive ions"))
         if self.axis is not None and (self.axis not in ("X", "Y") or self.h_sys != (
                 _drive_hamiltonian(self.axis, self.pair, self.h_sys.width, self.phi))):
             raise ValueError("drive h_sys is not the Hamiltonian of its axis, pair and phi")
@@ -203,7 +199,7 @@ def symmetrize_block4(tau: float, n_ions: int) -> PulseSequence:
     flips the surviving next-nearest differentials, with the nnn couplings
     restricted to each disjoint 4-ion block.
     """
-    if _integer(n_ions, "n_ions") % 4 != 0:
+    if _integer(n_ions, "n_ions", 4) % 4 != 0:
         raise ValueError("n_ions must be a multiple of 4")
     nn = tuple((2 * j, 2 * j + 1) for j in range(n_ions // 2))
     nnn = tuple(p for k in range(n_ions // 4)
@@ -340,9 +336,7 @@ class EvolutionModel:
     h_static: np.ndarray | None = None  # full-dimension H_SB + H_B, rad/s
 
     def __post_init__(self):
-        width, bath_dim = _integer(self.width, "width"), _integer(self.bath_dim, "bath_dim")
-        if width < 0 or bath_dim < 1:
-            raise ValueError(f"need width >= 0 and bath_dim >= 1, got {width} and {bath_dim}")
+        width, bath_dim = _integer(self.width, "width", 0), _integer(self.bath_dim, "bath_dim", 1)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "bath_dim", bath_dim)
         dim = (2 ** width) * bath_dim
@@ -580,7 +574,7 @@ def seq_from_text(text: str, width: int | None = None) -> PulseSequence:
         except KeyError as exc:
             raise ValueError(f"{token!r} lacks the field {exc.args[0]!r}") from None
     sites = [q for e in events for q in _sites(e)]
-    width = max([2] + [q + 1 for q in sites]) if width is None else _integer(width, "width")
+    width = max([2] + [q + 1 for q in sites]) if width is None else _integer(width, "width", 0)
     if any(q >= width for q in sites):
         raise ValueError(f"ion {max(sites)} lies outside a {width}-qubit register")
     return PulseSequence(tuple(_text_drive(*e, width) if isinstance(e, tuple) else e
@@ -607,9 +601,9 @@ def _event_from_text(token: str):
         return Free(float(token[4:]))
     if token.startswith("DRIVE("):
         fields = dict(kv.split("=", 1) for kv in token[6:-1].split(";"))
-        pair = tuple(int(q) for q in fields["pair"].split(":"))
+        pair = _pair(map(int, fields["pair"].split(":")), "drive ions")
         axis = fields["axis"]
-        if axis not in ("X", "Y") or len(pair) != 2 or min(pair) < 0 or pair[0] == pair[1]:
+        if axis not in ("X", "Y"):
             raise ValueError(f"cannot parse drive {token!r}")
         # h_sys depends on the register width: the fields of `_text_drive`
         return (axis, pair, float(fields["tau"]), float(fields["amp"]),

@@ -240,7 +240,6 @@ def check_bch() -> list[CheckResult]:
     h_b = np.kron(np.eye(4), _rand_herm(rng, 2)) * 0.3
     pi = np.kron(sequences.named_pulse("PI"), np.eye(2))
     ok_scaling = True
-    prev = None
     for t in (0.2, 0.1, 0.05):
         u = expm_i(h_s + h_sb + h_b, t) @ pi @ expm_i(h_s + h_sb + h_b, t) @ pi
         ideal = expm_i(h_s + h_b, 2 * t)
@@ -248,7 +247,6 @@ def check_bch() -> list[CheckResult]:
         bnd = bch_bound(h_s, h_sb, h_b, t)["bound"]
         if diff > 2.5 * bnd:
             ok_scaling = False
-        prev = diff
     return [CheckResult.flag("bch_residual_within_bound", ok_scaling)]
 
 

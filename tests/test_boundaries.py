@@ -1,11 +1,14 @@
 """The one number rule at every input boundary: `pauli._finite` for real
-numbers, `pauli._integer` for integers.  A bad value raises ValueError (or a
-documented subclass); it never raises a stray TypeError, and no bool, string,
-None or non-finite value is read as a number."""
+numbers, `pauli._integer` for integers with their lower bounds, `pauli._ions`
+and `pauli._pair` for ion lists, and one square, Hermitian and unitary test
+for matrices.  A bad value raises ValueError (or a documented subclass); it
+never raises a stray TypeError or a RuntimeWarning, and no bool, string, None
+or non-finite value is read as a number."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfspulse.baths import (
     DephasingBath, SpectralNoise, VibBath, bch_bound, dephasing_run, qubit_motional_error,
@@ -16,9 +19,13 @@ from dfspulse.dfs import (
     leakage_probability, logical_operators,
 )
 from dfspulse.gates import (
-    HardwareParams, SmGateSpec, cancellation_constraints, program_unitary, x_phi, x_phi_dense,
+    HardwareParams, SmGateSpec, cancellation_constraints, dfs_restrict, program_unitary, x_phi,
+    x_phi_dense,
 )
-from dfspulse.pauli import OperatorSum, embed_sites, expm_i, generator_of, to_dense
+from dfspulse.pauli import (
+    NonHermitianError, NonUnitaryError, OperatorSum, embed_sites, expm_i, generator_of,
+    is_hermitian_matrix, is_unitary, to_dense,
+)
 from dfspulse.sequences import (
     Drive, EvolutionModel, Free, NamedPulse, PulseSequence, _drive_hamiltonian,
     combined_gate, euler_rotation, named_pulse, seq_from_text, symmetrize_block4,
@@ -162,6 +169,21 @@ _CODE_STATE = np.eye(4)[2]
     (lambda: timescale_check(1e-9, 1.0, "1"), "^t_dec:"),
     (lambda: Drive(np.eye(4), 0.1, 1.0), "h_sys"),
     (lambda: Drive("1", 0.1, 1.0), "h_sys"),
+    (lambda: expm_i([[1, math.inf], [0, 1]], 1.0), "generator h"),
+    *[(lambda h=h: expm_i(h, 1.0), "generator h")
+      for h in (np.ones(3), np.array(1.0), np.ones((2, 3)))],
+    (lambda: DephasingBath(np.ones(3), np.ones(3)), "b1"),
+    (lambda: generator_of([[1, math.inf], [0, 1]], 1.0), "input u"),
+    *[(lambda p=p: qubit_motional_error(p), "pair") for p in ((0, 0), None)],
+    *[(lambda p=p: DephasingBath(np.eye(2), np.eye(2)).hamiltonian(p), "pair")
+      for p in ((0, 0), None)],
+    *[(lambda p=p: dephasing_run(_FREE, _NOISE8, 3, p, n_cycles=3), "pair")
+      for p in ((0,), (0, 1, 2), (0, 0), (-1, 0))],
+    (lambda: dfs_restrict(np.eye(4), None), "register"),
+    (lambda: SpectralNoise(**{**_NOISE, "seed": -1}), "seed"),
+    *[(lambda n=n: symmetrize_block4(0.1, n), "n_ions") for n in (0, -4)],
+    (lambda: embed_sites(np.eye(1), (), -2), "width"),
+    (lambda: DfsRegister((), -1), "width"),
 ], ids=["n_cycles", "record_every", "n_traj", "embed_sites", "symmetrize_block4",
         "to_dense-1.5", "to_dense-0", "seq_from_text", "m-1.5", "m-nan", "m-True",
         "k_prime", "dt_sample-0", "dt_sample-negative",
@@ -173,7 +195,47 @@ _CODE_STATE = np.eye(4)[2]
         "program_unitary", "leakage-str", "leakage-True", "bucket_operators",
         "block_residual-width", "block_residual-bath_dim", "dephasing_run-pair",
         "x_phi", "x_phi_dense", "x_phi-nan", "bch_bound", "bch_bound-nan",
-        "timescale-dt", "timescale-omega_c", "timescale-t_dec", "Drive-array", "Drive-str"])
+        "timescale-dt", "timescale-omega_c", "timescale-t_dec", "Drive-array", "Drive-str",
+        "expm_i-inf", "expm_i-vector", "expm_i-scalar", "expm_i-2x3", "DephasingBath-vector",
+        "generator_of-inf", "qubit_motional_error-(0,0)", "qubit_motional_error-None",
+        "hamiltonian-(0,0)", "hamiltonian-None",
+        *[f"dephasing_run-{p}" for p in ("(0,)", "(0,1,2)", "(0,0)", "(-1,0)")],
+        "dfs_restrict-None", "SpectralNoise-seed", "symmetrize_block4-0",
+        "symmetrize_block4-negative", "embed_sites-width", "DfsRegister-width"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_bad_function_argument_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()
+
+
+def _matrix(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random matrix of the given kind; a square one is sometimes a direct
+    sum, so that the kernels split it into blocks."""
+    if kind == "non-square":
+        return (np.ones(n), np.array(1.0), np.ones((n, n + 1)), np.ones((1, n, n)))[n % 4]
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    base = rng.choice(["hermitian", "unitary"]) if kind == "non-finite" else kind
+    m = {"general": g, "hermitian": (g + g.conj().T) / 2, "unitary": np.linalg.qr(g)[0]}[base]
+    if rng.random() < 0.5:
+        m = np.kron(np.eye(2), m)
+    if kind == "non-finite":  # a Hermitian or unitary matrix with one bad entry
+        m[tuple(rng.integers(len(m), size=2))] = rng.choice([math.nan, math.inf, -math.inf])
+    return m
+
+
+def _rejects(call, error) -> bool:
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["general", "hermitian", "unitary", "non-finite", "non-square"]),
+       n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_kernels_accept_exactly_what_the_matrix_tests_accept(kind, n, seed):
+    m = _matrix(kind, n, np.random.default_rng(seed))
+    assert is_hermitian_matrix(m) != _rejects(lambda: expm_i(m, 1.0), NonHermitianError)
+    assert is_unitary(m) != _rejects(lambda: generator_of(m, 1.0), NonUnitaryError)
