@@ -387,24 +387,23 @@ def _block4_hamiltonian(sc: Scenario) -> tuple[OperatorSum, int, dict]:
     return h, d ** 4, bindings
 
 
-def _block4_model(sc: Scenario) -> tuple[list, int, PulseSequence]:
-    """The blocks of the block4-sim Hamiltonian, built from its Pauli masks
-    with no dense matrix, its bath dimension, and the symmetrizing cycle."""
-    h, bdim, bindings = _block4_hamiltonian(sc)
-    return (pauli._sum_blocks(h, bdim, bindings), bdim,
-            sequences.symmetrize_block4(sc.parameters["tau"], 4))
+def _block4_model(sc: Scenario) -> list:
+    """The [(idx, stack)] blocks of the block4-sim Hamiltonian, built from
+    its Pauli masks with no dense matrix."""
+    return pauli._sum_blocks(*_block4_hamiltonian(sc))
 
 
 def _run_block4(sc: Scenario):
     p = sc.parameters
-    static, bdim, seq = _block4_model(sc)
-    # the private cores hand the blocks on: no dense matrix, no scan; each
-    # stage's input is dropped once the next holds its output
-    u = sequences._propagator_blocks(seq, 4, bdim, static)
-    del static
+    bdim = p["bath_factor_dim"] ** 4
+    # the private cores hand the blocks on: no dense matrix, no scan.  Each
+    # stage's input is released once used: the model's blocks go in unnamed,
+    # so the product drops them once every event's action is known, and the
+    # log writes the generator over u, which nothing else holds
+    u = sequences._propagator_blocks(sequences.symmetrize_block4(p["tau"], 4), 4, bdim,
+                                     _block4_model(sc))
     block_sizes = [len(row) for idx, _ in u for row in idx]
-    g, margin, selfcheck = pauli._log_blocks(u, 4 * p["tau"])
-    del u
+    g, margin, selfcheck = pauli._log_blocks(u, 4 * p["tau"], overwrite=True)
     resid = dfs._block_residual(g, 4, bdim, ((0, 1, 2, 3),))
     checks = [CheckResult("block4_residual", float(resid), 0.0,
                           p["tolerance"], bool(resid <= p["tolerance"]))]

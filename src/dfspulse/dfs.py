@@ -323,10 +323,13 @@ def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,
     The identity and the Z sums p are diagonal, so p (x) B_p is p[s, s] B_p
     on the (s, s) system block and zero elsewhere, and
     B_p = sum_s conj(p[s, s]) h_ss / Tr(p^+ p) needs only those blocks h_ss.
-    The residual is then block diagonal over the join of h's blocks with the
-    system states: it is laid out over that join, each p[s, s] B_p is
-    subtracted on the (s, s) blocks in the order and with the products of
-    the Kronecker form, and its norm is taken block by block.
+    They are gathered from h's blocks slab by slab, every B_p is taken, and
+    they are dropped.  The residual is block diagonal over the join of h's
+    blocks with the system states: h is laid out over that join, each
+    p[s, s] B_p is subtracted from the (s, s) sub-blocks, in the order and
+    with the products of the Kronecker form, and its norm is taken slab by
+    slab.  So the pass holds h, one stack of h_ss or of the residual, and
+    one slab of temporaries.
     """
     _ions([q for block in blocks for q in block], "sites of disjoint site blocks", width)
     if not all(blocks):
@@ -337,6 +340,16 @@ def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,
     ps = [np.ones(dim_sys, dtype=complex)] + [
         sum(1 - 2 * (states >> (width - 1 - q) & 1) for q in block).astype(complex)
         for block in blocks]
+    # entry (i, k) of h lies in the (s, s) block when i and k share the state s
+    hss = np.zeros((dim_sys, bath_dim, bath_dim), dtype=complex)
+    for idx, stack in hblocks:
+        for sl in _slabs(stack):
+            sys, bath = np.divmod(idx[sl], bath_dim)
+            same = sys[:, :, None] == sys[:, None, :]
+            pos = (sys * bath_dim + bath)[:, :, None] * bath_dim + bath[:, None, :]
+            hss.reshape(-1)[pos[same]] = stack[sl][same]
+    bs = [np.einsum("s,sab->ab", p.conj(), hss) / np.vdot(p, p).real for p in ps]
+    del hss
     groups = _components(_connect(dim, *_edges(
         [idx for idx, _ in hblocks] + [np.arange(dim).reshape(dim_sys, bath_dim)])))
     start, col, spans, size = _layout(groups, dim)
@@ -347,20 +360,12 @@ def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,
             flat[start[ix][..., None] + col[ix][..., None, :]] = stack[sl]
     # a joined block holds m whole system states, ascending; its (j, j)
     # sub-block is the (s, s) block of its j-th state s
-    subs = [(flat[at:at + count * b * b].reshape(count, b // bath_dim, bath_dim,
-                                                 b // bath_dim, bath_dim),
-             idx[:, ::bath_dim] // bath_dim) for idx, (at, count, b) in zip(groups, spans)]
-    hss = np.empty((dim_sys, bath_dim, bath_dim), dtype=complex)
-    for d, states in subs:
-        for j, s in enumerate(states.T):
-            hss[s] = d[:, j, :, j, :]
-    # every B_p first, from h; then h_ss turns into the residual in place
-    bs = [np.einsum("s,sab->ab", p.conj(), hss) / np.vdot(p, p).real for p in ps]
-    for p, b in zip(ps, bs):
-        for s in range(dim_sys):
-            hss[s] -= p[s] * b
-    for d, states in subs:
-        for j, s in enumerate(states.T):
-            d[:, j, :, j, :] = hss[s]
+    for idx, (at, count, b) in zip(groups, spans):
+        d = flat[at:at + count * b * b].reshape(count, b // bath_dim, bath_dim,
+                                                b // bath_dim, bath_dim)
+        for k, row in enumerate(idx[:, ::bath_dim] // bath_dim):
+            for j, s in enumerate(row):
+                for p, b_p in zip(ps, bs):
+                    d[k, j, :, j, :] -= p[s] * b_p
     return _norm_blocks(flat[at:at + count * b * b].reshape(count, b, b)
                         for at, count, b in spans)

@@ -43,10 +43,18 @@ The block kernels (`_expm_blocks`, `_log_blocks`, `_norm_blocks`, and the
 products of `sequences` and the residual of `dfs` that use them) work slab
 by slab: `_slabs` cuts each (count, b, b) stack into consecutive runs of at
 most `_SLAB_BYTES`, and each kernel runs its checks, LAPACK calls and
-products on one slab at a time into one preallocated output stack.  A pass
-so holds its inputs and outputs plus one slab of temporaries.  Each slab
-makes the same per-matrix call as the whole stack would, so the slab bound
-changes no result.
+products on one slab at a time into one preallocated output stack.  Each
+slab makes the same per-matrix call as the whole stack would, so the slab
+bound changes no result.
+
+So a stage of the block pipeline (`sequences._propagator_blocks`,
+`_log_blocks`, `dfs._block_residual`) holds at most two (count, b, b)
+stacks at any moment, its input and its output or one stack of
+intermediates, plus one slab of temporaries.  A kernel writes over its
+input only where its caller owns it and says so: `_log_blocks` with
+`overwrite`, which `cli` passes for the propagator it drops.  Public
+functions never write over their array inputs; `_gather` hands the cores
+a view of a matrix with one component.
 
 Conventions, fixed globally:
   * qubit 0 is the slowest-varying tensor factor,
@@ -138,6 +146,13 @@ def _ions(x, what: str, width: int | None = None) -> tuple[int, ...]:
     raise ValueError(f"{what}: only distinct nonnegative integers{below} are accepted, got {ions}")
 
 
+def _slot(x) -> str | None:
+    """x, a bath slot; BathSlotError unless x is None or a name (a str)."""
+    if x is None or isinstance(x, str):
+        return x
+    raise BathSlotError(f"bath_slot: only None or a name (str) is accepted, got {x!r}")
+
+
 def _pair(x, what: str, width: int | None = None) -> tuple[int, int]:
     """x as `_ions` reads it, and exactly two of them."""
     ions = _ions(x, what, width)
@@ -200,7 +215,7 @@ class PauliTerm:
     def __init__(self, factors, coefficient: complex = 1.0 + 0j,
                  bath_slot: str | None = None):
         label = factors if isinstance(factors, str) else _joined(factors)
-        _fill(self, len(label), *_masks(label), complex(coefficient), bath_slot)
+        _fill(self, len(label), *_masks(label), complex(coefficient), _slot(bath_slot))
 
     @classmethod
     def from_label(cls, label: str, coefficient: complex = 1.0,
@@ -390,10 +405,11 @@ class OperatorSum:
         x, z = _masks(label)
         shift = width - 1 - site
         return cls(width, (_term(width, x << shift, z << shift, complex(coefficient),
-                                 bath_slot),))
+                                 _slot(bath_slot)),))
 
     def coefficient(self, label: str, bath_slot: str | None = None) -> complex:
-        if not isinstance(label, str) or len(label) != self.width or label.strip("IXYZ"):
+        if (not isinstance(label, str) or len(label) != self.width or label.strip("IXYZ")
+                or not (bath_slot is None or isinstance(bath_slot, str))):
             return 0j
         return dict(zip(self._keys, self._coefs)).get((*_masks(label), bath_slot), 0j)
 
@@ -692,12 +708,14 @@ def is_unitary(m: np.ndarray) -> bool:
 
 
 def is_valid_state(state: np.ndarray) -> bool:
-    """True for a unit-norm vector or a Hermitian unit-trace density matrix."""
+    """True for a unit-norm vector or a density matrix: Hermitian, unit
+    trace and no eigenvalue below -`_CHECK_TOL`."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         return abs(np.linalg.norm(state) - 1.0) <= _CHECK_TOL
     return (is_hermitian_matrix(state) and abs(np.trace(state).real - 1.0) <= _CHECK_TOL
-            and abs(np.trace(state).imag) <= _CHECK_TOL)
+            and abs(np.trace(state).imag) <= _CHECK_TOL
+            and np.linalg.eigvalsh(state).min() >= -_CHECK_TOL)
 
 
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -847,12 +865,16 @@ def generator_of(u: np.ndarray, total_time: float) -> np.ndarray:
     return _dense(_log_blocks(_gather(u), total_time)[0], u.shape[0])
 
 
-def _log_blocks(blocks, total_time: float) -> tuple[list[tuple], float, float]:
+def _log_blocks(blocks, total_time: float,
+                overwrite: bool = False) -> tuple[list[tuple], float, float]:
     """The generator of a block-diagonal unitary, blockwise.
 
     Takes and returns [(idx, stack)] blocks, each filled slab by slab, and
     returns with them the branch margin min(pi - |phase|) and the
-    self-check max|T - diag e^{i phase}| over all blocks.  Each block g is diagonalized through its
+    self-check max|T - diag e^{i phase}| over all blocks.  The generator
+    goes into new stacks, or, with `overwrite`, over the input stacks, slab
+    by slab once each slab is read: only a caller that owns the blocks may
+    ask for that.  Each block g is diagonalized through its
     Cayley transform A = i (1 + g)^-1 (1 - g), which is Hermitian with
     eigenvalue tan(phase/2) for each eigenphase of g, one to one on
     (-pi, pi): so `eigh` of A gives an orthonormal eigenbasis Q of g, for
@@ -872,7 +894,7 @@ def _log_blocks(blocks, total_time: float) -> tuple[list[tuple], float, float]:
     out, margin, selfcheck = [], np.pi, 0.0
     for idx, gs in blocks:
         one = np.eye(gs.shape[1])
-        h = np.empty(gs.shape, dtype=complex)
+        h = gs if overwrite else np.empty(gs.shape, dtype=complex)
         for sl in _slabs(gs):
             g = gs[sl]
             try:

@@ -460,12 +460,14 @@ def _propagator_blocks(seq: PulseSequence, width: int, bath_dim: int,
     The blocks are those of the join of every factor's partition with the
     orbits r - q[r] of the final frame.  D's factors are block diagonal
     over it, and q maps each of its blocks onto itself, so U has the same
-    blocks, row r of a block being w[r] times row q[r] of D's.  Once the
-    join is known from the frames, each factor in turn is laid out over it
-    and multiplied into D slab by slab, O(sum b^3), so memory does not grow
-    with the sequence beyond one frame per factor, nor with the blocks
-    beyond one slab of temporaries.  U is then gathered into the scratch
-    stacks of `_frame_product`, once the factors are dropped.
+    blocks, row r of a block being w[r] times row q[r] of D's.
+
+    Memory: `static` is released here once every event's action is known,
+    so a caller that passes it unnamed does not keep it through the
+    product.  Then `_frame_product` multiplies the factors into D, which
+    holds one frame per factor, the distinct factors' blocks, D and one
+    slab of scratch.  U is written over D slab by slab, each slab's rows
+    read from that slab alone, and D's storage is returned.
     """
     dim = 2 ** width * bath_dim
     q, w = np.arange(dim), np.ones(dim, dtype=complex)
@@ -479,47 +481,72 @@ def _propagator_blocks(seq: PulseSequence, width: int, bath_dim: int,
             frames.append((actions[event][1], q, w))
         else:
             q, w = q[mono[0]], mono[1] * w[mono[0]]
+    del static
     edges = [_edges([qf[idx] for idx, _ in blocks]) for blocks, qf, _ in frames]
     groups = _components(_connect(dim, *np.concatenate(
         edges + [np.stack((np.arange(dim), q))], axis=1)))
-    col, ds, rows = _frame_product(frames, groups, dim)
+    col, ds = _frame_product(frames, groups, dim)
     del actions, frames  # the factors' blocks are no longer needed
-    # index i is column col[i] of its block, so row r is row col[q[r]] of D's;
-    # U is written slab by slab into the scratch row of the last factor
-    for idx, d, u in zip(groups, ds, rows):
+    # index i is column col[i] of its block, so row r is row col[q[r]] of D's
+    for idx, d in zip(groups, ds):
         for sl in _slabs(d):
             ix = idx[sl]
-            u[sl] = w[ix][..., None] * d[sl][np.arange(len(ix))[:, None], col[q[ix]]]
-    return list(zip(groups, rows))
+            d[sl] = w[ix][..., None] * d[sl][np.arange(len(ix))[:, None], col[q[ix]]]
+    return list(zip(groups, ds))
 
 
 def _frame_product(frames, groups, dim: int) -> tuple:
-    """D of `_propagator_blocks` over the partition `groups`: (col, stacks,
-    scratch), with D's (count, b, b) stack on each group, col[i] the place
-    of index i in its block, and a free stack of the same shape on each
-    group.  D starts as the identity, which the first factor replaces.
-    Each factor is scattered and multiplied in slab by slab."""
-    # D and the next factor each fill one flat row laid out over the groups
+    """D of `_propagator_blocks` over the partition `groups`: (col, stacks),
+    with D's (count, b, b) stack on each group and col[i] the place of
+    index i in its block.
+
+    D starts as the identity, which the first factor replaces; each later
+    factor F makes D into F D.  The join is coarser than every factor's
+    partition, so each relabelled block of a factor lies inside one block
+    of D, and so inside the slab of D that holds the place of its first
+    index.  A factor is scattered into one slab of scratch per slab of D,
+    and that slab of D is multiplied by it there: the product holds D and
+    one slab of temporaries besides the factors.
+    """
     start, col, spans, size = _layout(groups, dim)
-    acc, nxt = np.zeros(size, dtype=complex), np.empty(size, dtype=complex)
-    acc[start + col] = 1
-    views = [(acc[at:at + count * b * b].reshape(count, b, b),
-              nxt[at:at + count * b * b].reshape(count, b, b)) for at, count, b in spans]
+    flat = np.zeros(size, dtype=complex)
+    flat[start + col] = 1
+    stacks = [flat[at:at + count * b * b].reshape(count, b, b) for at, count, b in spans]
+    # each slab of D with the place of its first entry in `flat`
+    slabs = [(d[sl], at + sl.start * b * b)
+             for d, (at, _, b) in zip(stacks, spans) for sl in _slabs(d)]
+    firsts = np.array([at for _, at in slabs])
+    scratch = np.empty(max(d.size for d, _ in slabs), dtype=complex)
     for k, (blocks, qf, wf) in enumerate(frames):
-        flat = nxt if k else acc
-        flat[:] = 0
         inv = 1 / wf
-        for idx, stack in blocks:
-            for sl in _slabs(stack):
-                ix = idx[sl]
-                j = qf[ix]
-                flat[start[j][..., None] + col[j][..., None, :]] = (
-                    stack[sl] * inv[ix][..., None] * wf[ix][..., None, :])
-        if k:
-            for d, f in views:
-                for sl in _slabs(d):
-                    d[sl] = f[sl] @ d[sl]
-    return col, [d for d, _ in views], [f for _, f in views]
+        # each stack of the factor relabelled, and its rows in each slab of D
+        parts = [(idx, stack, qf[idx], _rows_by_slab(start[qf[idx[:, 0]]], firsts))
+                 for idx, stack in blocks]
+        for n, (d, at) in enumerate(slabs):
+            f = scratch[:d.size] if k else d.reshape(-1)
+            f[:] = 0
+            for idx, stack, j, rows in parts:
+                ix, jx = idx[rows[n]], j[rows[n]]
+                f[(start[jx] - at)[..., None] + col[jx][..., None, :]] = (
+                    stack[rows[n]] * inv[ix][..., None] * wf[ix][..., None, :])
+            if k:
+                d[...] = f.reshape(d.shape) @ d
+    return col, stacks
+
+
+def _rows_by_slab(places: np.ndarray, firsts: np.ndarray) -> list:
+    """The rows of a stack that lie in each slab of D, given the place of
+    each row's first entry and of each slab's first entry: a slice where
+    they are consecutive, so the stack is read as a view, else an array."""
+    if len(firsts) == 1:  # no search for the one slab of a small propagator
+        return [slice(None)]
+    which = np.searchsorted(firsts, places, side="right") - 1
+    order = np.argsort(which, kind="stable")
+    cuts = np.searchsorted(which[order], np.arange(len(firsts) + 1))
+    runs = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+    # each run ascends, so it is consecutive when its ends are len - 1 apart
+    return [slice(r[0], r[-1] + 1) if len(r) and r[-1] - r[0] == len(r) - 1 else r
+            for r in runs]
 
 
 # ---------------------------------------------------------------------------

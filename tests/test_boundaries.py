@@ -23,8 +23,8 @@ from dfspulse.gates import (
     x_phi_dense,
 )
 from dfspulse.pauli import (
-    NonHermitianError, NonUnitaryError, OperatorSum, embed_sites, expm_i, generator_of,
-    is_hermitian_matrix, is_unitary, to_dense,
+    NonHermitianError, NonUnitaryError, OperatorSum, PauliTerm, embed_sites, expm_i,
+    generator_of, is_hermitian_matrix, is_unitary, to_dense,
 )
 from dfspulse.sequences import (
     Drive, EvolutionModel, Free, NamedPulse, PulseSequence, _drive_hamiltonian,
@@ -184,6 +184,10 @@ _CODE_STATE = np.eye(4)[2]
     *[(lambda n=n: symmetrize_block4(0.1, n), "n_ions") for n in (0, -4)],
     (lambda: embed_sites(np.eye(1), (), -2), "width"),
     (lambda: DfsRegister((), -1), "width"),
+    *[(lambda slot=slot: PauliTerm("XY", 1.0, slot), "bath_slot") for slot in (5, ["a"])],
+    *[(lambda slot=slot: OperatorSum.single(2, 0, "X", 1.0, slot), "bath_slot")
+      for slot in (3, ["a"])],
+    (lambda: OperatorSum.from_label("XY", 1.0, ["a"]), "bath_slot"),
 ], ids=["n_cycles", "record_every", "n_traj", "embed_sites", "symmetrize_block4",
         "to_dense-1.5", "to_dense-0", "seq_from_text", "m-1.5", "m-nan", "m-True",
         "k_prime", "dt_sample-0", "dt_sample-negative",
@@ -201,7 +205,9 @@ _CODE_STATE = np.eye(4)[2]
         "hamiltonian-(0,0)", "hamiltonian-None",
         *[f"dephasing_run-{p}" for p in ("(0,)", "(0,1,2)", "(0,0)", "(-1,0)")],
         "dfs_restrict-None", "SpectralNoise-seed", "symmetrize_block4-0",
-        "symmetrize_block4-negative", "embed_sites-width", "DfsRegister-width"])
+        "symmetrize_block4-negative", "embed_sites-width", "DfsRegister-width",
+        "PauliTerm-slot-int", "PauliTerm-slot-list", "single-slot-int", "single-slot-list",
+        "from_label-slot-list"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_bad_function_argument_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):

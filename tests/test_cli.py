@@ -16,11 +16,13 @@ from dfspulse.cli import (
 )
 import dfspulse
 import dfspulse.cli as cli_mod
-from dfspulse.dfs import block_collective_residual
+from dfspulse.dfs import _block_residual, block_collective_residual
 from dfspulse.pauli import (
-    BathSlotError, _blocks, _stacked, generator_of, kron_all, to_dense,
+    BathSlotError, _blocks, _log_blocks, _stacked, generator_of, kron_all, to_dense,
 )
-from dfspulse.sequences import EvolutionModel, propagator, symmetrize_block4
+from dfspulse.sequences import (
+    EvolutionModel, _propagator_blocks, propagator, symmetrize_block4,
+)
 from dfspulse.verification import CheckResult, _rand_herm
 
 
@@ -253,8 +255,8 @@ def test_block4_residual_equals_the_dense_chain(d):
 def test_block4_blocks_from_masks_equal_the_dense_blocks(d):
     for seed in range(4):
         sc = _block4(seed, d)
-        static, bdim, _ = cli_mod._block4_model(sc)
-        h, _, bindings = cli_mod._block4_hamiltonian(sc)
+        static = cli_mod._block4_model(sc)
+        h, bdim, bindings = cli_mod._block4_hamiltonian(sc)
         dense = to_dense(h, bdim, bindings)
         groups = _blocks(dense)
         assert [idx.shape for idx in groups] == [(16, d ** 4)]
@@ -295,9 +297,9 @@ def test_block4_model_memory_at_d3():
 
 
 def test_block4_pass_working_set_at_d3():
-    # a pass holds its stage's inputs and outputs, each a (16, 81, 81) stack
-    # of 1.7 MB, plus one slab of temporaries; whole-stack temporaries
-    # would take it past 15 MB
+    # each stage holds at most two (16, 81, 81) stacks of 1.7 MB plus one
+    # slab of temporaries; a third stack held anywhere would take it past
+    # 6 MB, and whole-stack temporaries past 15 MB
     sc = _block4(5, 3)
     tracemalloc.start()
     try:
@@ -306,7 +308,35 @@ def test_block4_pass_working_set_at_d3():
     finally:
         tracemalloc.stop()
     assert all(c.passed for c in checks)
-    assert peak < 10e6
+    assert peak < 5.5e6
+
+
+def test_block4_propagator_and_residual_stages_at_d3():
+    # the product releases the model's blocks once every event's action is
+    # known, and then holds the free segments' exponential, D and one slab;
+    # the residual holds the h_ss stack or the residual, never both.  Each
+    # peak is taken above what the stage holds on entry
+    sc = _block4(5, 3)
+    seq = symmetrize_block4(sc.parameters["tau"], 4)
+    tracemalloc.start()
+    try:
+        held = [cli_mod._block4_model(sc)]
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        # unnamed, as `_run_block4` passes it: the product holds the only reference
+        u = _propagator_blocks(seq, 4, 81, held.pop())
+        prop = tracemalloc.get_traced_memory()[1] - entry
+        g = _log_blocks(u, 4 * sc.parameters["tau"], overwrite=True)[0]
+        del u
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        r = _block_residual(g, 4, 81, ((0, 1, 2, 3),))
+        resid = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert r <= sc.parameters["tolerance"]
+    assert prop < 3.5e6
+    assert resid < 3e6
 
 
 def test_block4_model_rejects_a_non_finite_bath(monkeypatch):

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.csgraph import connected_components
 
 import dfspulse.pauli as pauli_mod
 from dfspulse.pauli import (
@@ -113,6 +111,14 @@ def test_canonical_form_merges_and_sorts():
                          PauliTerm.from_label("Z", 0.0)))
     assert [t.label for t in op.terms] == ["I", "X"]
     assert op.coefficient("X") == 3.0
+
+
+def test_coefficient_of_a_slot_that_is_no_name_is_zero():
+    # as for a label that is no string: such a term cannot exist
+    op = OperatorSum.from_label("XY", 2.0, "a")
+    assert op.coefficient("XY", "a") == 2.0
+    assert op.coefficient("XY", ["a"]) == 0j
+    assert op.coefficient("XY", 5) == 0j
 
 
 def test_hermiticity_decidable():
@@ -272,6 +278,9 @@ def test_is_valid_state():
     assert is_valid_state(rho)
     assert not is_valid_state(rho + 0.5j * np.eye(2))
     assert not is_valid_state(np.ones((2, 3)))
+    # Hermitian with unit trace, but a negative eigenvalue: no density matrix
+    assert not is_valid_state(np.diag([2.0, -1.0]))
+    assert is_valid_state(np.diag([1.0, 0.0]))
 
 
 # --- block-structured dense kernels against dense oracles
@@ -301,7 +310,8 @@ def test_blocks_are_the_connected_components(sizes):
     m[np.abs(m) < 0.3] = 0  # sparser blocks, possibly split further
     groups = _blocks(m)
     found = sorted(tuple(row) for idx in groups for row in idx.tolist())
-    n_comp, lab = connected_components(m != 0, directed=True, connection="weak")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    n_comp, lab = csgraph.connected_components(m != 0, directed=True, connection="weak")
     want = sorted(tuple(np.flatnonzero(lab == k)) for k in range(n_comp))
     assert found == want
     assert [idx.shape[1] for idx in groups] == sorted({len(c) for c in want})
@@ -318,7 +328,8 @@ def test_connect_labels_the_connected_components(case):
     lab = _connect(n, src, dst)
     graph = np.zeros((n, n), dtype=bool)
     graph[src, dst] = True
-    n_comp, comp = connected_components(graph, directed=False)
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    n_comp, comp = csgraph.connected_components(graph, directed=False)
     # the smallest index of each component names it
     smallest = np.array([np.flatnonzero(comp == c).min() for c in range(n_comp)])
     np.testing.assert_array_equal(lab, smallest[comp])
@@ -328,9 +339,10 @@ def test_connect_labels_the_connected_components(case):
 def test_expm_i_on_hidden_blocks_matches_expm(sizes):
     rng = np.random.default_rng(10 + sum(sizes))
     h = hidden_blocks(rng, sizes)
+    linalg = pytest.importorskip("scipy.linalg")
     for t in (0.0, 0.37, -2.1):
         u = expm_i(h, t)
-        np.testing.assert_allclose(u, scipy.linalg.expm(-1j * t * h), atol=1e-12)
+        np.testing.assert_allclose(u, linalg.expm(-1j * t * h), atol=1e-12)
         # the blocks are dense, so h == 0 exactly off the blocks, and so is u
         assert np.all(u[h == 0] == 0)
 
@@ -429,7 +441,7 @@ def test_dense_kernels_reject_non_finite_times(bad):
 
 def schur_generator(u, total_time):
     """The principal-log generator of u from its complex Schur form."""
-    tmat, q = scipy.linalg.schur(u, output="complex")
+    tmat, q = pytest.importorskip("scipy.linalg").schur(u, output="complex")
     h = (q * (-np.angle(np.diag(tmat)) / total_time)) @ q.conj().T
     return 0.5 * (h + h.conj().T)
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import dfspulse.pauli as pauli_mod
 from dfspulse.baths import DephasingBath
 from dfspulse.dfs import (
-    DfsRegister, _block_residual, basis_operator, bucket_norms, code_isometry,
-    logical_operators,
+    DfsRegister, _block_residual, basis_operator, block_collective_residual, bucket_norms,
+    code_isometry, logical_operators,
 )
 from dfspulse.gates import SmGateSpec, dfs_restrict
 from dfspulse.pauli import (
@@ -1019,3 +1019,25 @@ def test_block_kernels_are_bitwise_equal_at_every_slab_bound(case, monkeypatch):
         assert len(arrays) == len(want[0])
         assert all(a.shape == b.shape and np.array_equal(a, b)
                    for a, b in zip(arrays, want[0]))
+
+
+@pytest.mark.parametrize("case", ["one component", "blocks"])
+def test_public_kernels_leave_their_array_inputs_unchanged(case):
+    # a one-component matrix reaches the block cores as a view of itself, so
+    # a core that wrote over its input would write over the caller's array
+    rng = np.random.default_rng(14)
+    model = (EvolutionModel(2, 2, rand_herm(rng, 8)) if case == "one component"
+             else _collective_model(2, 2, rng))
+    h = model.h_static
+    u = expm_i(h, 0.3)
+    assert [idx.shape for idx in _blocks(h)] == ([(1, 8)] if case == "one component"
+                                                 else [(4, 2)])
+    seq = PulseSequence(tuple(_mixed_events(rng, 2)) + symmetrize_pair(0.2).events)
+    before = [h.tobytes(), u.tobytes()]
+    expm_i(h, 0.3)
+    generator_of(u, 0.3)
+    spectral_norm(h)
+    spectral_norm(u)
+    block_collective_residual(h, 2, 2, ((0, 1),))
+    propagator(seq, model)
+    assert [h.tobytes(), u.tobytes()] == before
