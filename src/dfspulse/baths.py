@@ -81,10 +81,6 @@ class DephasingBath:
     def b_col(self) -> np.ndarray:
         return (self.b1 + self.b2) / 2
 
-    @property
-    def b_dif(self) -> np.ndarray:
-        return (self.b1 - self.b2) / 2
-
     def hamiltonian(self, pair: tuple[int, int] = (0, 1), width: int = 2) -> np.ndarray:
         """Dense H_SB + H_B on the width-qubit (x) bath space."""
         i, j = _checked_pair(pair, width)
@@ -193,15 +189,6 @@ def vib_bindings(v: VibBath) -> tuple[tuple[int, ...], dict[str, np.ndarray]]:
         down_up = _embed(np.kron(a, a.conj().T), (0, 1 + k), layout)
         bindings[f"exchange{k}"] = down_up + down_up.conj().T
     return layout, bindings
-
-
-def total_excitation(v: VibBath) -> np.ndarray:
-    """Dense total quantum number; commutes with vib_hamiltonian exactly."""
-    _, bindings = vib_bindings(v)
-    out = bindings["num_sys"].copy()
-    for k in range(len(v.mode_freqs)):
-        out = out + bindings[f"num_bath{k}"]
-    return out
 
 
 def qubit_motional_error(pair: tuple[int, int] = (0, 1), width: int = 2,

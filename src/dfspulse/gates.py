@@ -57,11 +57,6 @@ class SmGateSpec:
         return self.phis[0] - self.phis[1]
 
     @property
-    def phi_sum(self) -> float:
-        """phi_i + phi_j of the first pair."""
-        return self.phis[0] + self.phis[1]
-
-    @property
     def delta_phi_34(self) -> float:
         if len(self.ions) != 4:
             raise ValueError("second pair only exists for 4-ion gates")
@@ -100,7 +95,7 @@ def sm_decompose(spec: SmGateSpec) -> dict[str, complex]:
     """Coefficients of the two-ion gate on {I, Xbar, Ybar, Xtilde, Ytilde}."""
     if len(spec.ions) != 2:
         raise ValueError("decomposition applies to the two-ion gate")
-    th, d, s = spec.theta, spec.delta_phi, spec.phi_sum
+    th, d, s = spec.theta, spec.delta_phi, spec.phis[0] + spec.phis[1]
     return {
         "I": complex(np.cos(th)),
         "Xbar": 1j * np.sin(th) * np.cos(d),
@@ -171,18 +166,20 @@ def u4(spec: SmGateSpec) -> np.ndarray:
     return np.cos(spec.theta) * np.eye(16, dtype=complex) - 1j * np.sin(spec.theta) * m
 
 
+def _encoded_axis(dphi: float, xbar: np.ndarray, ybar: np.ndarray) -> np.ndarray:
+    """cos(dphi) Xbar + sin(dphi) Ybar from the dense Xbar and Ybar of one
+    pair: the axis about which a gate with phase difference dphi rotates
+    the pair's code space."""
+    return np.cos(dphi) * xbar + np.sin(dphi) * ybar
+
+
 def u4_dfs_target(spec: SmGateSpec) -> np.ndarray:
     """Expected code-space block of u4: exp(-i theta Xbar_d12 (x) Xbar_d34)."""
-    def xbar_code(dphi):
-        # code-space block of cos(d) Xbar + sin(d) Ybar
-        xb, yb, _ = logical_operators((0, 1), 2)
-        reg = DfsRegister(((0, 1),), 2)
-        v = code_isometry(reg)
-        m = np.cos(dphi) * to_dense(xb) + np.sin(dphi) * to_dense(yb)
-        return v.conj().T @ m @ v
-
-    gen = np.kron(xbar_code(spec.delta_phi), xbar_code(spec.delta_phi_34))
-    return expm_i(gen, spec.theta)
+    xb, yb, _ = (to_dense(op) for op in logical_operators((0, 1), 2))
+    v = code_isometry(DfsRegister(((0, 1),), 2))
+    a12, a34 = (v.conj().T @ _encoded_axis(d, xb, yb) @ v
+                for d in (spec.delta_phi, spec.delta_phi_34))
+    return expm_i(np.kron(a12, a34), spec.theta)
 
 
 def u4_encoded(spec: SmGateSpec) -> np.ndarray:
@@ -195,11 +192,9 @@ def u4_encoded(spec: SmGateSpec) -> np.ndarray:
     if len(spec.ions) != 4:
         raise ValueError("u4_encoded needs 4 ions")
 
-    def xbar_dphi(pair, dphi):
-        xb, yb, _ = logical_operators(pair, 4)
-        return np.cos(dphi) * to_dense(xb) + np.sin(dphi) * to_dense(yb)
-
-    gen = xbar_dphi((0, 1), spec.delta_phi) @ xbar_dphi((2, 3), spec.delta_phi_34)
+    x12, y12, _ = (to_dense(op) for op in logical_operators((0, 1), 4))
+    x34, y34, _ = (to_dense(op) for op in logical_operators((2, 3), 4))
+    gen = _encoded_axis(spec.delta_phi, x12, y12) @ _encoded_axis(spec.delta_phi_34, x34, y34)
     mat = expm_i(gen, spec.theta)
     if spec.ions != (0, 1, 2, 3):
         mat = embed_sites(mat, spec.ions, max(spec.ions) + 1)

@@ -63,6 +63,7 @@ Conventions, fixed globally:
 """
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
@@ -100,17 +101,25 @@ _COEF_TOL = 1e-12      # relative bound on coefficient checks and comparisons
 _SLAB_BYTES = 1 << 18  # bytes of one slab of a block kernel; bounds its temporaries
 
 
-def _finite(x, what: str) -> float:
-    """x as a float; ValueError naming `what` unless x is a finite real
-    number other than a bool.  numpy scalars count, and an integer beyond
-    the float range counts as infinite."""
-    if not isinstance(x, bool) and isinstance(x, numbers.Real):
+def _complex(x, what: str) -> complex:
+    """x as a complex; ValueError naming `what` unless x is a finite real or
+    complex number other than a bool.  numpy scalars count, and an integer
+    beyond the float range counts as infinite."""
+    if not isinstance(x, bool) and isinstance(x, numbers.Complex):
         try:
-            value = float(x)
+            value = complex(x)
         except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
+            value = complex(math.inf)
+        if cmath.isfinite(value):
             return value
+    raise ValueError(f"{what}: only finite numbers are accepted, got {x!r}")
+
+
+def _finite(x, what: str) -> float:
+    """x as a float; ValueError naming `what` unless x is a real number that
+    `_complex` accepts."""
+    if isinstance(x, numbers.Real):
+        return _complex(x, what).real
     raise ValueError(f"{what}: only finite real numbers are accepted, got {x!r}")
 
 
@@ -215,7 +224,8 @@ class PauliTerm:
     def __init__(self, factors, coefficient: complex = 1.0 + 0j,
                  bath_slot: str | None = None):
         label = factors if isinstance(factors, str) else _joined(factors)
-        _fill(self, len(label), *_masks(label), complex(coefficient), _slot(bath_slot))
+        _fill(self, len(label), *_masks(label), _complex(coefficient, "coefficient"),
+              _slot(bath_slot))
 
     @classmethod
     def from_label(cls, label: str, coefficient: complex = 1.0,
@@ -361,7 +371,9 @@ class OperatorSum:
     def __init__(self, width: int, terms=()):
         width = _integer(width, "width", 0)
         items = []
-        for t in terms:
+        for t in _tuple(terms, "terms"):
+            if not isinstance(t, PauliTerm):
+                raise ValueError(f"terms: only PauliTerms are accepted, got {t!r}")
             if t.width != width:
                 raise WidthMismatchError(
                     f"term width {t.width} != register width {width}")
@@ -404,8 +416,8 @@ class OperatorSum:
             raise ValueError(f"unknown Pauli label {label!r}")
         x, z = _masks(label)
         shift = width - 1 - site
-        return cls(width, (_term(width, x << shift, z << shift, complex(coefficient),
-                                 _slot(bath_slot)),))
+        return cls(width, (_term(width, x << shift, z << shift,
+                                 _complex(coefficient, "coefficient"), _slot(bath_slot)),))
 
     def coefficient(self, label: str, bath_slot: str | None = None) -> complex:
         if (not isinstance(label, str) or len(label) != self.width or label.strip("IXYZ")
@@ -414,17 +426,22 @@ class OperatorSum:
         return dict(zip(self._keys, self._coefs)).get((*_masks(label), bath_slot), 0j)
 
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
+        if not isinstance(other, OperatorSum):
+            return NotImplemented
         if self.width != other.width:
             raise WidthMismatchError("widths differ")
         return _from_masks(self.width, zip(self._keys + other._keys,
                                            self._coefs + other._coefs))
 
     def __sub__(self, other: "OperatorSum") -> "OperatorSum":
+        if not isinstance(other, OperatorSum):
+            return NotImplemented
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "OperatorSum":
         # the keys and so their order stay; only a coefficient can become zero
-        scaled = [(key, 0j + complex(scalar * c)) for key, c in zip(self._keys, self._coefs)]
+        scalar = _complex(scalar, "scalar")
+        scaled = [(key, 0j + scalar * c) for key, c in zip(self._keys, self._coefs)]
         return _new_sum(self.width, tuple(key for key, c in scaled if c != 0),
                         tuple(c for _, c in scaled if c != 0))
 
@@ -435,6 +452,8 @@ class OperatorSum:
         return (-1.0) * self
 
     def __matmul__(self, other: "OperatorSum") -> "OperatorSum":
+        if not isinstance(other, OperatorSum):
+            return NotImplemented
         if self.width != other.width:
             raise WidthMismatchError("widths differ")
         items = []
@@ -455,9 +474,6 @@ class OperatorSum:
 
     def is_hermitian(self) -> bool:
         return all(abs(c.imag) <= _COEF_TOL * max(1.0, abs(c)) for c in self._coefs)
-
-    def bath_slots(self) -> tuple[str, ...]:
-        return tuple(sorted({slot for *_, slot in self._keys if slot}))
 
     def isclose(self, other: "OperatorSum", tol: float = _COEF_TOL) -> bool:
         if self.width != other.width:

@@ -354,25 +354,6 @@ class EvolutionModel:
     def dim(self) -> int:
         return (2 ** self.width) * self.bath_dim
 
-    def lift(self, sys_mat: np.ndarray) -> np.ndarray:
-        """System operator extended by the bath identity, the last factor."""
-        return np.kron(np.asarray(sys_mat, dtype=complex), np.eye(self.bath_dim, dtype=complex))
-
-
-def event_unitary(event, model: EvolutionModel) -> np.ndarray:
-    """Dense propagator of a single event under the model: off every program
-    path, kept as the dense reference that tests hold `propagator` against."""
-    if isinstance(event, (Free, Drive)):
-        return expm_i(_hamiltonian(event, model.h_static, model.bath_dim), event.tau)
-    return model.lift(_pulse_unitary(event, model.width))
-
-
-def _hamiltonian(event, h_static: np.ndarray, bath_dim: int) -> np.ndarray:
-    """Joint Hamiltonian of a free or driven segment over the dense h_static."""
-    if isinstance(event, Drive):
-        return h_static + event.amplitude * to_dense(event.h_sys, bath_dim)
-    return h_static
-
 
 def _pulse_unitary(event, width: int) -> np.ndarray:
     """System unitary S of an instantaneous pulse; it acts as S (x) I_B."""
@@ -404,7 +385,9 @@ def _event_action(event, width: int, bath_dim: int, static: list) -> tuple:
     if isinstance(event, Free):
         return None, _expm_blocks(static, event.tau)
     if isinstance(event, Drive):
-        h = _hamiltonian(event, _dense(static, 2 ** width * bath_dim), bath_dim)
+        # the drive's system Hamiltonian times the bath identity
+        h = (_dense(static, 2 ** width * bath_dim)
+             + event.amplitude * to_dense(event.h_sys, bath_dim))
         return None, _expm_blocks(_gather(h), event.tau)
     if isinstance(event, NamedPulse):
         return _named_action(event, width, bath_dim)

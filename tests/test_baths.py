@@ -10,7 +10,7 @@ import dfspulse.baths as baths_mod
 from dfspulse.baths import (
     DephasingBath, SpectralNoise, VibBath, bch_bound, dephasing_run,
     qubit_motional_error, sample_1f_trajectory, suppression_scan, thermal_numbers,
-    timescale_check, total_excitation, vib_bindings, vib_hamiltonian,
+    timescale_check, vib_bindings, vib_hamiltonian,
 )
 from dfspulse.dfs import (
     CODE_ONE_INDEX, CODE_ZERO_INDEX, basis_operator, bucket_norms, classify,
@@ -135,6 +135,15 @@ def test_nan_at_a_formula_boundary_raises(make):
 
 
 # --- vibrational bath
+
+
+def total_excitation(v: VibBath) -> np.ndarray:
+    """Dense total quantum number; commutes with vib_hamiltonian exactly."""
+    _, bindings = vib_bindings(v)
+    out = bindings["num_sys"].copy()
+    for k in range(len(v.mode_freqs)):
+        out = out + bindings[f"num_bath{k}"]
+    return out
 
 
 def test_vib_hamiltonian_gamma_zero_decoupled():

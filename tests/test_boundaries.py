@@ -1,5 +1,6 @@
 """The one number rule at every input boundary: `pauli._finite` for real
-numbers, `pauli._integer` for integers with their lower bounds, `pauli._ions`
+numbers, `pauli._complex` for the coefficients and scalars of the Pauli
+algebra, `pauli._integer` for integers with their lower bounds, `pauli._ions`
 and `pauli._pair` for ion lists, and one square, Hermitian and unitary test
 for matrices.  A bad value raises ValueError (or a documented subclass); it
 never raises a stray TypeError or a RuntimeWarning, and no bool, string, None
@@ -188,6 +189,15 @@ _CODE_STATE = np.eye(4)[2]
     *[(lambda slot=slot: OperatorSum.single(2, 0, "X", 1.0, slot), "bath_slot")
       for slot in (3, ["a"])],
     (lambda: OperatorSum.from_label("XY", 1.0, ["a"]), "bath_slot"),
+    *[(lambda terms=terms: OperatorSum(2, terms), "terms") for terms in (["XX"], 5)],
+    *[(lambda c=c: PauliTerm("XY", c), "coefficient")
+      for c in ("1", math.nan, complex(0, math.inf), True, None)],
+    (lambda: OperatorSum.single(2, 0, "X", "2j"), "coefficient"),
+    (lambda: OperatorSum.from_label("XY", "3"), "coefficient"),
+    (lambda: _XZ * "2", "scalar"),
+    (lambda: "2" * _XZ, "scalar"),
+    (lambda: _XZ * math.nan, "scalar"),
+    (lambda: 10 ** 400 * _XZ, "scalar"),
 ], ids=["n_cycles", "record_every", "n_traj", "embed_sites", "symmetrize_block4",
         "to_dense-1.5", "to_dense-0", "seq_from_text", "m-1.5", "m-nan", "m-True",
         "k_prime", "dt_sample-0", "dt_sample-negative",
@@ -207,10 +217,22 @@ _CODE_STATE = np.eye(4)[2]
         "dfs_restrict-None", "SpectralNoise-seed", "symmetrize_block4-0",
         "symmetrize_block4-negative", "embed_sites-width", "DfsRegister-width",
         "PauliTerm-slot-int", "PauliTerm-slot-list", "single-slot-int", "single-slot-list",
-        "from_label-slot-list"])
+        "from_label-slot-list", "OperatorSum-terms-str", "OperatorSum-terms-int",
+        *[f"PauliTerm-coefficient-{c}" for c in ("str", "nan", "inf-imag", "True", "None")],
+        "single-coefficient-str", "from_label-coefficient-str", "scalar-str-right",
+        "scalar-str-left", "scalar-nan", "scalar-overflow"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_bad_function_argument_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _XZ + 1, lambda: _XZ - 1, lambda: _XZ @ 1, lambda: _XZ + "XZ",
+    lambda: _XZ @ PauliTerm("XZ"),
+], ids=["add-int", "sub-int", "matmul-int", "add-str", "matmul-term"])
+def test_an_operand_that_is_not_an_operator_sum_raises_type_error(call):
+    with pytest.raises(TypeError):
         call()
 
 

@@ -519,6 +519,15 @@ def test_main_verify_command(tmp_path, capsys):
     assert (tmp_path / "verify.json").exists()
 
 
+def test_verify_recomposes_the_classification_exactly(tmp_path):
+    # classify is linear, so its check runs over the 16 basis strings and
+    # must read exactly 0, not a rounding-level residual of random sums
+    main(["verify", "--out-dir", str(tmp_path)])
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    [recompose] = [c for c in checks if c["name"].startswith("classify_recompose")]
+    assert recompose["measured"] == 0.0 and recompose["passed"]
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text('[{"name": "x", "kind": "wrong"}]')

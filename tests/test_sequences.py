@@ -14,15 +14,15 @@ from dfspulse.dfs import (
 )
 from dfspulse.gates import SmGateSpec, dfs_restrict
 from dfspulse.pauli import (
-    NonUnitaryError, OperatorSum, SIGMA, _blocks, _expm_blocks, _gather, _log_blocks,
+    NonUnitaryError, OperatorSum, SIGMA, _blocks, _dense, _expm_blocks, _gather, _log_blocks,
     _norm_blocks, _sum_blocks, expm_i, generator_of, spectral_norm, to_dense,
 )
 from dfspulse.sequences import (
     PULSE_LABELS, Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
     RawPulse, SerializationError, SmPulse, combined_gate, euler_angles_xyx,
-    euler_rotation, event_unitary, four_pulse_cycle, leak_elim_cycle,
-    _drive_hamiltonian, _hamiltonian, _propagator_blocks, named_pulse, parity_kick,
-    propagator, seq_from_text, seq_to_text, symmetrize_block4, symmetrize_pair,
+    euler_rotation, four_pulse_cycle, leak_elim_cycle,
+    _drive_hamiltonian, _event_action, _propagator_blocks, _pulse_unitary, named_pulse,
+    parity_kick, propagator, seq_from_text, seq_to_text, symmetrize_block4, symmetrize_pair,
     ten_pulse_cycle,
 )
 
@@ -30,6 +30,22 @@ from dfspulse.sequences import (
 def rand_herm(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (m + m.conj().T) / 2
+
+
+def _lift(model, sys_mat):
+    """A system operator extended by the bath identity, the last factor."""
+    return np.kron(np.asarray(sys_mat, dtype=complex), np.eye(model.bath_dim, dtype=complex))
+
+
+def event_unitary(event, model):
+    """Dense propagator of a single event under the model, from its dense
+    Hamiltonian or pulse matrix: the reference `propagator` is held against."""
+    if isinstance(event, (Free, Drive)):
+        h = model.h_static
+        if isinstance(event, Drive):
+            h = h + event.amplitude * to_dense(event.h_sys, model.bath_dim)
+        return expm_i(h, event.tau)
+    return _lift(model, _pulse_unitary(event, model.width))
 
 
 def code_block(mat2q):
@@ -152,7 +168,7 @@ def test_symmetrize_pair_exact_closed_form():
 def test_symmetrize_pair_collective_only_is_free_evolution():
     rng = np.random.default_rng(4)
     b = rand_herm(rng, 3)
-    bath = DephasingBath(b, b)  # b_dif = 0
+    bath = DephasingBath(b, b)  # b1 = b2: no differential coupling
     model = EvolutionModel(2, 3, bath.hamiltonian())
     zsum = to_dense(OperatorSum.single(2, 0, "Z") + OperatorSum.single(2, 1, "Z"))
     u = propagator(symmetrize_pair(0.3), model)
@@ -610,12 +626,19 @@ def test_a_named_drive_is_the_program_its_text_names():
 def test_drive_hamiltonian_lifts_h_sys_by_the_bath_identity(bath_dim):
     rng = np.random.default_rng(bath_dim)
     h_static = rand_herm(rng, 4 * bath_dim)
+    static = _gather(h_static)
+
+    def action(event):
+        mono, blocks = _event_action(event, 2, bath_dim, static)
+        assert mono is None
+        return _dense(blocks, 4 * bath_dim)
+
     for drive in (combined_gate("Y", 0.5, 2.0, phi=0.4).events[0],
                   Drive(OperatorSum.from_label("XY", 0.3) + OperatorSum.from_label("ZI", -1.1)
                         + OperatorSum.from_label("YY", 0.25), 0.2, 1.7)):
         want = h_static + drive.amplitude * np.kron(to_dense(drive.h_sys), np.eye(bath_dim))
-        assert np.array_equal(_hamiltonian(drive, h_static, bath_dim), want)
-    assert _hamiltonian(Free(0.1), h_static, bath_dim) is h_static
+        assert np.array_equal(action(drive), expm_i(want, drive.tau))
+    assert np.array_equal(action(Free(0.1)), expm_i(h_static, 0.1))
 
 
 def test_named_pulse_needs_integer_ions():
@@ -814,7 +837,7 @@ def test_pulse_only_sequences_are_exact_products():
         np.testing.assert_array_equal(got, _ordered_product(events, model))
     # a lone monomial is written as it is; other phases round as products
     np.testing.assert_array_equal(propagator(PulseSequence((skew,)), model),
-                                  model.lift(skew.matrix))
+                                  _lift(model, skew.matrix))
     sm = SmPulse(SmGateSpec(0.7, (0.1, 0.9), (0, 1)))
     for events in ([skew, named[0], skew], [named[1], sm, skew, sm], [sm]):
         np.testing.assert_allclose(propagator(PulseSequence(tuple(events)), model),
