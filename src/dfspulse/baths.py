@@ -52,6 +52,8 @@ _BOUNDARY_BLOCK = 256    # segment boundaries per engine block; bounds memory in
                          # n_cycles and sets how soon a scan run stops
 _T2_LEVEL = 1.0 / np.e   # T2 is the first crossing of this coherence
 _TIMESCALE_MARGIN = 10.0  # the "much less" of dt << min(1/omega_c, t_dec)
+# how the rates of the two ions relate: equal, opposite, or two processes
+_NOISE_MODES = ("collective", "differential", "independent")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +330,7 @@ def _rate_coefficients(noise: SpectralNoise, n_traj: int,
                        mode: str) -> tuple[np.ndarray, np.ndarray]:
     """The harmonic frequencies, and per trajectory the coefficients of the
     antiderivative of the rate difference c1 - c2 on [sin wt | cos wt]."""
-    if mode not in ("collective", "differential", "independent"):
+    if mode not in _NOISE_MODES:
         raise ValueError(f"unknown noise mode {mode!r}")
     n_traj = _integer(n_traj, "n_traj", 1)
     om = noise.frequencies()

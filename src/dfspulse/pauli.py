@@ -145,6 +145,13 @@ def _tuple(x, what: str) -> tuple:
         raise ValueError(f"{what}: only sequences are accepted, got {x!r}") from None
 
 
+def _instance(x, cls: type, what: str):
+    """x; ValueError naming `what` unless x is a `cls`."""
+    if isinstance(x, cls):
+        return x
+    raise ValueError(f"{what}: only {cls.__name__}s are accepted, got {x!r}")
+
+
 def _ions(x, what: str, width: int | None = None) -> tuple[int, ...]:
     """x as a tuple of ints; ValueError naming `what` unless x is a sequence
     of distinct nonnegative integers, each below `width` when one is given."""
@@ -200,7 +207,7 @@ def _masks(label: str) -> tuple[int, int]:
 
 def _joined(factors) -> str:
     """The string of a sequence of one-letter factors."""
-    factors = tuple(factors)
+    factors = _tuple(factors, "factors")
     try:
         label = "".join(factors)
     except TypeError:
@@ -293,7 +300,7 @@ def _phase(ax: int, az: int, bx: int, bz: int) -> int:
 
 def pauli_mul(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     """Product of two Pauli terms; the group phase folds into the coefficient."""
-    if a.width != b.width:
+    if _instance(a, PauliTerm, "a").width != _instance(b, PauliTerm, "b").width:
         raise WidthMismatchError(f"widths differ: {a.width} vs {b.width}")
     if a.bath_slot is not None and b.bath_slot is not None:
         raise BathSlotError("cannot multiply two bath-coupled terms symbolically")
@@ -304,7 +311,7 @@ def pauli_mul(a: PauliTerm, b: PauliTerm) -> PauliTerm:
 
 def commutes(a: PauliTerm, b: PauliTerm) -> bool:
     """True iff the Pauli strings commute (the only alternative is ab = -ba)."""
-    if a.width != b.width:
+    if _instance(a, PauliTerm, "a").width != _instance(b, PauliTerm, "b").width:
         raise WidthMismatchError(f"widths differ: {a.width} vs {b.width}")
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
@@ -372,9 +379,7 @@ class OperatorSum:
         width = _integer(width, "width", 0)
         items = []
         for t in _tuple(terms, "terms"):
-            if not isinstance(t, PauliTerm):
-                raise ValueError(f"terms: only PauliTerms are accepted, got {t!r}")
-            if t.width != width:
+            if _instance(t, PauliTerm, "terms").width != width:
                 raise WidthMismatchError(
                     f"term width {t.width} != register width {width}")
             items.append(((t.x, t.z, t.bath_slot), t.coefficient))
@@ -404,7 +409,8 @@ class OperatorSum:
     @classmethod
     def from_label(cls, label: str, coefficient: complex = 1.0,
                    bath_slot: str | None = None) -> "OperatorSum":
-        return cls(len(label), (PauliTerm.from_label(label, coefficient, bath_slot),))
+        term = PauliTerm.from_label(label, coefficient, bath_slot)
+        return cls(term.width, (term,))
 
     @classmethod
     def single(cls, width: int, site: int, label: str,
@@ -476,7 +482,7 @@ class OperatorSum:
         return all(abs(c.imag) <= _COEF_TOL * max(1.0, abs(c)) for c in self._coefs)
 
     def isclose(self, other: "OperatorSum", tol: float = _COEF_TOL) -> bool:
-        if self.width != other.width:
+        if self.width != _instance(other, OperatorSum, "other").width:
             return False
         ca = dict(zip(self._keys, self._coefs))
         cb = dict(zip(other._keys, other._coefs))
@@ -530,7 +536,7 @@ def _term_entries(op: OperatorSum, bath_dim: int, bindings: dict | None) -> tupl
     and column c.  The values round as coefficient * kron(string, bath)
     does, and are computed nowhere else.
     """
-    bath_dim = _integer(bath_dim, "bath_dim", 1)
+    op, bath_dim = _instance(op, OperatorSum, "op"), _integer(bath_dim, "bath_dim", 1)
     bindings = bindings or {}
     # the distinct bath factors, and the one of each term
     baths, slot_index = [np.eye(bath_dim, dtype=complex)], {None: 0}

@@ -129,9 +129,6 @@ class Drive:
             raise ValueError("drive h_sys is not the Hamiltonian of its axis, pair and phi")
 
 
-Event = Free | NamedPulse | SmPulse | RawPulse | Drive
-
-
 @dataclass(frozen=True)
 class PulseSequence:
     """Ordered pulse program; events in matrix-product order."""

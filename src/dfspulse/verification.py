@@ -18,6 +18,9 @@ from .pauli import OperatorSum, expm_i, generator_of, to_dense
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check, built by the constructor of its pass rule: `error_below`
+    (measured <= tol), `at_least` (measured >= expected), `near`
+    (|measured - expected| <= tol) or `flag` (measured is 1, a true flag)."""
     name: str
     measured: float
     expected: float
@@ -27,6 +30,15 @@ class CheckResult:
     @classmethod
     def error_below(cls, name: str, measured: float, bound: float) -> "CheckResult":
         return cls(name, float(measured), 0.0, bound, bool(measured <= bound))
+
+    @classmethod
+    def at_least(cls, name: str, measured: float, floor: float) -> "CheckResult":
+        return cls(name, float(measured), floor, 0.0, bool(measured >= floor))
+
+    @classmethod
+    def near(cls, name: str, measured: float, expected: float, tol: float) -> "CheckResult":
+        return cls(name, float(measured), expected, tol,
+                   bool(abs(measured - expected) <= tol))
 
     @classmethod
     def flag(cls, name: str, ok: bool) -> "CheckResult":
@@ -132,7 +144,7 @@ def check_classification() -> list[CheckResult]:
             worst = max(worst, max((abs(t.coefficient) for t in diff.terms), default=0.0))
     return [
         CheckResult.error_below("basis_trace_orthogonality", gram_off, 1e-12),
-        CheckResult("basis_spans_16", float(rank), 16.0, 0.0, rank == 16),
+        CheckResult.near("basis_spans_16", rank, 16.0, 0.0),
         CheckResult.flag("pi_anticommutes_with_leak", anti_ok),
         CheckResult.flag("pi_commutes_with_dfs_and_logi", comm_ok),
         CheckResult.error_below("classify_recompose_basis", worst, 0.0),
@@ -194,7 +206,7 @@ def check_u4() -> list[CheckResult]:
     return [
         CheckResult.error_below("u4_collective_commutes_on_code", c_code, 1e-12),
         CheckResult.error_below("u4_encoded_commutes_with_collective", c_enc, 1e-12),
-        CheckResult("u4_breaks_differential", c_dif, 0.1, 0.0, c_dif > 0.1),
+        CheckResult.at_least("u4_breaks_differential", c_dif, 0.1),
         CheckResult.error_below("u4_dfs_restriction", np.abs(blk - target).max(), 1e-10),
     ]
 
@@ -207,8 +219,8 @@ def check_formulas() -> list[CheckResult]:
         eta=0.1, omega_rabi=1.0, detuning=10.0, n_ions=2))
     con = gates.cancellation_constraints(1, p)
     return [
-        CheckResult("tau_sm_1us", t, 1.0e-6, 1.0e-8, abs(t - 1.0e-6) <= 1.0e-8),
-        CheckResult("off_resonant_penalty", pen, 0.01, 1e-15, abs(pen - 0.01) <= 1e-15),
+        CheckResult.near("tau_sm_1us", t, 1.0e-6, 1.0e-8),
+        CheckResult.near("off_resonant_penalty", pen, 0.01, 1e-15),
         CheckResult.flag("cancellation_incompatible", not con.lamb_dicke_compatible),
     ]
 

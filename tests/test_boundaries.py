@@ -24,8 +24,8 @@ from dfspulse.gates import (
     x_phi_dense,
 )
 from dfspulse.pauli import (
-    NonHermitianError, NonUnitaryError, OperatorSum, PauliTerm, embed_sites, expm_i,
-    generator_of, is_hermitian_matrix, is_unitary, to_dense,
+    NonHermitianError, NonUnitaryError, OperatorSum, PauliTerm, commutes, embed_sites, expm_i,
+    generator_of, is_hermitian_matrix, is_unitary, pauli_mul, to_dense,
 )
 from dfspulse.sequences import (
     Drive, EvolutionModel, Free, NamedPulse, PulseSequence, _drive_hamiltonian,
@@ -198,6 +198,12 @@ _CODE_STATE = np.eye(4)[2]
     (lambda: "2" * _XZ, "scalar"),
     (lambda: _XZ * math.nan, "scalar"),
     (lambda: 10 ** 400 * _XZ, "scalar"),
+    (lambda: pauli_mul(PauliTerm("XY"), 1), "^b:"),
+    (lambda: commutes(PauliTerm("XY"), "XY"), "^b:"),
+    (lambda: OperatorSum.from_label("XY").isclose(1), "^other:"),
+    (lambda: PauliTerm(5), "^factors:"),
+    (lambda: OperatorSum.from_label(5), "^factors:"),
+    (lambda: to_dense("x"), "^op:"),
 ], ids=["n_cycles", "record_every", "n_traj", "embed_sites", "symmetrize_block4",
         "to_dense-1.5", "to_dense-0", "seq_from_text", "m-1.5", "m-nan", "m-True",
         "k_prime", "dt_sample-0", "dt_sample-negative",
@@ -220,7 +226,8 @@ _CODE_STATE = np.eye(4)[2]
         "from_label-slot-list", "OperatorSum-terms-str", "OperatorSum-terms-int",
         *[f"PauliTerm-coefficient-{c}" for c in ("str", "nan", "inf-imag", "True", "None")],
         "single-coefficient-str", "from_label-coefficient-str", "scalar-str-right",
-        "scalar-str-left", "scalar-nan", "scalar-overflow"])
+        "scalar-str-left", "scalar-nan", "scalar-overflow", "pauli_mul-int",
+        "commutes-str", "isclose-int", "PauliTerm-int", "from_label-int", "to_dense-str"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_bad_function_argument_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):

@@ -18,7 +18,8 @@ import dfspulse
 import dfspulse.cli as cli_mod
 from dfspulse.dfs import _block_residual, block_collective_residual
 from dfspulse.pauli import (
-    BathSlotError, _blocks, _log_blocks, _stacked, generator_of, kron_all, to_dense,
+    _CHECK_TOL, BathSlotError, _blocks, _log_blocks, _stacked, generator_of, kron_all,
+    to_dense,
 )
 from dfspulse.sequences import (
     EvolutionModel, _propagator_blocks, propagator, symmetrize_block4,
@@ -70,13 +71,29 @@ def _param_errors(kind, params_json):
     ("dt-scan", '{"dt_grid": [8e-3, 4e-3, 2e-3, Infinity]}', "dt_grid"),
     ("dt-scan", '{"dt_grid": ["a", 1, 2, 3]}', "dt_grid"),
     ("dt-scan", '{"dt_grid": 0.5}', "dt_grid"),
-    ("dt-scan", '{"slope_window": ["x", "y"]}', "slope_window"),
-    ("dt-scan", '{"slope_window": [2.0, 1.0]}', "slope_window"),
     ("gate-sim", '{"gamma_grid": [true]}', "gamma_grid"),
     ("gate-sim", '{"gamma_grid": [0.01, -Infinity]}', "gamma_grid"),
 ])
 def test_parse_rejects_non_finite_and_non_numeric(kind, params_json, key):
     assert _param_errors(kind, params_json) == {key}
+
+
+# the parameters that once set a check's bound or a unit, by kind, with a
+# value each once took
+_REMOVED = {"tolerance": ("block4-sim", 1e-10), "min_gain": ("storage-sim", 1.0),
+            "expect_monotone": ("dt-scan", False), "slope_window": ("dt-scan", [0.5, 2.0]),
+            "cutoff_unit": ("formulas", "Hz")}
+
+
+@pytest.mark.parametrize("key", list(_REMOVED))
+def test_a_config_holds_model_inputs_only(key, tmp_path, capsys):
+    # every check's bound is fixed, and cutoff is in rad/s
+    kind, value = _REMOVED[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"name": "s", "kind": kind, "parameters": {key: value}}]))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"CONFIG ERROR scenario 0: {key}: unknown parameter\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["storage-sim", "dt-scan"])
@@ -334,7 +351,7 @@ def test_block4_propagator_and_residual_stages_at_d3():
         resid = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert r <= sc.parameters["tolerance"]
+    assert r <= _CHECK_TOL
     assert prop < 3.5e6
     assert resid < 3e6
 
@@ -460,8 +477,7 @@ def test_artifacts_are_strict_json(tmp_path, monkeypatch):
         {"name": "st", "kind": "storage-sim", "seed": 7, "parameters": {
             "mode": "collective", "n_traj": 10, "n_cycles": 50, "n_harmonics": 16}},
         {"name": "scan", "kind": "dt-scan", "seed": 3, "parameters": {
-            "mode": "collective", "n_traj": 8, "n_harmonics": 16, "t_max": 0.5,
-            "expect_monotone": False}},
+            "mode": "collective", "n_traj": 8, "n_harmonics": 16, "t_max": 0.5}},
     ]))
     defaults = {kind: {k: d for k, (_, d, _) in cli_mod.SCHEMAS[kind].items()}
                 for kind in ("formulas", "block4-sim")}
@@ -486,6 +502,9 @@ def test_artifacts_are_strict_json(tmp_path, monkeypatch):
     summary = reports["st"]["summary"]
     assert summary["gain"] is None and summary["t2_base"] is None
     assert reports["hw"]["values"]["t_dec"] is None
+    # every T2 of the collective scan is unbounded, and its check says so
+    assert [(c["name"], c["passed"]) for c in reports["scan"]["checks"]] == [
+        ("dfs_immunity", True)]
     assert reports["boom"]["partial"] is True
     assert reports["boom"]["scenario"]["parameters"]["tau"] is None
 
