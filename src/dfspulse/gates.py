@@ -18,7 +18,7 @@ import numpy as np
 from .dfs import DfsRegister, _pair_register, code_isometry, logical_operators
 from .pauli import (
     SIGMA, _CHECK_TOL, OperatorSum, PauliTerm, _finite, _integer, _ions, _tuple,
-    embed_sites, expm_i, kron_all, spectral_norm, to_dense,
+    embed_sites, expm_i, kron_all, to_dense,
 )
 
 
@@ -73,16 +73,36 @@ def x_phi(phi: float) -> OperatorSum:
 
 
 def x_phi_dense(phi: float) -> np.ndarray:
-    phi = _finite(phi, "phi")
-    return np.cos(phi) * SIGMA["X"] + np.sin(phi) * SIGMA["Y"]
+    return _x_phi_stack(np.array([_finite(phi, "phi")]))[0]
+
+
+def _x_phi_stack(phis: np.ndarray) -> np.ndarray:
+    """X_phi of each of a 1-D array of phases, as an (n, 2, 2) stack."""
+    phis = phis[:, None, None]
+    return np.cos(phis) * SIGMA["X"] + np.sin(phis) * SIGMA["Y"]
+
+
+def _xx_stack(phi_i: np.ndarray, phi_j: np.ndarray) -> np.ndarray:
+    """X_phi_i (x) X_phi_j of 1-D arrays of phases, as an (n, 4, 4) stack;
+    each entry is the single product `np.kron` takes for it."""
+    a, b = _x_phi_stack(phi_i), _x_phi_stack(phi_j)
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 4, 4)
+
+
+def _sm_stack(theta: np.ndarray, phi_i: np.ndarray, phi_j: np.ndarray) -> np.ndarray:
+    """The two-ion gate cos(theta) I + i sin(theta) X_phi_i (x) X_phi_j of
+    1-D arrays of angles, as one (n, 4, 4) stack.  Every entry is computed
+    on its own, so each matrix is the one its angles give in a stack of one."""
+    theta = theta[:, None, None]
+    return (np.cos(theta) * np.eye(4, dtype=complex)
+            + 1j * np.sin(theta) * _xx_stack(phi_i, phi_j))
 
 
 def sm_unitary(spec: SmGateSpec) -> np.ndarray:
     """Closed form cos(theta) I + i sin(theta) X_phi_i (x) X_phi_j (4x4)."""
     if len(spec.ions) != 2:
         raise ValueError("sm_unitary is the two-ion gate; use u4 for four ions")
-    xx = np.kron(x_phi_dense(spec.phis[0]), x_phi_dense(spec.phis[1]))
-    return np.cos(spec.theta) * np.eye(4, dtype=complex) + 1j * np.sin(spec.theta) * xx
+    return _sm_stack(*np.array([spec.theta, *spec.phis])[:, None])[0]
 
 
 def sm_gate_dense(spec: SmGateSpec, width: int) -> np.ndarray:
@@ -120,13 +140,23 @@ def dfs_restrict(u: np.ndarray, register: DfsRegister | tuple[int, int]) -> np.n
         raise ValueError("unitary dimension does not match register width")
     if not np.isfinite(u).all():
         raise ValueError("unitary must be finite")
-    v = code_isometry(register)
-    block = v.conj().T @ u @ v
-    off = u @ v - v @ block
-    off_norm = spectral_norm(off)
+    return _restrict_stack(u[None], code_isometry(register))[0]
+
+
+def _restrict_stack(us: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Code-space blocks v^+ u v of an (n, d, d) stack of finite unitaries,
+    given the code isometry v, as an (n, k, k) stack.
+
+    Raises LeakageError, carrying the largest of the spectral norms of the
+    off-block parts u v - v (v^+ u v), when that norm exceeds
+    `pauli._CHECK_TOL`.
+    """
+    blocks = v.conj().T @ us @ v
+    off = us @ v - v @ blocks
+    off_norm = float(np.linalg.svd(off, compute_uv=False).max())
     if off_norm > _CHECK_TOL:
         raise LeakageError(off_norm)
-    return block
+    return blocks
 
 
 def logical_gate(axis: str, theta: float,
@@ -166,10 +196,11 @@ def u4(spec: SmGateSpec) -> np.ndarray:
     return np.cos(spec.theta) * np.eye(16, dtype=complex) - 1j * np.sin(spec.theta) * m
 
 
-def _encoded_axis(dphi: float, xbar: np.ndarray, ybar: np.ndarray) -> np.ndarray:
+def _encoded_axis(dphi, xbar: np.ndarray, ybar: np.ndarray) -> np.ndarray:
     """cos(dphi) Xbar + sin(dphi) Ybar from the dense Xbar and Ybar of one
     pair: the axis about which a gate with phase difference dphi rotates
-    the pair's code space."""
+    the pair's code space.  An array of dphi gives a stack of axes."""
+    dphi = np.asarray(dphi)[..., None, None]
     return np.cos(dphi) * xbar + np.sin(dphi) * ybar
 
 

@@ -547,6 +547,44 @@ def test_verify_recomposes_the_classification_exactly(tmp_path):
     assert recompose["measured"] == 0.0 and recompose["passed"]
 
 
+VERIFY_CHECKS = [
+    "su2_cyclic_commutators", "pauli_mul_dense_oracle_256", "commutes_xor_anticommutes_256",
+    "sm_closed_form_vs_expm", "sm_dfs_block_form", "sm_common_phase_invariance",
+    "pi_equals_z1z2", "p_squared_is_pi", "q_squared_is_lambda", "p_fourth_is_identity",
+    "basis_trace_orthogonality", "basis_spans_16", "pi_anticommutes_with_leak",
+    "pi_commutes_with_dfs_and_logi", "classify_recompose_basis",
+    "pair_symmetrization_exact_20", "motional_leakage_cancelled",
+    "u4_collective_commutes_on_code", "u4_encoded_commutes_with_collective",
+    "u4_breaks_differential", "u4_dfs_restriction", "tau_sm_1us", "off_resonant_penalty",
+    "cancellation_incompatible", "generator_roundtrip_20", "bch_residual_within_bound",
+]
+
+
+def test_verify_report_runs_every_check_in_order(tmp_path):
+    # a rewrite of a check cannot drop or reorder one without failing here
+    assert main(["verify", "--out-dir", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == VERIFY_CHECKS
+    assert all(c["passed"] for c in checks)
+
+
+@pytest.mark.parametrize("params, rc", [
+    # two pulsed T2s run past t_max: their gains are unbounded, and still rise
+    ({"n_traj": 50, "t_max": 0.3}, 0),
+    # a weak bath: the baseline never decays, so nothing was measured
+    ({"mode": "differential", "n_traj": 20, "amplitude": 1.0, "t_max": 0.5}, 1),
+])
+def test_dtscan_gain_rule_with_unbounded_gains(tmp_path, params, rc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"name": "scan", "kind": "dt-scan", "seed": 3,
+                                "parameters": params}]))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == rc
+    report = json.loads((tmp_path / "scan.json").read_text())
+    gains = [float(row.split(",")[3]) for row in
+             (tmp_path / "scan.csv").read_text().splitlines()[1:]]
+    assert any(np.isinf(gains)) and report["passed"] == (rc == 0)
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text('[{"name": "x", "kind": "wrong"}]')

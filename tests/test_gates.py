@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dfspulse import gates
 from dfspulse.dfs import DfsRegister, code_isometry, encode, logical_operators
 from dfspulse.gates import (
     HardwareParams, LeakageError, SmGateSpec, cancellation_constraints,
@@ -139,6 +140,50 @@ def test_dfs_restrict_rejects_leaky_unitary():
     with pytest.raises(LeakageError) as err:
         dfs_restrict(leaky, (0, 1))
     assert err.value.off_block_norm > 0.1
+
+
+def test_sm_unitary_is_its_row_of_the_stacked_core():
+    rng = np.random.default_rng(41)
+    th, p1, p2 = rng.uniform(-2 * np.pi, 2 * np.pi, size=(3, 50))
+    stack = gates._sm_stack(th, p1, p2)
+    assert stack.shape == (50, 4, 4)
+    for k in range(50):
+        assert np.array_equal(sm_unitary(SmGateSpec(th[k], (p1[k], p2[k]))), stack[k])
+
+
+def test_restrict_stack_raises_with_its_leaky_members_norm():
+    rng = np.random.default_rng(43)
+    v = code_isometry(DfsRegister(((0, 1),), 2))
+    leaky = expm_i(to_dense(OperatorSum.single(2, 0, "X")), 0.3)
+    stack = gates._sm_stack(*rng.uniform(-np.pi, np.pi, size=(3, 6)))
+    np.testing.assert_array_equal(gates._restrict_stack(stack, v),
+                                  v.conj().T @ stack @ v)
+    stack[4] = leaky
+    with pytest.raises(LeakageError) as err:
+        gates._restrict_stack(stack, v)
+    off = leaky @ v - v @ (v.conj().T @ leaky @ v)
+    assert err.value.off_block_norm == np.linalg.norm(off, 2) > 0.1
+
+
+def test_dfs_restrict_of_one_matrix_is_its_code_block():
+    rng = np.random.default_rng(47)
+    v = code_isometry(DfsRegister(((0, 1),), 2))
+    for th, p1, p2 in rng.uniform(-np.pi, np.pi, size=(20, 3)):
+        u = sm_unitary(SmGateSpec(th, (p1, p2)))
+        assert np.array_equal(dfs_restrict(u, (0, 1)), v.conj().T @ u @ v)
+    spec = SmGateSpec(np.pi / 4, tuple(rng.uniform(-np.pi, np.pi, 4)), (0, 1, 2, 3))
+    reg = DfsRegister(((0, 1), (2, 3)), 4)
+    v = code_isometry(reg)
+    assert np.array_equal(dfs_restrict(u4(spec), reg), v.conj().T @ u4(spec) @ v)
+
+
+def test_encoded_axis_broadcasts_over_phase_differences():
+    xb, yb, _ = (to_dense(op) for op in logical_operators((0, 1), 2))
+    dphi = np.random.default_rng(53).uniform(-np.pi, np.pi, 7)
+    stack = gates._encoded_axis(dphi, xb, yb)
+    assert stack.shape == (7, 4, 4)
+    for d, axis in zip(dphi, stack):
+        assert np.array_equal(gates._encoded_axis(d, xb, yb), axis)
 
 
 def test_logical_gate_programs():
