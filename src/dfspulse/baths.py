@@ -18,13 +18,17 @@ a global phase, and each swap is read from the exact pulse frame that
 a phase, which each swap negates, and a run reduces to a sign s_k per free
 segment and one cumulative phase Phi = sum_k s_k (I1_k - I2_k) per
 trajectory.  The segment integrals factor as a sin(wt + phi)/w =
-sin(wt) (a cos(phi)/w) + cos(wt) (a sin(phi)/w), so one [sin wt | cos wt]
-table over the segment boundaries serves every trajectory, and a matmul
-applies each trajectory chunk's coefficients (the filter-function view of
-Cywinski et al., PRB 77, 174509 (2008)).  Collective noise has no rate
+sin(wt) (a cos(phi)/w) + cos(wt) (a sin(phi)/w), so Phi = [Im F | Re F] .
+coef, with coef a trajectory's coefficients and F(t) = sum_k s_k
+(e^{i w t_k} - e^{i w t_{k-1}}) the filter function of the sequence at each
+harmonic (Cywinski et al., PRB 77, 174509 (2008)), which no trajectory
+enters.  Every record sits at a cycle end, and the signs repeat every two
+cycles, so F is a running sum over cycles of the one-cycle filter of each
+cycle parity, each shifted by its cycle's phasor e^{i w m T}; a matmul at
+the records alone applies the trajectories.  Collective noise has no rate
 difference, so it has no harmonics and every coherence is exactly 1.
 
-The engine walks the boundaries in time order, a block at a time, and hands
+The engine walks the cycle ends in time order, a block at a time, and hands
 back each record's coherence as soon as its block is done.  `dephasing_run`
 reads every block; `suppression_scan` needs only T2, so each of its runs
 stops after the first block whose coherence falls below 1/e.
@@ -47,9 +51,9 @@ from .sequences import Free, NamedPulse, PulseSequence, _named_action
 HBAR = 1.054571817e-34   # J s
 KB = 1.380649e-23        # J / K
 
-_TRAJ_CHUNK = 25         # trajectories per matmul; bounds memory in n_traj
-_BOUNDARY_BLOCK = 256    # segment boundaries per engine block; bounds memory in
-                         # n_cycles and sets how soon a scan run stops
+_TRAJ_CHUNK = 200        # trajectories per matmul; bounds memory in n_traj
+_CYCLE_BLOCK = 32        # cycle ends per engine block; bounds memory in n_cycles
+                         # and sets how soon a scan run stops
 _T2_LEVEL = 1.0 / np.e   # T2 is the first crossing of this coherence
 _TIMESCALE_MARGIN = 10.0  # the "much less" of dt << min(1/omega_c, t_dec)
 # how the rates of the two ions relate: equal, opposite, or two processes
@@ -315,9 +319,11 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
     with dI_k the segment integral of the rate difference c1 - c2, and a
     swapping pulse, read from the exact frame of `sequences.propagator`,
     conjugates it, so after k segments its phase is Phi = sum_k s_k dI_k.
-    Collective noise has no harmonics, so its coherence is exactly 1.  The
-    boundaries are processed _BOUNDARY_BLOCK at a time to bound peak memory;
-    each trajectory's last antiderivative and Phi carry across blocks.
+    At each record Phi is the filter F of `_record_filters` applied to the
+    trajectory's coefficients.  Collective noise has no harmonics, so its
+    coherence is exactly 1.  The cycle ends are processed _CYCLE_BLOCK at a
+    time and the trajectories _TRAJ_CHUNK at a time, to bound peak memory;
+    F carries across blocks.
     """
     n_cycles = _integer(n_cycles, "n_cycles", 0)
     record_every = _integer(record_every, "record_every", 1)
@@ -381,45 +387,61 @@ def _sign_template(seq: PulseSequence, pair: tuple[int, int]) -> tuple[list, np.
     return frees, np.concatenate([signs, flip * signs])
 
 
+def _cycle_filters(frees: list, period: np.ndarray, om: np.ndarray) -> np.ndarray:
+    """The filter of one cycle for each cycle parity p, at each frequency:
+    g_p = sum_j s_j^(p) (e^{i w tau_j} - e^{i w tau_{j-1}}), with tau_j the
+    segment boundaries of a cycle that starts at 0 and s^(p) the signs of
+    a cycle of parity p in the two-cycle `period` of `_sign_template`.
+    Shape (2, len(om))."""
+    tau = np.concatenate([[0.0], np.cumsum(frees)])
+    steps = np.diff(np.exp(1j * np.multiply.outer(tau, om)), axis=0)
+    return period.reshape(2, -1) @ steps
+
+
+def _record_filters(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
+                    record_every: int, om: np.ndarray):
+    """The filter F(t) = sum_k s_k (e^{i w t_k} - e^{i w t_{k-1}}) over the
+    segment boundaries up to each record, which sits at a cycle end.
+
+    Cycle m adds e^{i w m T} g_{m mod 2} (`_cycle_filters`, T the cycle
+    time), so F is one running sum over cycles.  The cycle ends 0..n_cycles
+    are walked _CYCLE_BLOCK at a time; a block starting at cycle m0 takes
+    its steps as e^{i w m0 T} times a per-run table of e^{i w k T} g_p, and
+    its running sum continues from the F the block before ended on.  After
+    each block this yields the (times, F) of the records it holds."""
+    frees, period = _sign_template(seq, pair)
+    g = _cycle_filters(frees, period, om)
+    cycle = sum(frees)
+    k = np.arange(_CYCLE_BLOCK)
+    # steps[p, k]: the step of the k-th cycle of a block whose first cycle has parity p
+    steps = np.exp(1j * np.multiply.outer(k * cycle, om)) * g[np.add.outer((0, 1), k) % 2]
+    f_start = np.zeros(om.size, dtype=complex)
+    for lo in range(0, n_cycles + 1, _CYCLE_BLOCK):
+        hi = min(lo + _CYCLE_BLOCK, n_cycles + 1)
+        # row j is F at cycle end lo + j; the last row starts the next block
+        f = np.empty((hi - lo + 1, om.size), dtype=complex)
+        f[0] = f_start
+        np.multiply(np.exp(1j * om * (lo * cycle)), steps[lo % 2, :hi - lo], out=f[1:])
+        np.cumsum(f, axis=0, out=f)
+        f_start = f[-1]
+        rec = np.arange(lo + -lo % record_every, hi, record_every)  # multiples in [lo, hi)
+        yield rec * cycle, f[rec - lo]
+
+
 def _toggling_blocks(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
                      record_every: int, om: np.ndarray, coef: np.ndarray):
-    """The toggling-frame engine: walk the segment boundaries in time order,
-    _BOUNDARY_BLOCK at a time, and after each block yield the (times,
-    coherence) of the records it holds.  Each trajectory's last
-    antiderivative and Phi carry across blocks; Phi continues one running
-    sum, so a seam changes no summation order."""
-    frees, period = _sign_template(seq, pair)
+    """The toggling-frame engine: after each block of `_record_filters`,
+    yield the (times, coherence) of the records it holds.  A trajectory's
+    phase at a record is Phi = [Im F | Re F] . coef, one matmul per
+    _TRAJ_CHUNK trajectories; the chunks are summed in a fixed order."""
     n_traj = len(coef)
-
-    # all segment boundaries across the run
-    seg_times = np.concatenate([[0.0], np.tile(frees, n_cycles)]).cumsum()
-
-    record_idx = np.arange(0, n_cycles + 1, record_every)
-    times = record_idx * sum(frees)
-    record_bound = record_idx * len(frees)
-
-    bounds = [(s, min(s + _TRAJ_CHUNK, n_traj)) for s in range(0, n_traj, _TRAJ_CHUNK)]
-    last_anti = np.empty(n_traj)
-    phi = np.zeros(n_traj)
-    for lo in range(0, seg_times.size, _BOUNDARY_BLOCK):
-        hi = min(lo + _BOUNDARY_BLOCK, seg_times.size)
-        wt = np.multiply.outer(seg_times[lo:hi], om)
-        table = np.hstack([np.sin(wt), np.cos(wt)])
-        # sign of the segment ending at each boundary; boundary 0 adds nothing
-        seg_sign = period[(np.arange(lo, hi) - 1) % period.size][:, None]
-        rec = slice(*np.searchsorted(record_bound, [lo, hi]))
-        rows = record_bound[rec] - lo
-        total = np.zeros(rows.size, dtype=complex)
-        for start, stop in bounds:  # fixed chunk order fixes the summation
-            anti = table @ coef[start:stop].T
-            prev = anti[:1] if lo == 0 else last_anti[None, start:stop]
-            phase = seg_sign * np.diff(anti, axis=0, prepend=prev)
-            phase[0] += phi[start:stop]
-            np.cumsum(phase, axis=0, out=phase)
-            last_anti[start:stop] = anti[-1]
-            phi[start:stop] = phase[-1]
-            total += np.exp(-1j * phase[rows]).sum(axis=1)
-        yield times[rec], np.abs(total) / n_traj
+    for times, f in _record_filters(seq, pair, n_cycles, record_every, om):
+        table = np.hstack([f.imag, f.real])
+        total = np.zeros(times.size, dtype=complex)
+        for start in range(0, n_traj, _TRAJ_CHUNK):  # fixed order fixes the sum
+            phase = table @ coef[start:start + _TRAJ_CHUNK].T
+            total += np.exp(-1j * phase).sum(axis=1)
+        yield times, np.abs(total) / n_traj
 
 
 def _toggling_run(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,

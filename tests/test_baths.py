@@ -431,11 +431,11 @@ def _full_runs(noise, n_traj, t_max):
     return runs
 
 
-def _crossing_boundaries(res):
-    """Segment boundaries of the record before the first 1/e crossing and of
-    the crossing record (symmetrize_pair, every cycle recorded)."""
+def _crossing_cycles(res):
+    """Cycle ends of the record before the first 1/e crossing and of the
+    crossing record (every cycle recorded)."""
     k = np.nonzero(res.coherence < 1 / np.e)[0][0]
-    return 2 * k - 2, 2 * k
+    return k - 1, k
 
 
 def test_suppression_scan_t2_is_the_full_run_t2():
@@ -443,20 +443,20 @@ def test_suppression_scan_t2_is_the_full_run_t2():
     rows = suppression_scan(symmetrize_pair, SCAN_GRID, noise, 12, 0.6)
     full = _full_runs(noise, 12, 0.6)
     # 8 ms crosses inside the first engine block; 2 ms and 1 ms never cross
-    assert _crossing_boundaries(full[0])[1] < baths_mod._BOUNDARY_BLOCK
+    assert _crossing_cycles(full[0])[1] < baths_mod._CYCLE_BLOCK
     assert math.isinf(full[2].t2) and math.isinf(full[3].t2)
     for row, res in zip(rows, full):
         assert row.t2_pulsed == res.t2
 
 
 def test_suppression_scan_t2_when_the_crossing_follows_a_block_seam(monkeypatch):
-    monkeypatch.setattr(baths_mod, "_BOUNDARY_BLOCK", 5)
+    monkeypatch.setattr(baths_mod, "_CYCLE_BLOCK", 3)
     noise = storage_noise(amplitude=TWO_PI * 800.0, n_harmonics=16)
     rows = suppression_scan(symmetrize_pair, SCAN_GRID, noise, 12, 0.6)
     full = _full_runs(noise, 12, 0.6)
     # at 1 ms the crossing record opens a block; the record before closes the last
-    before, at = _crossing_boundaries(full[3])
-    assert before // 5 < at // 5 and at > 5
+    before, at = _crossing_cycles(full[3])
+    assert before // 3 < at // 3 and at > 3
     for row, res in zip(rows, full):
         assert row.t2_pulsed == res.t2
 
@@ -475,15 +475,15 @@ def test_suppression_scan_stops_each_run_after_its_crossing_block(monkeypatch):
     monkeypatch.setattr(baths_mod, "_toggling_blocks", counting)
     rows = suppression_scan(symmetrize_pair, SCAN_GRID, noise, 12, 6.0)
     monkeypatch.setattr(baths_mod, "_toggling_blocks", engine)
-    block = baths_mod._BOUNDARY_BLOCK
+    block = baths_mod._CYCLE_BLOCK
     full = _full_runs(noise, 12, 6.0)
     # the baseline crosses in its first horizon step, then one run per dt
     assert len(calls) == 1 + len(SCAN_GRID)
-    want = [_crossing_boundaries(res)[1] // block + 1 for res in full]
+    want = [_crossing_cycles(res)[1] // block + 1 for res in full]
     assert calls[1:] == want
     assert want[0] == 1  # a crossing in the first block evaluates that block only
     for res, n in zip(full, want):  # each full run has more blocks than were read
-        assert math.ceil((2 * (res.times.size - 1) + 1) / block) > n
+        assert math.ceil(res.times.size / block) > n
     for row, res in zip(rows, full):
         assert row.t2_pulsed == res.t2
 
@@ -677,7 +677,7 @@ _events = st.one_of(
 @given(events=st.lists(_events, min_size=1, max_size=6).filter(
            lambda evs: any(isinstance(e, Free) for e in evs)),
        mode=st.sampled_from(MODES), n_traj=st.integers(1, 30),
-       n_cycles=st.integers(1, 40), record_every=st.integers(1, 4))
+       n_cycles=st.integers(0, 40), record_every=st.integers(1, 4))
 def test_dephasing_matches_state_evolution_on_random_sequences(
         events, mode, n_traj, n_cycles, record_every):
     noise = storage_noise(amplitude=TWO_PI * 50.0, n_harmonics=8)
@@ -690,22 +690,70 @@ def test_dephasing_matches_state_evolution_on_random_sequences(
 
 @pytest.mark.parametrize("name", ["pair", "odd_swap"])
 def test_dephasing_carries_phase_across_boundary_blocks(name, monkeypatch):
-    # blocks of 5 boundaries put a block seam inside almost every cycle
-    monkeypatch.setattr(baths_mod, "_BOUNDARY_BLOCK", 5)
+    # blocks of 1 cycle end put a block seam at every cycle end, and blocks
+    # of 5 start on cycles of either parity
     noise = storage_noise(alpha=1.0, amplitude=TWO_PI * 50.0, n_harmonics=16)
     seq = ORACLE_SEQUENCES[name]
-    got = dephasing_run(seq, noise, 30, n_cycles=60, record_every=3)
     want = reference_coherence(seq, noise, 30, 60, "differential", 3)
-    np.testing.assert_allclose(got.coherence, want, rtol=0, atol=1e-9)
+    for block in (1, 5):
+        monkeypatch.setattr(baths_mod, "_CYCLE_BLOCK", block)
+        got = dephasing_run(seq, noise, 30, n_cycles=60, record_every=3)
+        np.testing.assert_allclose(got.coherence, want, rtol=0, atol=1e-9)
 
 
 def test_dephasing_collective_is_exactly_immune(monkeypatch):
-    # the default blocks, then a block seam inside almost every cycle
-    for block, record_every in ((baths_mod._BOUNDARY_BLOCK, 1), (5, 3)):
-        monkeypatch.setattr(baths_mod, "_BOUNDARY_BLOCK", block)
+    # the default blocks, then a block seam at every cycle end
+    for block, record_every in ((baths_mod._CYCLE_BLOCK, 1), (1, 3)):
+        monkeypatch.setattr(baths_mod, "_CYCLE_BLOCK", block)
         res = dephasing_run(symmetrize_pair(1e-3), storage_noise(), 30,
                             n_cycles=200, mode="collective", record_every=record_every)
         assert np.all(res.coherence == 1.0) and math.isinf(res.t2)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dephasing_run_of_no_cycles_is_its_start(mode):
+    res = dephasing_run(ORACLE_SEQUENCES["pair"], storage_noise(n_harmonics=8), 5,
+                        n_cycles=0, mode=mode)
+    assert res.times.tolist() == [0.0] and res.coherence.tolist() == [1.0]
+    assert math.isinf(res.t2)
+
+
+def boundary_filter(seq, n_cycles, om):
+    """F at every cycle end, summed boundary by boundary over the run's
+    segment boundaries t_k, and the sum of the magnitudes of its terms so
+    far."""
+    frees, period = baths_mod._sign_template(seq, (0, 1))
+    t = np.concatenate([[0.0], np.tile(frees, n_cycles)]).cumsum()
+    steps = np.diff(np.exp(1j * np.multiply.outer(t, om)), axis=0)
+    steps *= np.resize(period, len(steps))[:, None]
+    f, scale = (np.concatenate([np.zeros((1, om.size)), x.cumsum(axis=0)])[::len(frees)]
+                for x in (steps, np.abs(steps)))
+    return f, scale
+
+
+@pytest.mark.parametrize("name", ["pair", "odd_swap", "q_lam_pi"])
+def test_engine_filter_is_the_boundary_sum(name, monkeypatch):
+    # relative to the sum of the magnitudes of its terms, per harmonic: the
+    # scale of a sum's rounding, since an echo cancels F far below its terms
+    om = storage_noise(alpha=1.0, n_harmonics=16).frequencies()
+    seq = ORACLE_SEQUENCES[name]
+    want, scale = boundary_filter(seq, 60, om)
+    for block in (baths_mod._CYCLE_BLOCK, 1):
+        monkeypatch.setattr(baths_mod, "_CYCLE_BLOCK", block)
+        for record_every in (1, 3):
+            blocks = list(baths_mod._record_filters(seq, (0, 1), 60, record_every, om))
+            assert len(blocks) == math.ceil(61 / block)
+            times = np.concatenate([t for t, _ in blocks])
+            f = np.concatenate([f for _, f in blocks])
+            np.testing.assert_allclose(times, np.arange(0, 61, record_every) * seq.cycle_time,
+                                       rtol=1e-15, atol=0)
+            assert (np.abs(f - want[::record_every]) <= 1e-12 * scale[::record_every]).all()
+    # one cycle of each parity: F after the first cycle, and what the second adds
+    frees, period = baths_mod._sign_template(seq, (0, 1))
+    g = baths_mod._cycle_filters(frees, period, om)
+    assert (np.abs(g[0] - want[1]) <= 1e-12 * scale[1]).all()
+    shifted = g[1] * np.exp(1j * om * seq.cycle_time)
+    assert (np.abs(shifted - (want[2] - want[1])) <= 1e-12 * scale[2]).all()
 
 
 def test_dephasing_rejects_non_monomial_pulse(monkeypatch):
@@ -718,7 +766,7 @@ def test_dephasing_rejects_non_monomial_pulse(monkeypatch):
 
 
 def test_dephasing_peak_memory_bounded_in_cycles():
-    # 200001 boundaries x 128 table columns would take 205 MB unblocked
+    # 100001 cycle ends x 64 complex filters would take 102 MB unblocked
     noise = storage_noise(n_harmonics=64)
     tracemalloc.start()
     try:
