@@ -43,8 +43,8 @@ import numpy as np
 
 from .dfs import CODE_ONE_INDEX, CODE_ZERO_INDEX, _checked_pair
 from .pauli import (
-    OperatorSum, PauliTerm, _embed, _finite, _integer, _pair, _tuple, is_hermitian_matrix,
-    spectral_norm, to_dense,
+    OperatorSum, PauliTerm, _embed, _finite, _integer, _matrix, _pair, _tuple,
+    is_hermitian_matrix, spectral_norm, to_dense,
 )
 from .sequences import Free, NamedPulse, PulseSequence, _named_action
 
@@ -66,18 +66,21 @@ _NOISE_MODES = ("collective", "differential", "independent")
 
 @dataclass(frozen=True)
 class DephasingBath:
-    """Two-qubit dephasing bath: Z1 (x) b1 + Z2 (x) b2 (+ bath Hamiltonian)."""
+    """Two-qubit dephasing bath: Z1 (x) b1 + Z2 (x) b2 (+ bath Hamiltonian).
+    b1 is any Hermitian matrix, and b2 and h_bath Hermitian of its shape."""
 
     b1: np.ndarray
     b2: np.ndarray
     h_bath: np.ndarray | None = None
 
     def __post_init__(self):
+        shape = None
         for name in ("b1", "b2") if self.h_bath is None else ("b1", "b2", "h_bath"):
-            m = np.asarray(getattr(self, name), dtype=complex)
+            m = _matrix(getattr(self, name), f"{name} must be Hermitian; it", shape)
             if not is_hermitian_matrix(m):
                 raise ValueError(f"{name} must be Hermitian")
             object.__setattr__(self, name, m)
+            shape = m.shape
 
     @property
     def dim(self) -> int:
@@ -211,10 +214,11 @@ def bch_bound(h_s: np.ndarray, h_sb: np.ndarray, h_b: np.ndarray,
     """Second-order combination error bound for the weak-drive parity kick.
 
     bound = t^2 ||[H_SB, H_S] + [H_SB, H_B]|| / 2;
-    t_max_weak = 1 / sqrt(||H_S|| ||H_SB||).
+    t_max_weak = 1 / sqrt(||H_S|| ||H_SB||); the three are square, of one shape.
     """
     t = _finite(t, "t")
-    h_s, h_sb, h_b = (np.asarray(m, dtype=complex) for m in (h_s, h_sb, h_b))
+    h_s = _matrix(h_s, "h_s")
+    h_sb, h_b = _matrix(h_sb, "h_sb", h_s.shape), _matrix(h_b, "h_b", h_s.shape)
     comm = (h_sb @ h_s - h_s @ h_sb) + (h_sb @ h_b - h_b @ h_sb)
     omega = spectral_norm(h_s)
     gamma_sb = spectral_norm(h_sb)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
-    OperatorSum, _components, _connect, _edges, _from_masks, _gather, _integer, _ions,
-    _layout, _masks, _norm_blocks, _pair, _place, _slabs, _tuple, spectral_norm, to_dense,
+    OperatorSum, _components, _connect, _edges, _from_masks, _gather, _integer, _ions, _layout,
+    _masks, _matrix, _norm_blocks, _pair, _place, _slabs, _tuple, spectral_norm, to_dense,
 )
 
 CODE_ZERO_INDEX = 2  # |down, up>
@@ -243,23 +243,19 @@ def code_isometry(register: DfsRegister) -> np.ndarray:
 
 def encode(logical_state: np.ndarray, register: DfsRegister) -> np.ndarray:
     """Map a logical state vector into the physical register (norm-preserving)."""
-    psi = np.asarray(logical_state, dtype=complex).ravel()
-    if psi.size != 2 ** register.n_logical:
-        raise ValueError(
-            f"logical dimension {psi.size} != 2^{register.n_logical}")
-    return code_isometry(register) @ psi
+    return code_isometry(register) @ _matrix(logical_state, "logical_state",
+                                             (2 ** register.n_logical,))
 
 
 def leakage_probability(state: np.ndarray, register: DfsRegister,
                         bath_dim: int = 1) -> float:
-    """1 - <P_DFS> with P_DFS projecting every pair onto its code space."""
+    """1 - <P_DFS> with P_DFS projecting every pair onto its code space; the
+    state is a vector or a density matrix of the register (x) bath space."""
     bath_dim = _integer(bath_dim, "bath_dim", 1)
     v = code_isometry(register)
     p_sys = v @ v.conj().T
     proj = np.kron(p_sys, np.eye(bath_dim, dtype=complex))
-    state = np.asarray(state, dtype=complex)
-    if not np.isfinite(state).all():
-        raise ValueError("state must be finite")
+    state = _matrix(state, "state", (len(proj),) if np.ndim(state) == 1 else proj.shape)
     if state.ndim == 1:
         val = np.vdot(state, proj @ state).real
     else:
@@ -279,9 +275,7 @@ def _bath_block(h4: np.ndarray, p: np.ndarray) -> np.ndarray:
 def bucket_operators(h: np.ndarray, bath_dim: int) -> dict[str, np.ndarray]:
     """Dense DFS/Leak/Xbar/Ybar/Zbar components of a two-qubit (x) bath operator."""
     bath_dim = _integer(bath_dim, "bath_dim", 1)
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (4 * bath_dim, 4 * bath_dim):
-        raise ValueError("expected a (4*bath_dim) square matrix")
+    h = _matrix(h, "h", (4 * bath_dim,) * 2)
     h4 = h.reshape(4, bath_dim, 4, bath_dim)
     out = {k: np.zeros_like(h) for k in ("DFS", "Leak") + LOGI_LABELS}
     for lab in ALL_LABELS:
@@ -308,11 +302,7 @@ def block_collective_residual(h: np.ndarray, width: int, bath_dim: int,
     square.  h is split into its blocks and taken by `_block_residual`.
     """
     width, bath_dim = _integer(width, "width", 0), _integer(bath_dim, "bath_dim", 1)
-    h = np.asarray(h, dtype=complex)
-    dim = 2 ** width * bath_dim
-    if h.shape != (dim, dim):
-        raise ValueError(f"h has shape {h.shape}, expected {(dim, dim)} for "
-                         f"{width} qubits and bath dimension {bath_dim}")
+    h = _matrix(h, "h", (2 ** width * bath_dim,) * 2)
     return _block_residual(_gather(h), width, bath_dim, blocks)
 
 

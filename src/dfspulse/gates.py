@@ -17,7 +17,7 @@ import numpy as np
 
 from .dfs import DfsRegister, _pair_register, code_isometry, logical_operators
 from .pauli import (
-    SIGMA, _CHECK_TOL, OperatorSum, PauliTerm, _finite, _integer, _ions, _tuple,
+    SIGMA, _CHECK_TOL, OperatorSum, PauliTerm, _finite, _integer, _ions, _matrix, _tuple,
     embed_sites, expm_i, kron_all, to_dense,
 )
 
@@ -135,11 +135,7 @@ def dfs_restrict(u: np.ndarray, register: DfsRegister | tuple[int, int]) -> np.n
     """
     if not isinstance(register, DfsRegister):
         register = _pair_register(register)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2 ** register.width,) * 2:
-        raise ValueError("unitary dimension does not match register width")
-    if not np.isfinite(u).all():
-        raise ValueError("unitary must be finite")
+    u = _matrix(u, "u", (2 ** register.width,) * 2)
     return _restrict_stack(u[None], code_isometry(register))[0]
 
 

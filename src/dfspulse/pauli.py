@@ -177,6 +177,24 @@ def _pair(x, what: str, width: int | None = None) -> tuple[int, int]:
     return ions
 
 
+def _matrix(m, what: str, shape: tuple | None = None, error: type = ValueError) -> np.ndarray:
+    """m as a complex array, no copy of a complex one; `error` naming `what`
+    unless m holds real or complex numbers (no bools, strings or None) in the
+    shape `shape`, any square matrix when it is None, all of them finite."""
+    try:
+        a = np.asarray(m)
+    except ValueError:  # a ragged nested sequence
+        a = None
+    if a is None or a.dtype.kind not in "iufc":
+        raise error(f"{what} must be an array of numbers, got {m!r}")
+    if not (a.ndim == 2 and a.shape[0] == a.shape[1] if shape is None else a.shape == shape):
+        raise error(f"{what} has shape {a.shape}, expected {shape or 'a square matrix'}")
+    a = a.astype(complex, copy=False)
+    if not np.isfinite(a).all():
+        raise error(f"{what} must be finite")
+    return a
+
+
 class WidthMismatchError(ValueError):
     """Operands act on registers of different widths."""
 
@@ -298,21 +316,36 @@ def _phase(ax: int, az: int, bx: int, bz: int) -> int:
             - ((ax ^ bx) & (az ^ bz)).bit_count() + 2 * (az & bx).bit_count()) & 3
 
 
+def _width(a, b) -> int:
+    """The width of two operands; WidthMismatchError unless they share it."""
+    if a.width != b.width:
+        raise WidthMismatchError(f"widths differ: {a.width} vs {b.width}")
+    return a.width
+
+
+def _products(a_items, b_items):
+    """The ((x, z, bath_slot), coefficient) item of each product P_a P_b =
+    i^k P_ab, a over the items `a_items` and b over the sequence `b_items`,
+    the phase folded into the coefficient; BathSlotError when both carry a
+    slot."""
+    for (ax, az, a_slot), ac in a_items:
+        for (bx, bz, b_slot), bc in b_items:
+            if a_slot is not None and b_slot is not None:
+                raise BathSlotError("cannot multiply two bath-coupled terms symbolically")
+            yield (ax ^ bx, az ^ bz, a_slot or b_slot), _I_POW[_phase(ax, az, bx, bz)] * ac * bc
+
+
 def pauli_mul(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     """Product of two Pauli terms; the group phase folds into the coefficient."""
-    if _instance(a, PauliTerm, "a").width != _instance(b, PauliTerm, "b").width:
-        raise WidthMismatchError(f"widths differ: {a.width} vs {b.width}")
-    if a.bath_slot is not None and b.bath_slot is not None:
-        raise BathSlotError("cannot multiply two bath-coupled terms symbolically")
-    return _term(a.width, a.x ^ b.x, a.z ^ b.z,
-                 _I_POW[_phase(a.x, a.z, b.x, b.z)] * a.coefficient * b.coefficient,
-                 a.bath_slot or b.bath_slot)
+    width = _width(_instance(a, PauliTerm, "a"), _instance(b, PauliTerm, "b"))
+    [((x, z, slot), c)] = _products([((a.x, a.z, a.bath_slot), a.coefficient)],
+                                    [((b.x, b.z, b.bath_slot), b.coefficient)])
+    return _term(width, x, z, c, slot)
 
 
 def commutes(a: PauliTerm, b: PauliTerm) -> bool:
     """True iff the Pauli strings commute (the only alternative is ab = -ba)."""
-    if _instance(a, PauliTerm, "a").width != _instance(b, PauliTerm, "b").width:
-        raise WidthMismatchError(f"widths differ: {a.width} vs {b.width}")
+    _width(_instance(a, PauliTerm, "a"), _instance(b, PauliTerm, "b"))
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
@@ -434,10 +467,8 @@ class OperatorSum:
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         if not isinstance(other, OperatorSum):
             return NotImplemented
-        if self.width != other.width:
-            raise WidthMismatchError("widths differ")
-        return _from_masks(self.width, zip(self._keys + other._keys,
-                                           self._coefs + other._coefs))
+        return _from_masks(_width(self, other), zip(self._keys + other._keys,
+                                                    self._coefs + other._coefs))
 
     def __sub__(self, other: "OperatorSum") -> "OperatorSum":
         if not isinstance(other, OperatorSum):
@@ -460,17 +491,8 @@ class OperatorSum:
     def __matmul__(self, other: "OperatorSum") -> "OperatorSum":
         if not isinstance(other, OperatorSum):
             return NotImplemented
-        if self.width != other.width:
-            raise WidthMismatchError("widths differ")
-        items = []
-        for (ax, az, a_slot), ac in zip(self._keys, self._coefs):
-            for (bx, bz, b_slot), bc in zip(other._keys, other._coefs):
-                if a_slot is not None and b_slot is not None:
-                    raise BathSlotError(
-                        "cannot multiply two bath-coupled terms symbolically")
-                items.append(((ax ^ bx, az ^ bz, a_slot or b_slot),
-                              _I_POW[_phase(ax, az, bx, bz)] * ac * bc))
-        return _from_masks(self.width, items)
+        return _from_masks(_width(self, other), _products(zip(self._keys, self._coefs),
+                                                          list(zip(other._keys, other._coefs))))
 
     def dagger(self) -> "OperatorSum":
         # Pauli strings are Hermitian and bath bindings are required Hermitian,
@@ -545,13 +567,8 @@ def _term_entries(op: OperatorSum, bath_dim: int, bindings: dict | None) -> tupl
             continue
         if slot not in bindings:
             raise BathSlotError(f"unbound bath slot {slot!r}")
-        bath = np.asarray(bindings[slot], dtype=complex)
-        if bath.shape != (bath_dim, bath_dim):
-            raise BathSlotError(
-                f"binding for {slot!r} has shape {bath.shape}, "
-                f"expected {(bath_dim, bath_dim)}")
-        if not np.isfinite(bath).all():
-            raise BathSlotError(f"binding for {slot!r} must be finite")
+        bath = _matrix(bindings[slot], f"binding for {slot!r}", (bath_dim, bath_dim),
+                       BathSlotError)
         if not is_hermitian_matrix(bath):
             raise BathSlotError(f"binding for {slot!r} must be Hermitian")
         slot_index[slot] = len(baths)
@@ -638,9 +655,7 @@ def embed_sites(mat: np.ndarray, sites: tuple[int, ...], width: int) -> np.ndarr
     """
     width = _integer(width, "width", 0)
     sites = _ions(sites, "sites", width)
-    if mat.shape != (2 ** len(sites),) * 2:
-        raise ValueError("matrix shape does not match number of sites")
-    return _embed(mat, sites, (2,) * width)
+    return _embed(_matrix(mat, "mat", (2 ** len(sites),) * 2), sites, (2,) * width)
 
 
 def _embed(mat: np.ndarray, axes: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -844,9 +859,7 @@ def _dense(blocks, dim: int) -> np.ndarray:
 
 def expm_i(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition (exact, unitary)."""
-    h = np.asarray(h, dtype=complex)
-    if not _square([h[None]]):
-        raise NonHermitianError("expm_i requires a Hermitian generator h")
+    h = _matrix(h, "expm_i requires a Hermitian generator h; it", error=NonHermitianError)
     return _dense(_expm_blocks(_gather(h), t), h.shape[0])
 
 
@@ -881,9 +894,7 @@ def generator_of(u: np.ndarray, total_time: float) -> np.ndarray:
     `_BRANCH_TOL` (1e-6) away from the +-pi branch cut.  u is split into its
     blocks and each is taken by `_log_blocks`.
     """
-    u = np.asarray(u, dtype=complex)
-    if not _square([u[None]]):
-        raise NonUnitaryError("generator_of requires a unitary input u")
+    u = _matrix(u, "generator_of requires a unitary input u; it", error=NonUnitaryError)
     return _dense(_log_blocks(_gather(u), total_time)[0], u.shape[0])
 
 

@@ -30,8 +30,8 @@ from .dfs import _checked_pair, logical_operators
 from .gates import SmGateSpec, sm_gate_dense, x_phi
 from .pauli import (
     OperatorSum, NonUnitaryError, _blocks, _components, _connect, _dense, _edges,
-    _expm_blocks, _finite, _from_masks, _gather, _integer, _layout, _pair, _place, _slabs,
-    _stacked, _tuple, expm_i, is_unitary, to_dense,
+    _expm_blocks, _finite, _from_masks, _gather, _integer, _layout, _matrix, _pair, _place,
+    _slabs, _stacked, _tuple, expm_i, is_unitary, to_dense,
 )
 
 _LABEL_GENERATOR = {
@@ -99,7 +99,8 @@ class RawPulse:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if not is_unitary(np.asarray(self.matrix, dtype=complex)):
+        if not is_unitary(_matrix(self.matrix, "RawPulse matrix must be unitary; it",
+                                  error=NonUnitaryError)):
             raise NonUnitaryError("RawPulse matrix must be unitary")
 
 
@@ -175,8 +176,9 @@ def named_pulse(label: str, pair: tuple[int, int] = (0, 1),
 
 
 def parity_kick(r: np.ndarray, tau: float) -> PulseSequence:
-    """[tau, R, tau, Rdag]: cancels ambient terms that anticommute with R."""
-    r = np.asarray(r, dtype=complex)
+    """[tau, R, tau, Rdag]: cancels ambient terms that anticommute with R;
+    NonUnitaryError unless r is unitary."""
+    r = _matrix(r, "parity_kick requires a unitary r; it", error=NonUnitaryError)
     return PulseSequence((Free(tau), RawPulse(r), Free(tau), RawPulse(r.conj().T)))
 
 
@@ -299,8 +301,12 @@ def euler_rotation(alpha: float, beta: float, gamma: float,
 def euler_angles_xyx(target: np.ndarray) -> tuple[float, float, float]:
     """Angles (alpha, beta, gamma) with, up to global phase,
     target = Gx(alpha) Gy(beta) Gx(gamma), where Gx(a) = exp(-i a sigma_x)
-    and Gy(b) = exp(+i b sigma_y) are the code-space pulse primitives."""
-    u = np.asarray(target, dtype=complex)
+    and Gy(b) = exp(+i b sigma_y) are the code-space pulse primitives.
+    NonUnitaryError unless target is a 2 x 2 unitary."""
+    u = _matrix(target, "euler_angles_xyx requires a unitary target; it", (2, 2),
+                NonUnitaryError)
+    if not is_unitary(u):
+        raise NonUnitaryError("euler_angles_xyx requires a unitary target")
     det = np.linalg.det(u)
     u = u / np.sqrt(det)  # SU(2) up to sign
     had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -340,12 +346,7 @@ class EvolutionModel:
         h = self.h_static
         if h is None:
             h = np.zeros((dim, dim), dtype=complex)
-        h = np.asarray(h, dtype=complex)
-        if h.shape != (dim, dim):
-            raise ValueError(f"h_static must be {dim}x{dim}")
-        if not np.isfinite(h).all():
-            raise ValueError("h_static must be finite")
-        object.__setattr__(self, "h_static", h)
+        object.__setattr__(self, "h_static", _matrix(h, "h_static", (dim, dim)))
 
     @property
     def dim(self) -> int:
@@ -361,12 +362,9 @@ def _pulse_unitary(event, width: int) -> np.ndarray:
     elif isinstance(event, SmPulse):
         sys = sm_gate_dense(event.spec, width)
     elif isinstance(event, RawPulse):
-        sys = np.array(event.matrix, dtype=complex)
+        sys = _matrix(event.matrix, f"a pulse on a {width}-qubit register", (2 ** width,) * 2)
     else:
         raise TypeError(f"unknown event {event!r}")
-    if sys.shape != (2 ** width, 2 ** width):
-        raise ValueError(f"pulse matrix of shape {sys.shape} does not act on "
-                         f"a {width}-qubit register")
     return sys
 
 

@@ -1,8 +1,8 @@
 """The one number rule at every input boundary: `pauli._finite` for real
 numbers, `pauli._complex` for the coefficients and scalars of the Pauli
 algebra, `pauli._integer` for integers with their lower bounds, `pauli._ions`
-and `pauli._pair` for ion lists, and one square, Hermitian and unitary test
-for matrices.  A bad value raises ValueError (or a documented subclass); it
+and `pauli._pair` for ion lists, `pauli._matrix` for every matrix or state
+argument, and one square, Hermitian and unitary test for matrices.  A bad value raises ValueError (or a documented subclass); it
 never raises a stray TypeError or a RuntimeWarning, and no bool, string, None
 or non-finite value is read as a number."""
 import math
@@ -16,21 +16,21 @@ from dfspulse.baths import (
     sample_1f_trajectory, suppression_scan, timescale_check,
 )
 from dfspulse.dfs import (
-    DfsRegister, basis_operator, block_collective_residual, bucket_operators,
-    leakage_probability, logical_operators,
+    DfsRegister, basis_operator, block_collective_residual, bucket_norms, bucket_operators,
+    encode, leakage_probability, logical_operators,
 )
 from dfspulse.gates import (
     HardwareParams, SmGateSpec, cancellation_constraints, dfs_restrict, program_unitary, x_phi,
     x_phi_dense,
 )
 from dfspulse.pauli import (
-    NonHermitianError, NonUnitaryError, OperatorSum, PauliTerm, commutes, embed_sites, expm_i,
-    generator_of, is_hermitian_matrix, is_unitary, pauli_mul, to_dense,
+    BathSlotError, NonHermitianError, NonUnitaryError, OperatorSum, PauliTerm, commutes,
+    embed_sites, expm_i, generator_of, is_hermitian_matrix, is_unitary, pauli_mul, to_dense,
 )
 from dfspulse.sequences import (
-    Drive, EvolutionModel, Free, NamedPulse, PulseSequence, _drive_hamiltonian,
-    combined_gate, euler_rotation, named_pulse, seq_from_text, symmetrize_block4,
-    symmetrize_pair,
+    Drive, EvolutionModel, Free, NamedPulse, PulseSequence, RawPulse, _drive_hamiltonian,
+    combined_gate, euler_angles_xyx, euler_rotation, named_pulse, parity_kick, seq_from_text,
+    symmetrize_block4, symmetrize_pair,
 )
 
 BAD = [math.nan, math.inf, -math.inf, -1, 0, 2.5, "1", None, [1, 2], True, np.bool_(True)]
@@ -118,6 +118,7 @@ _XZ = OperatorSum.from_label("XZ")
 _GRID = [8e-3, 4e-3, 2e-3, 1e-3]
 _REG = DfsRegister(((0, 1),), 2)
 _CODE_STATE = np.eye(4)[2]
+_NAN4 = np.full((4, 4), math.nan)
 
 
 @pytest.mark.parametrize("call, what", [
@@ -204,6 +205,16 @@ _CODE_STATE = np.eye(4)[2]
     (lambda: PauliTerm(5), "^factors:"),
     (lambda: OperatorSum.from_label(5), "^factors:"),
     (lambda: to_dense("x"), "^op:"),
+    (lambda: leakage_probability(_CODE_STATE[:, None], _REG), "^state "),
+    (lambda: leakage_probability(np.ones((4, 3)), _REG), "^state "),
+    (lambda: bch_bound(np.ones(4), np.eye(4), np.eye(4), 0.1), "^h_s "),
+    (lambda: bch_bound(_NAN4, np.eye(4), np.eye(4), 0.1), "^h_s "),
+    (lambda: bucket_norms(_NAN4, 1), "^h "),
+    (lambda: block_collective_residual(_NAN4, 2, 1, ((0, 1),)), "^h "),
+    (lambda: DephasingBath(np.eye(2), np.eye(3)), "^b2 "),
+    (lambda: encode([math.nan, 1], _REG), "^logical_state "),
+    (lambda: embed_sites(None, (0, 1), 3), "^mat "),
+    (lambda: euler_angles_xyx(np.zeros((2, 2))), "unitary target"),
 ], ids=["n_cycles", "record_every", "n_traj", "embed_sites", "symmetrize_block4",
         "to_dense-1.5", "to_dense-0", "seq_from_text", "m-1.5", "m-nan", "m-True",
         "k_prime", "dt_sample-0", "dt_sample-negative",
@@ -227,11 +238,67 @@ _CODE_STATE = np.eye(4)[2]
         *[f"PauliTerm-coefficient-{c}" for c in ("str", "nan", "inf-imag", "True", "None")],
         "single-coefficient-str", "from_label-coefficient-str", "scalar-str-right",
         "scalar-str-left", "scalar-nan", "scalar-overflow", "pauli_mul-int",
-        "commutes-str", "isclose-int", "PauliTerm-int", "from_label-int", "to_dense-str"])
+        "commutes-str", "isclose-int", "PauliTerm-int", "from_label-int", "to_dense-str",
+        "leakage-column", "leakage-4x3", "bch_bound-vector", "bch_bound-nan-matrix",
+        "bucket_norms-nan", "block_residual-nan", "DephasingBath-shapes", "encode-nan",
+        "embed_sites-None", "euler-zeros"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_bad_function_argument_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()
+
+
+_I2 = np.eye(2)
+
+# every matrix or state argument read through `pauli._matrix`: (call on the
+# argument, a valid value, the error the call raises, its name in the message)
+MATRIX_ARGUMENTS = {
+    "embed_sites": (lambda m: embed_sites(m, (0, 1), 3), np.eye(4), ValueError, "^mat "),
+    "expm_i": (lambda m: expm_i(m, 1.0), _I2, NonHermitianError, "generator h"),
+    "generator_of": (lambda m: generator_of(m, 1.0), _I2, NonUnitaryError, "input u"),
+    "binding": (lambda m: to_dense(OperatorSum.single(1, 0, "Z", 1.0, "b"), 2, {"b": m}),
+                _I2, BathSlotError, "^binding for 'b' "),
+    "encode": (lambda m: encode(m, _REG), np.eye(2)[0], ValueError, "^logical_state "),
+    "leakage_probability": (lambda m: leakage_probability(m, _REG), _CODE_STATE, ValueError,
+                            "^state "),
+    "bucket_norms": (lambda m: bucket_norms(m, 1), np.eye(4), ValueError, "^h "),
+    "block_collective_residual": (lambda m: block_collective_residual(m, 2, 1, ((0, 1),)),
+                                  np.eye(4), ValueError, "^h "),
+    "dfs_restrict": (lambda m: dfs_restrict(m, (0, 1)), np.eye(4), ValueError, "^u "),
+    "EvolutionModel": (lambda m: EvolutionModel(2, 1, m), np.eye(4), ValueError, "^h_static "),
+    "RawPulse": (RawPulse, _I2, NonUnitaryError, "^RawPulse matrix "),
+    "parity_kick": (lambda m: parity_kick(m, 0.1), _I2, NonUnitaryError, "unitary r"),
+    "euler_angles_xyx": (euler_angles_xyx, _I2, NonUnitaryError, "unitary target"),
+    "DephasingBath.b1": (lambda m: DephasingBath(m, _I2), _I2, ValueError, "^b1 "),
+    "DephasingBath.b2": (lambda m: DephasingBath(_I2, m), _I2, ValueError, "^b2 "),
+    "DephasingBath.h_bath": (lambda m: DephasingBath(_I2, _I2, m), _I2, ValueError,
+                             "^h_bath "),
+    "bch_bound.h_s": (lambda m: bch_bound(m, _I2, _I2, 0.1), _I2, ValueError, "^h_s "),
+    "bch_bound.h_sb": (lambda m: bch_bound(_I2, m, _I2, 0.1), _I2, ValueError, "^h_sb "),
+    "bch_bound.h_b": (lambda m: bch_bound(_I2, _I2, m, 0.1), _I2, ValueError, "^h_b "),
+}
+
+
+def _bad_matrices(valid: np.ndarray) -> dict:
+    """Inputs that no matrix argument accepts, given a valid one: a wrong
+    shape, a 1-D array (a wrong length where a vector is valid), a NaN entry,
+    None and a string."""
+    nan = valid.astype(complex)
+    nan.flat[0] = math.nan
+    return {"shape": np.ones((len(valid), len(valid) + 1)), "1-D": np.ones(valid.size + 1),
+            "nan": nan, "None": None, "str": "1"}
+
+
+# None is the default of h_static and h_bath, no ambient or bath Hamiltonian
+@pytest.mark.parametrize("site, bad", [
+    (site, bad) for site in MATRIX_ARGUMENTS for bad in ("shape", "1-D", "nan", "None", "str")
+    if (site, bad) not in (("EvolutionModel", "None"), ("DephasingBath.h_bath", "None"))])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_matrix_argument_takes_a_nested_list_and_rejects_a_bad_matrix(site, bad):
+    call, valid, error, what = MATRIX_ARGUMENTS[site]
+    call(valid.tolist())
+    with pytest.raises(error, match=what):
+        call(_bad_matrices(valid)[bad])
 
 
 @pytest.mark.parametrize("call", [
