@@ -29,9 +29,13 @@ the records alone applies the trajectories.  Collective noise has no rate
 difference, so it has no harmonics and every coherence is exactly 1.
 
 The engine walks the cycle ends in time order, a block at a time, and hands
-back each record's coherence as soon as its block is done.  `dephasing_run`
-reads every block; `suppression_scan` needs only T2, so each of its runs
-stops after the first block whose coherence falls below 1/e.
+back each record's trajectory phases as soon as its block is done.
+`dephasing_run` reads every block; `suppression_scan` needs only T2, so each
+of its runs stops after the first block whose coherence falls below 1/e.  A
+scan run also skips the exponentials of each record that a lower bound from
+the moments of its phases certifies to lie above 1/e; the records it does
+compute are computed as `dephasing_run` computes them, so every T2 is the
+full run's.
 """
 from __future__ import annotations
 
@@ -55,6 +59,8 @@ _TRAJ_CHUNK = 200        # trajectories per matmul; bounds memory in n_traj
 _CYCLE_BLOCK = 32        # cycle ends per engine block; bounds memory in n_cycles
                          # and sets how soon a scan run stops
 _T2_LEVEL = 1.0 / np.e   # T2 is the first crossing of this coherence
+_CERTIFY_MARGIN = 1e-9   # a scan record whose coherence bound clears 1/e by this
+                         # skips its exponentials; far above the bound's rounding
 _TIMESCALE_MARGIN = 10.0  # the "much less" of dt << min(1/omega_c, t_dec)
 # how the rates of the two ions relate: equal, opposite, or two processes
 _NOISE_MODES = ("collective", "differential", "independent")
@@ -266,15 +272,38 @@ class SpectralNoise:
     def _std(self) -> np.ndarray:
         return np.sqrt(self.variances())
 
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """(amplitudes, phases) for one trajectory."""
-        amps = rng.normal(size=self.n_harmonics) * self._std
-        phases = rng.uniform(0.0, 2 * np.pi, size=self.n_harmonics)
+    def draw(self, rng: np.random.Generator,
+             out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(amplitudes, phases) for one trajectory, written into the two
+        length-n_harmonics float arrays `out` when given.  The draws are
+        rng.normal(size=n) and rng.uniform(0, 2 pi, size=n), bit for bit."""
+        amps, phases = (np.empty(self.n_harmonics), np.empty(self.n_harmonics)) \
+            if out is None else out
+        rng.standard_normal(out=amps)
+        amps *= self._std
+        rng.random(out=phases)
+        phases *= 2 * np.pi
         return amps, phases
 
     def trajectory_rng(self, traj_index: int, stream: int = 0) -> np.random.Generator:
-        """Per-trajectory generator; independent of execution order."""
-        return np.random.default_rng([self.seed, stream, traj_index])
+        """Per-trajectory generator seeded by (seed, stream, traj_index), so
+        independent of execution order: np.random.default_rng([seed, stream,
+        traj_index]), with the seed words built directly."""
+        words = _seed_words((self.seed, _integer(stream, "stream", 0),
+                             _integer(traj_index, "traj_index", 0)))
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+def _seed_words(values: tuple[int, ...]) -> np.ndarray:
+    """The entropy np.random.SeedSequence makes of a list of nonnegative
+    ints: each int's 32-bit words, least significant first, 0 being one."""
+    words = []
+    for v in values:
+        words.append(v & 0xFFFFFFFF)
+        while v > 0xFFFFFFFF:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
 
 
 def sample_1f_trajectory(s: SpectralNoise, horizon: float,
@@ -347,9 +376,10 @@ def _rate_coefficients(noise: SpectralNoise, n_traj: int,
 
     def coefficients(stream: int) -> np.ndarray:
         # a sin(wt + phi) / w = [sin wt | cos wt] . [a cos phi | a sin phi] / w
-        draws = [noise.draw(noise.trajectory_rng(i, stream)) for i in range(n_traj)]
-        weights = np.array([d[0] for d in draws]) / om
-        phases = np.array([d[1] for d in draws])
+        amps, phases = np.empty((n_traj, om.size)), np.empty((n_traj, om.size))
+        for i in range(n_traj):
+            noise.draw(noise.trajectory_rng(i, stream), (amps[i], phases[i]))
+        weights = amps / om
         return np.hstack([weights * np.cos(phases), weights * np.sin(phases)])
 
     if mode == "independent":
@@ -432,39 +462,95 @@ def _record_filters(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
         yield rec * cycle, f[rec - lo]
 
 
-def _toggling_blocks(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
-                     record_every: int, om: np.ndarray, coef: np.ndarray):
+def _block_phases(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
+                  record_every: int, om: np.ndarray, coef: np.ndarray):
     """The toggling-frame engine: after each block of `_record_filters`,
-    yield the (times, coherence) of the records it holds.  A trajectory's
-    phase at a record is Phi = [Im F | Re F] . coef, one matmul per
-    _TRAJ_CHUNK trajectories; the chunks are summed in a fixed order."""
-    n_traj = len(coef)
+    yield the times of the records it holds and their trajectory phases
+    Phi = [Im F | Re F] . coef, one (records, trajectories) matmul per
+    _TRAJ_CHUNK trajectories."""
     for times, f in _record_filters(seq, pair, n_cycles, record_every, om):
         table = np.hstack([f.imag, f.real])
-        total = np.zeros(times.size, dtype=complex)
-        for start in range(0, n_traj, _TRAJ_CHUNK):  # fixed order fixes the sum
-            phase = table @ coef[start:start + _TRAJ_CHUNK].T
-            total += np.exp(-1j * phase).sum(axis=1)
-        yield times, np.abs(total) / n_traj
+        yield times, [table @ coef[start:start + _TRAJ_CHUNK].T
+                      for start in range(0, len(coef), _TRAJ_CHUNK)]
+
+
+def _coherence(phases: list, n_traj: int) -> np.ndarray:
+    """|mean e^{-i Phi}| of each record from its per-chunk phases; the
+    chunks are summed in a fixed order, which fixes the sum."""
+    total = np.zeros(len(phases[0]), dtype=complex)
+    for phase in phases:
+        total += np.exp(-1j * phase).sum(axis=1)
+    return np.abs(total) / n_traj
+
+
+def _coherence_bound(phases: list, n_traj: int) -> np.ndarray:
+    """A lower bound on each record's coherence, 1 - m2/2 + m4/24 - m6/720,
+    from the central moments m2, m4, m6 of its phases.  With x = Phi - mean
+    Phi, |mean e^{-i Phi}| >= mean cos x, and the degree-6 Taylor polynomial
+    of cos lies below it on all of R.  A bound that overflows is -inf or NaN
+    and certifies nothing."""
+    mean = sum(phase.sum(axis=1) for phase in phases) / n_traj
+    s2 = s4 = s6 = 0.0  # sums over the trajectories of the powers of Phi - mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phase in phases:
+            x2 = phase - mean[:, None]
+            np.square(x2, out=x2)
+            x4 = np.square(x2)
+            s2, s4, s6 = s2 + x2.sum(axis=1), s4 + x4.sum(axis=1), s6 + (x4 * x2).sum(axis=1)
+        m2, m4, m6 = s2 / n_traj, s4 / n_traj, s6 / n_traj
+        return 1 - m2 / 2 + m4 / 24 - m6 / 720
 
 
 def _toggling_run(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
-                  record_every: int, om: np.ndarray, coef: np.ndarray,
-                  stop_at_t2: bool = False) -> DephasingResult:
+                  record_every: int, om: np.ndarray, coef: np.ndarray) -> DephasingResult:
     """`dephasing_run` for drawn coefficients `coef` at frequencies `om`.
-
-    With `stop_at_t2` the curve ends with the first engine block that falls
-    below 1/e; its t2 is the full run's, since the crossing and the record
-    before it are already in."""
-    times, coherence = [], []
-    for t, c in _toggling_blocks(seq, pair, n_cycles, record_every, om, coef):
-        times.append(t)
-        coherence.append(c)
-        if stop_at_t2 and (c < _T2_LEVEL).any():
-            break
-    times, coherence = np.concatenate(times), np.concatenate(coherence)
+    With no harmonics (collective noise) every coherence is exactly 1, and
+    no engine block is formed."""
+    if om.size:
+        blocks = [(t, _coherence(phases, len(coef))) for t, phases
+                  in _block_phases(seq, pair, n_cycles, record_every, om, coef)]
+        times = np.concatenate([t for t, _ in blocks])
+        coherence = np.concatenate([c for _, c in blocks])
+    else:
+        cycle = sum(_sign_template(seq, pair)[0])
+        times = np.arange(0, n_cycles + 1, record_every) * cycle
+        coherence = np.ones(times.size)
     return DephasingResult(times=times, coherence=coherence,
                            t2=_t2_from_curve(times, coherence))
+
+
+def _t2_search(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
+               record_every: int, om: np.ndarray, coef: np.ndarray) -> float:
+    """The t2 of `_toggling_run` with the same arguments, read only up to
+    the engine block that holds the first 1/e crossing.
+
+    A record whose `_coherence_bound` clears 1/e by `_CERTIFY_MARGIN` lies
+    above 1/e, and skips its exponentials.  Every other record, and the
+    record before the first crossing, is computed by `_coherence` from the
+    same phases, so the crossing and its t2 are the full run's, bit for
+    bit."""
+    if not om.size:
+        _sign_template(seq, pair)  # checks the pulses; with no harmonics nothing decays
+        return math.inf
+    n_traj = len(coef)
+    last = None  # the time and phases of the last record read
+    for times, phases in _block_phases(seq, pair, n_cycles, record_every, om, coef):
+        if not times.size:
+            continue
+        # the records to compute: every one not certified, a NaN bound included
+        rows = np.flatnonzero(~(_coherence_bound(phases, n_traj) > _T2_LEVEL + _CERTIFY_MARGIN))
+        if rows.size:
+            coherence = _coherence([phase[rows] for phase in phases], n_traj)
+            below = np.flatnonzero(coherence < _T2_LEVEL)
+            if below.size:
+                k = rows[below[0]]
+                # record 0 has phase 0, so it is certified and never the crossing
+                t0, before = (times[k - 1], [phase[k - 1:k] for phase in phases]) if k else last
+                return _t2_from_curve(np.array([t0, times[k]]),
+                                      np.array([_coherence(before, n_traj)[0],
+                                                coherence[below[0]]]))
+        last = times[-1], [phase[-1:] for phase in phases]
+    return math.inf
 
 
 def _t2_gain(t2_pulsed: float, t2_base: float) -> float:
@@ -489,10 +575,10 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
     The baseline is pulse-free storage on a fine recording grid; t_max caps
     every run's simulated horizon.  Every run sees the same `n_traj`
     trajectories, drawn once.  Each run, and each step of the baseline's
-    horizon search, stops at the engine block holding its first 1/e
-    crossing; the run reads on to t_max only if it never crosses.  Since
-    the blocks are those of `dephasing_run`, every T2 equals the full run's.
-    t_max must be finite and positive.
+    horizon search, is a `_t2_search`: it stops at the engine block holding
+    its first 1/e crossing, and reads on to t_max only if it never crosses.
+    Every T2 equals the full `dephasing_run`'s, bit for bit.  t_max must be
+    finite and positive.
     """
     if _finite(t_max, "t_max") <= 0:
         raise ValueError("t_max must be positive")
@@ -500,26 +586,23 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
     if len(dt_grid) < 4:
         raise ValueError("dt grid needs at least 4 points")
     # every run sees the same trajectories, so they are drawn once
-    drawn = _rate_coefficients(noise, n_traj, mode)
+    om, coef = _rate_coefficients(noise, n_traj, mode)
     dt_base = min(dt_grid)
     base_seq = PulseSequence((Free(dt_base),))
-    # grow the pulse-free horizon until the 1/e crossing is resolved
+    # grow the pulse-free horizon until the 1/e crossing is resolved; with no
+    # harmonics there is none at any horizon
     horizon = t_max / 64
-    base = None
     while True:
         n_base = max(4, int(math.ceil(horizon / dt_base)))
-        base = _toggling_run(base_seq, (0, 1), n_base, max(1, n_base // 4000), *drawn,
-                             stop_at_t2=True)
-        if math.isfinite(base.t2) or horizon >= t_max:
+        t2_base = _t2_search(base_seq, (0, 1), n_base, max(1, n_base // 4000), om, coef)
+        if math.isfinite(t2_base) or horizon >= t_max or not om.size:
             break
         horizon = min(t_max, 4 * horizon)
     rows = []
     for dt in dt_grid:
         seq = seq_family(dt)
-        cyc = seq.cycle_time
-        n_cycles = max(4, int(math.ceil(t_max / cyc)))
-        res = _toggling_run(seq, (0, 1), n_cycles, max(1, n_cycles // 4000), *drawn,
-                            stop_at_t2=True)
-        rows.append(ScanRow(dt=dt, t2_base=base.t2, t2_pulsed=res.t2,
-                            gain=_t2_gain(res.t2, base.t2), n_traj=n_traj, seed=noise.seed))
+        n_cycles = max(4, int(math.ceil(t_max / seq.cycle_time)))
+        t2 = _t2_search(seq, (0, 1), n_cycles, max(1, n_cycles // 4000), om, coef)
+        rows.append(ScanRow(dt=dt, t2_base=t2_base, t2_pulsed=t2,
+                            gain=_t2_gain(t2, t2_base), n_traj=n_traj, seed=noise.seed))
     return rows

@@ -171,15 +171,6 @@ def logical_gate(axis: str, theta: float,
     raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
 
 
-def program_unitary(program: list[SmGateSpec], width: int) -> np.ndarray:
-    """Dense product of a gate program, first list entry leftmost."""
-    width = _integer(width, "width", 0)
-    out = np.eye(2 ** width, dtype=complex)
-    for spec in program:
-        out = out @ sm_gate_dense(spec, width)
-    return out
-
-
 def u4(spec: SmGateSpec) -> np.ndarray:
     """Four-ion gate exp(-i theta X_phi1 (x) ... (x) X_phi4), 16x16.
 

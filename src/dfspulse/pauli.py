@@ -177,15 +177,21 @@ def _pair(x, what: str, width: int | None = None) -> tuple[int, int]:
     return ions
 
 
+def _array(x) -> np.ndarray:
+    """x as an array; a ragged nested sequence reads as an empty array of
+    objects, which no number test accepts."""
+    try:
+        return np.asarray(x)
+    except ValueError:
+        return np.empty(0, dtype=object)
+
+
 def _matrix(m, what: str, shape: tuple | None = None, error: type = ValueError) -> np.ndarray:
     """m as a complex array, no copy of a complex one; `error` naming `what`
     unless m holds real or complex numbers (no bools, strings or None) in the
     shape `shape`, any square matrix when it is None, all of them finite."""
-    try:
-        a = np.asarray(m)
-    except ValueError:  # a ragged nested sequence
-        a = None
-    if a is None or a.dtype.kind not in "iufc":
+    a = _array(m)
+    if a.dtype.kind not in "iufc":
         raise error(f"{what} must be an array of numbers, got {m!r}")
     if not (a.ndim == 2 and a.shape[0] == a.shape[1] if shape is None else a.shape == shape):
         raise error(f"{what} has shape {a.shape}, expected {shape or 'a square matrix'}")
@@ -712,8 +718,9 @@ def _square(stacks) -> bool:
 
 def _finite_slabs(stacks) -> list[np.ndarray] | None:
     """The slabs of the (count, b, b) `stacks`; None unless each is square and
-    every entry finite, so that no test computes with a non-finite value."""
-    if not _square(stacks):
+    holds numbers, as `_matrix` requires, every entry finite, so that no test
+    computes with a non-finite value."""
+    if not _square(stacks) or any(s.dtype.kind not in "iufc" for s in stacks):
         return None
     slabs = [s[sl] for s in stacks for sl in _slabs(s)]
     return slabs if all(np.isfinite(m).all() for m in slabs) else None
@@ -737,19 +744,21 @@ def _unitary(stacks) -> bool:
 
 
 def is_hermitian_matrix(m: np.ndarray) -> bool:
-    return _hermitian([np.asarray(m)[None]])
+    return _hermitian([_array(m)[None]])
 
 
 def is_unitary(m: np.ndarray) -> bool:
-    return _unitary([np.asarray(m)[None]])
+    return _unitary([_array(m)[None]])
 
 
 def is_valid_state(state: np.ndarray) -> bool:
     """True for a unit-norm vector or a density matrix: Hermitian, unit
-    trace and no eigenvalue below -`_CHECK_TOL`."""
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return abs(np.linalg.norm(state) - 1.0) <= _CHECK_TOL
+    trace and no eigenvalue below -`_CHECK_TOL`.  An array of anything but
+    finite numbers is neither."""
+    state = _array(state)
+    if state.ndim == 1:  # read as a stack of 1 x 1 matrices for the number test
+        return (_finite_slabs([state.reshape(-1, 1, 1)]) is not None
+                and abs(np.linalg.norm(state) - 1.0) <= _CHECK_TOL)
     return (is_hermitian_matrix(state) and abs(np.trace(state).real - 1.0) <= _CHECK_TOL
             and abs(np.trace(state).imag) <= _CHECK_TOL
             and np.linalg.eigvalsh(state).min() >= -_CHECK_TOL)

@@ -408,7 +408,7 @@ def test_suppression_scan_draws_once_and_matches_single_runs(monkeypatch, mode, 
     draws = []
     draw = SpectralNoise.draw
     monkeypatch.setattr(SpectralNoise, "draw",
-                        lambda self, rng: draws.append(1) or draw(self, rng))
+                        lambda self, rng, out=None: draws.append(1) or draw(self, rng, out))
     rows = suppression_scan(symmetrize_pair, dt_grid, noise, n_traj, t_max, mode=mode)
     assert len(draws) == streams * n_traj
     for dt, row in zip(dt_grid, rows):
@@ -464,17 +464,17 @@ def test_suppression_scan_t2_when_the_crossing_follows_a_block_seam(monkeypatch)
 def test_suppression_scan_stops_each_run_after_its_crossing_block(monkeypatch):
     noise = storage_noise(amplitude=TWO_PI * 400.0, n_harmonics=16)
     calls = []
-    engine = baths_mod._toggling_blocks
+    filters = baths_mod._record_filters
 
     def counting(*args):
         calls.append(0)
-        for block in engine(*args):
+        for block in filters(*args):
             calls[-1] += 1
             yield block
 
-    monkeypatch.setattr(baths_mod, "_toggling_blocks", counting)
+    monkeypatch.setattr(baths_mod, "_record_filters", counting)
     rows = suppression_scan(symmetrize_pair, SCAN_GRID, noise, 12, 6.0)
-    monkeypatch.setattr(baths_mod, "_toggling_blocks", engine)
+    monkeypatch.setattr(baths_mod, "_record_filters", filters)
     block = baths_mod._CYCLE_BLOCK
     full = _full_runs(noise, 12, 6.0)
     # the baseline crosses in its first horizon step, then one run per dt
@@ -577,6 +577,34 @@ def test_spectral_noise_draw_streams_unchanged():
     rng = np.random.default_rng([noise.seed, 2, 4])
     assert np.array_equal(amps, rng.normal(size=24) * np.sqrt(noise.variances()))
     assert np.array_equal(phases, rng.uniform(0.0, 2 * np.pi, size=24))
+
+
+@pytest.mark.parametrize("mode", ["differential", "collective", "independent"])
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3])
+def test_rate_coefficients_rows_are_the_trajectory_draws(seed, mode):
+    # seeds on both sides of a 32-bit word, and one of three words
+    noise = storage_noise(n_harmonics=16, seed=seed)
+    om, coef = baths_mod._rate_coefficients(noise, 7, mode)
+
+    def stream(s):
+        draws = [noise.draw(noise.trajectory_rng(i, s)) for i in range(7)]
+        weights = np.array([a for a, _ in draws]) / noise.frequencies()
+        phases = np.array([p for _, p in draws])
+        return np.hstack([weights * np.cos(phases), weights * np.sin(phases)])
+
+    want = {"differential": lambda: 2.0 * stream(0),
+            "independent": lambda: stream(1) - stream(2),
+            "collective": lambda: np.zeros((7, 0))}[mode]()
+    assert np.array_equal(coef, want)
+    # each generator is default_rng([seed, stream, index]), its draws normal and uniform
+    for i, s in ((0, 0), (6, 2), (2 ** 33 + 1, 2 ** 40)):
+        rng = np.random.default_rng([seed, s, i])
+        amps, phases = noise.draw(noise.trajectory_rng(i, s))
+        assert np.array_equal(amps, rng.normal(size=16) * np.sqrt(noise.variances()))
+        assert np.array_equal(phases, rng.uniform(0.0, 2 * np.pi, size=16))
+    for i, s in ((-1, 0), (0, -1), (1.0, 0)):
+        with pytest.raises(ValueError, match="traj_index|stream"):
+            noise.trajectory_rng(i, s)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -686,6 +714,8 @@ def test_dephasing_matches_state_evolution_on_random_sequences(
                         record_every=record_every)
     want = reference_coherence(seq, noise, n_traj, n_cycles, mode, record_every)
     np.testing.assert_allclose(got.coherence, want, rtol=0, atol=1e-9)
+    assert baths_mod._t2_search(seq, (0, 1), n_cycles, record_every,
+                                *baths_mod._rate_coefficients(noise, n_traj, mode)) == got.t2
 
 
 @pytest.mark.parametrize("name", ["pair", "odd_swap"])
@@ -716,6 +746,55 @@ def test_dephasing_run_of_no_cycles_is_its_start(mode):
                         n_cycles=0, mode=mode)
     assert res.times.tolist() == [0.0] and res.coherence.tolist() == [1.0]
     assert math.isinf(res.t2)
+
+
+@pytest.mark.parametrize("block, chunk, record_every", [(32, 200, 1), (1, 7, 1), (3, 7, 2),
+                                                       (3, 200, 5)])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["pair", "odd_swap", "q_lam_pi"])
+def test_t2_search_is_the_full_run_t2(name, mode, block, chunk, record_every, monkeypatch):
+    # blocks of 1 and 3 cycle ends put crossings at a block's first record,
+    # and chunks of 7 split the 20 trajectories at two seams
+    monkeypatch.setattr(baths_mod, "_CYCLE_BLOCK", block)
+    monkeypatch.setattr(baths_mod, "_TRAJ_CHUNK", chunk)
+    noise = storage_noise(amplitude=TWO_PI * 800.0, n_harmonics=16)
+    seq = ORACLE_SEQUENCES[name]
+    full = dephasing_run(seq, noise, 20, n_cycles=150, mode=mode, record_every=record_every)
+    t2 = baths_mod._t2_search(seq, (0, 1), 150, record_every,
+                              *baths_mod._rate_coefficients(noise, 20, mode))
+    assert t2 == full.t2
+    if name == "pair":  # the echo decays over tens of records, past block seams
+        assert math.isinf(t2) == (mode == "collective")
+
+
+def _phase_table(n_traj, center, spread, shape, seed):
+    rng = np.random.default_rng(seed)
+    x = {"normal": lambda: rng.standard_normal((3, n_traj)),
+         "uniform": lambda: rng.uniform(-1.0, 1.0, (3, n_traj)),
+         "two-point": lambda: rng.choice([-1.0, 1.0], (3, n_traj))}[shape]()
+    return np.clip(center + spread * x, -50.0, 50.0)
+
+
+_PHASE_TABLES = st.one_of(
+    st.builds(_phase_table, n_traj=st.integers(1, 300), center=st.floats(-50.0, 50.0),
+              spread=st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 50.0)),
+              shape=st.sampled_from(["normal", "uniform", "two-point"]),
+              seed=st.integers(0, 2 ** 32 - 1)),
+    st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=300).map(lambda v: np.array([v])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phases=_PHASE_TABLES, chunk=st.integers(1, 300))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coherence_bound_never_exceeds_the_coherence(phases, chunk):
+    # 1e-12 is rounding, far below the certification margin
+    n_traj = phases.shape[1]
+    chunks = [phases[:, i:i + chunk] for i in range(0, n_traj, chunk)]
+    bound = baths_mod._coherence_bound(chunks, n_traj)
+    exact = np.abs(np.exp(-1j * phases).mean(axis=1))
+    assert (bound <= exact + 1e-12).all()
+    assert 1e-12 < baths_mod._CERTIFY_MARGIN
 
 
 def boundary_filter(seq, n_cycles, om):
@@ -763,6 +842,31 @@ def test_dephasing_rejects_non_monomial_pulse(monkeypatch):
     monkeypatch.setattr(baths_mod, "_named_action", lambda *args: (moved, None))
     with pytest.raises(ValueError, match="monomial"):
         dephasing_run(symmetrize_pair(1e-3), storage_noise(), 5, n_cycles=3)
+
+
+def test_collective_runs_form_no_engine_block(monkeypatch):
+    # no harmonics: every coherence is exactly 1 without an engine block,
+    # the pulses are still checked, and the scan baseline takes one step
+    def no_block(*args):
+        raise AssertionError("a run without harmonics formed an engine block")
+
+    monkeypatch.setattr(baths_mod, "_record_filters", no_block)
+    noise = storage_noise()
+    drawn = baths_mod._rate_coefficients(noise, 5, "collective")
+    res = baths_mod._toggling_run(symmetrize_pair(1e-3), (0, 1), 10, 3, *drawn)
+    assert np.array_equal(res.times, np.arange(0, 11, 3) * 2e-3)
+    assert res.coherence.tolist() == [1.0] * 4 and math.isinf(res.t2)
+    assert math.isinf(baths_mod._t2_search(symmetrize_pair(1e-3), (0, 1), 10, 3, *drawn))
+    elsewhere = PulseSequence((Free(1e-3), _pulse("P", pair=(0, 2))))
+    for run in (baths_mod._toggling_run, baths_mod._t2_search):
+        with pytest.raises(ValueError, match="stored pair"):
+            run(elsewhere, (0, 1), 10, 1, *drawn)
+    searches = []
+    search = baths_mod._t2_search
+    monkeypatch.setattr(baths_mod, "_t2_search", lambda *a: searches.append(1) or search(*a))
+    rows = suppression_scan(symmetrize_pair, SCAN_GRID, noise, 5, 3.0, mode="collective")
+    assert len(searches) == 1 + len(SCAN_GRID)
+    assert all(math.isinf(r.t2_base) and math.isinf(r.t2_pulsed) for r in rows)
 
 
 def test_dephasing_peak_memory_bounded_in_cycles():

@@ -20,8 +20,7 @@ from dfspulse.dfs import (
     encode, leakage_probability, logical_operators,
 )
 from dfspulse.gates import (
-    HardwareParams, SmGateSpec, cancellation_constraints, dfs_restrict, program_unitary, x_phi,
-    x_phi_dense,
+    HardwareParams, SmGateSpec, cancellation_constraints, dfs_restrict, x_phi, x_phi_dense,
 )
 from dfspulse.pauli import (
     BathSlotError, NonHermitianError, NonUnitaryError, OperatorSum, PauliTerm, commutes,
@@ -154,7 +153,6 @@ _NAN4 = np.full((4, 4), math.nan)
     (lambda: combined_gate("X", 1.0, 1.0, (0, 1), "1"), "width"),
     (lambda: qubit_motional_error((0, 1), "1"), "width"),
     (lambda: DephasingBath(np.eye(2), np.eye(2)).hamiltonian((0, 1), "1"), "width"),
-    (lambda: program_unitary([], "1"), "width"),
     (lambda: leakage_probability(_CODE_STATE, _REG, "1"), "bath_dim"),
     (lambda: leakage_probability(_CODE_STATE, _REG, True), "bath_dim"),
     (lambda: bucket_operators(np.eye(4), None), "bath_dim"),
@@ -223,7 +221,7 @@ _NAN4 = np.full((4, 4), math.nan)
         *[f"OperatorSum-{w}" for w in ("str", "None", "True", "nan", "inf", "list")],
         "single", "basis_operator", "logical_operators", "named_pulse",
         "combined_gate-width", "qubit_motional_error", "DephasingBath.hamiltonian",
-        "program_unitary", "leakage-str", "leakage-True", "bucket_operators",
+        "leakage-str", "leakage-True", "bucket_operators",
         "block_residual-width", "block_residual-bath_dim", "dephasing_run-pair",
         "x_phi", "x_phi_dense", "x_phi-nan", "bch_bound", "bch_bound-nan",
         "timescale-dt", "timescale-omega_c", "timescale-t_dec", "Drive-array", "Drive-str",

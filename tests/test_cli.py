@@ -439,7 +439,7 @@ def test_storage_scenario_draws_once_and_matches_single_runs(tmp_path, monkeypat
     draws = []
     draw = SpectralNoise.draw
     monkeypatch.setattr(SpectralNoise, "draw",
-                        lambda self, rng: draws.append(1) or draw(self, rng))
+                        lambda self, rng, out=None: draws.append(1) or draw(self, rng, out))
     run_scenario(sc, tmp_path)
     assert len(draws) == streams * params["n_traj"]
     monkeypatch.setattr(SpectralNoise, "draw", draw)

@@ -6,7 +6,7 @@ from dfspulse.dfs import DfsRegister, code_isometry, encode, logical_operators
 from dfspulse.gates import (
     HardwareParams, LeakageError, SmGateSpec, cancellation_constraints,
     dfs_restrict, lamb_dicke_margin, logical_gate, off_resonant_penalty,
-    program_unitary, sm_decompose, sm_gate_dense, sm_unitary, tau_sm, u4,
+    sm_decompose, sm_gate_dense, sm_unitary, tau_sm, u4,
     u4_dfs_target, u4_encoded, x_phi, x_phi_dense,
 )
 from dfspulse.dfs import basis_operator
@@ -184,6 +184,14 @@ def test_encoded_axis_broadcasts_over_phase_differences():
     assert stack.shape == (7, 4, 4)
     for d, axis in zip(dphi, stack):
         assert np.array_equal(gates._encoded_axis(d, xb, yb), axis)
+
+
+def program_unitary(program: list[SmGateSpec], width: int) -> np.ndarray:
+    """Dense product of a gate program, first list entry leftmost."""
+    out = np.eye(2 ** width, dtype=complex)
+    for spec in program:
+        out = out @ sm_gate_dense(spec, width)
+    return out
 
 
 def test_logical_gate_programs():

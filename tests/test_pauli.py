@@ -712,6 +712,19 @@ def test_is_unitary_requires_a_square_matrix():
     assert is_unitary(np.eye(3)[::-1])
 
 
+def test_the_matrix_predicates_answer_false_for_what_is_not_numbers():
+    # strings, None and bools, as `_matrix` rejects them; no predicate raises,
+    # and the norm of such a matrix reads NaN, as for a non-finite entry
+    from dfspulse.pauli import is_valid_state
+    for m in ([["a", "b"], ["c", "d"]], [[1, None], [0, 1]], [[True, False], [False, True]]):
+        assert not is_hermitian_matrix(m) and not is_unitary(m) and not is_valid_state(m)
+        assert np.isnan(spectral_norm(m))
+    ragged = [[1, 0], [0]]
+    assert not is_hermitian_matrix(ragged) and not is_unitary(ragged)
+    for state in ("ab", ["a", "b"], [1, None], [True, False], ragged):
+        assert not is_valid_state(state)
+
+
 # --- the symbolic algebra against the letter-table algebra it replaced
 
 # single-site products (left, right) -> (phase, letter)
