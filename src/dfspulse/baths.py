@@ -59,6 +59,9 @@ _TRAJ_CHUNK = 200        # trajectories per matmul; bounds memory in n_traj
 _CYCLE_BLOCK = 32        # cycle ends per engine block; bounds memory in n_cycles
                          # and sets how soon a scan run stops
 _T2_LEVEL = 1.0 / np.e   # T2 is the first crossing of this coherence
+_SCAN_RECORDS = 4000     # a scan run records every max(1, n_cycles // this) cycle ends
+_SCAN_FIRST_HORIZON = 64  # the scan baseline's first horizon is t_max / this,
+_SCAN_GROWTH = 4         # and it grows by this factor up to t_max until it crosses
 _CERTIFY_MARGIN = 1e-9   # a scan record whose coherence bound clears 1/e by this
                          # skips its exponentials; far above the bound's rounding
 _TIMESCALE_MARGIN = 10.0  # the "much less" of dt << min(1/omega_c, t_dec)
@@ -257,6 +260,13 @@ class SpectralNoise:
             raise ValueError("require 0 < omega_min < omega_max")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
+        # the weights of `variances`: a steep spectrum overflows them
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = (self.frequencies() ** (1.0 - self.alpha)).sum()
+        if not 0 < total < math.inf:
+            raise ValueError(f"alpha {self.alpha:g}: the spectral weights omega^(1 - alpha) "
+                             f"over [omega_min, omega_max] sum to {total}, not a finite "
+                             "positive number")
 
     def frequencies(self) -> np.ndarray:
         """Deterministic log-spaced grid over [omega_min, omega_max]."""
@@ -591,18 +601,19 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
     base_seq = PulseSequence((Free(dt_base),))
     # grow the pulse-free horizon until the 1/e crossing is resolved; with no
     # harmonics there is none at any horizon
-    horizon = t_max / 64
+    horizon = t_max / _SCAN_FIRST_HORIZON
     while True:
         n_base = max(4, int(math.ceil(horizon / dt_base)))
-        t2_base = _t2_search(base_seq, (0, 1), n_base, max(1, n_base // 4000), om, coef)
+        t2_base = _t2_search(base_seq, (0, 1), n_base, max(1, n_base // _SCAN_RECORDS),
+                             om, coef)
         if math.isfinite(t2_base) or horizon >= t_max or not om.size:
             break
-        horizon = min(t_max, 4 * horizon)
+        horizon = min(t_max, _SCAN_GROWTH * horizon)
     rows = []
     for dt in dt_grid:
         seq = seq_family(dt)
         n_cycles = max(4, int(math.ceil(t_max / seq.cycle_time)))
-        t2 = _t2_search(seq, (0, 1), n_cycles, max(1, n_cycles // 4000), om, coef)
+        t2 = _t2_search(seq, (0, 1), n_cycles, max(1, n_cycles // _SCAN_RECORDS), om, coef)
         rows.append(ScanRow(dt=dt, t2_base=t2_base, t2_pulsed=t2,
                             gain=_t2_gain(t2, t2_base), n_traj=n_traj, seed=noise.seed))
     return rows

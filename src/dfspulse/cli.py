@@ -227,11 +227,6 @@ def parse_config(text: str) -> list[Scenario]:
     return out
 
 
-def serialize_config(scenarios: list[Scenario]) -> str:
-    return json.dumps([sc.normalized() for sc in scenarios],
-                      indent=2, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # scenario execution
 
@@ -366,23 +361,24 @@ def _run_gate(sc: Scenario):
     return checks, {}, (["gamma_sb", "infidelity", "bound"], rows)
 
 
-def _block4_hamiltonian(sc: Scenario) -> tuple[OperatorSum, int, dict]:
-    """The four-ion dephasing of a block4-sim scenario, sum_q Z_q (x) b_q with
-    each ion's own random bath factor b_q: the sum, the bath dimension and
-    the bindings of the b_q."""
+def _block4_model(sc: Scenario) -> list:
+    """The [(idx, stack)] blocks of the block4-sim Hamiltonian sum_q Z_q (x)
+    b_q, each ion's own random bath factor b_q embedded as the q-th of four.
+    The sum is diagonal in the ions' states: system state s has the one
+    block sum_q z_q(s) b_q, with z_q(s) = +-1 its Z_q eigenvalue.  The terms
+    are added in the sum's canonical order, q = 3, 2, 1, 0, into a zero
+    block, so every entry rounds as in `to_dense`."""
     rng = np.random.default_rng(sc.seed)
     d = sc.parameters["bath_factor_dim"]
-    bindings = {f"b{q}": pauli._embed(_rand_herm(rng, d), (q,), (d,) * 4)
-                for q in range(4)}
-    h = sum((OperatorSum.single(4, q, "Z", 1.0, f"b{q}") for q in range(4)),
-            OperatorSum.zero(4))
-    return h, d ** 4, bindings
-
-
-def _block4_model(sc: Scenario) -> list:
-    """The [(idx, stack)] blocks of the block4-sim Hamiltonian, built from
-    its Pauli masks with no dense matrix."""
-    return pauli._sum_blocks(*_block4_hamiltonian(sc))
+    b = [pauli._embed(_rand_herm(rng, d), (q,), (d,) * 4) for q in range(4)]
+    stack = np.zeros((16, d ** 4, d ** 4), dtype=complex)
+    for s, block in enumerate(stack):
+        for q in (3, 2, 1, 0):
+            if s >> (3 - q) & 1:  # qubit 0 is the most significant bit
+                block -= b[q]
+            else:
+                block += b[q]
+    return [(np.arange(16 * d ** 4).reshape(16, -1), stack)]
 
 
 def _run_block4(sc: Scenario):

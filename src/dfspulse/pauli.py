@@ -13,14 +13,11 @@ product of two strings has masks x_a ^ x_b and z_a ^ z_b and the phase
 i^{y_a + y_b - y_ab} (-1)^{|z_a & x_b|}; they commute iff
 |x_a & z_b| + |z_a & x_b| is even.  Letters exist only at the boundary:
 `PauliTerm` parses them and shows them as `factors` and `label`.
-`to_dense` writes all strings of a sum into the matrix in one scatter, each
-as its exact monomial, with no Kronecker chain.  `_sum_blocks` builds the
-same matrix as its blocks, with no dense matrix: a string links the system
-states c and c ^ x, so the blocks are the components of those links, each
-times the whole bath.  Both take their entries from one helper,
-`_term_entries`, which checks every binding, so they round alike.  An
-operator is placed among identity factors in one place, `_embed`: kron by
-the identity of the other factors, then permute them into place.
+`to_dense`, the one builder of a sum's matrix, checks every binding and
+writes all strings of the sum into the matrix in one scatter, each as its
+exact monomial, with no Kronecker chain.  An operator is placed among
+identity factors in one place, `_embed`: kron by the identity of the other
+factors, then permute them into place.
 
 The dense kernels (`expm_i`, `generator_of`, `spectral_norm`) use numpy
 alone.  They split their input into the connected components of its exact
@@ -28,13 +25,13 @@ nonzero pattern and work on one stack of blocks per block size.  A matrix
 that is block diagonal under a permutation is exactly the direct sum of its
 blocks, so the split needs no tolerance; a matrix with one component is
 handled as a single dense block.  Every partition in the package, of a
-pattern, a sum's masks or a join of partitions, comes from one kernel,
+pattern or of a join of partitions, comes from one kernel,
 `_connect`, the connected components of an edge list.  `expm_i` and
 `sequences.propagator` share one blockwise exponential core,
 `_expm_blocks`, which takes the [(idx, stack)] blocks that `_gather` cuts
-from a dense matrix or `_sum_blocks` builds from the masks.  `spectral_norm`
-takes `eigvalsh` on each exactly Hermitian stack and `svd` on any other.
-`generator_of`
+from a dense matrix, or that a caller builds directly, as `cli` builds the
+diagonal blocks of `block4-sim`.  `spectral_norm` takes `eigvalsh` on each
+exactly Hermitian stack and `svd` on any other.  `generator_of`
 diagonalizes a unitary through its Cayley transform, a Hermitian matrix
 with the same eigenvectors, so `eigh` serves for both exponential and
 logarithm.
@@ -551,18 +548,19 @@ def kron_all(*mats) -> np.ndarray:
     return out
 
 
-def _term_entries(op: OperatorSum, bath_dim: int, bindings: dict | None) -> tuple:
-    """The checked entries of op's terms, for `to_dense` and `_sum_blocks`.
+def to_dense(op: OperatorSum, bath_dim: int = 1,
+             bindings: dict | None = None) -> np.ndarray:
+    """Dense matrix of `op` on the (2^width * bath_dim)-dimensional space.
 
     Every bath slot referenced by a term must have a finite Hermitian binding
     of shape (bath_dim, bath_dim), or BathSlotError is raised; slot-free
     terms get the bath identity.  A string is the monomial i^{#Y} X^x Z^z:
-    column c holds its one entry in row c ^ x, i^{#Y} (-1)^{popcount(c & z)}.  Returns
-    (x, sign, vals), with x the terms' x masks, sign[t, c] the parity of
-    popcount(c & z[t]) and vals[t, s] = coefficient * (i^{#Y} (-1)^s * bath):
-    term t puts the bath block vals[t, sign[t, c]] at system row c ^ x[t]
-    and column c.  The values round as coefficient * kron(string, bath)
-    does, and are computed nowhere else.
+    column c holds its one entry in row c ^ x, i^{#Y} (-1)^{popcount(c & z)}.
+    So term t puts the bath block vals[t, s] = coefficient * (i^{#Y} (-1)^s
+    * bath), s the parity of popcount(c & z), at system row c ^ x and column
+    c.  The entries of all terms are scattered in one pass, and each entry
+    sums its terms in term order, so the result equals the sum of
+    coefficient * kron(string, bath) term by term.
     """
     op, bath_dim = _instance(op, OperatorSum, "op"), _integer(bath_dim, "bath_dim", 1)
     bindings = bindings or {}
@@ -583,26 +581,6 @@ def _term_entries(op: OperatorSum, bath_dim: int, bindings: dict | None) -> tupl
                                  for kx, kz, slot in op._keys],
                                 dtype=np.intp).reshape(-1, 4).T
     n = 2 ** op.width
-    odd = np.array([c.bit_count() & 1 for c in range(n)])
-    sign = odd[np.arange(n) & z[:, None]]
-    sys = _I_POW_ARRAY[(n_y[:, None] + _SIGN_POW) & 3]
-    coef = np.array(op._coefs, dtype=complex)
-    vals = coef[:, None, None, None] * (sys[:, :, None, None] * np.array(baths)[which, None])
-    return x, sign, vals
-
-
-def to_dense(op: OperatorSum, bath_dim: int = 1,
-             bindings: dict | None = None) -> np.ndarray:
-    """Dense matrix of `op` on the (2^width * bath_dim)-dimensional space.
-
-    Every bath slot referenced by a term must have a finite Hermitian binding
-    of dimension `bath_dim`; slot-free terms get the bath identity.  The
-    entries of all terms (`_term_entries`) are scattered in one pass, and
-    each entry sums its terms in term order, so the result equals the sum
-    of coefficient * kron(string, bath) term by term.
-    """
-    x, sign, vals = _term_entries(op, bath_dim, bindings)
-    n = 2 ** op.width
     dim = n * bath_dim
     # the result first: it outlives the temporaries below, so freeing them
     # leaves no hole under it in the heap
@@ -610,6 +588,11 @@ def to_dense(op: OperatorSum, bath_dim: int = 1,
     if not len(x):
         return out.reshape(dim, dim)
     cols = np.arange(n)
+    odd = np.array([c.bit_count() & 1 for c in range(n)])
+    sign = odd[cols & z[:, None]]
+    sys = _I_POW_ARRAY[(n_y[:, None] + _SIGN_POW) & 3]
+    coef = np.array(op._coefs, dtype=complex)
+    vals = coef[:, None, None, None] * (sys[:, :, None, None] * np.array(baths)[which, None])
     # entry (row c ^ x, bath a; column c, bath b) of each value
     a = np.arange(bath_dim)
     flat = np.ravel_multi_index(((cols ^ x[:, None])[:, :, None, None], a[:, None],
@@ -617,41 +600,6 @@ def to_dense(op: OperatorSum, bath_dim: int = 1,
     entries = vals[np.arange(len(x))[:, None], sign].ravel()
     np.add.at(out, flat, entries)  # unbuffered, in the order of `flat`
     return out.reshape(dim, dim)
-
-
-def _sum_blocks(op: OperatorSum, bath_dim: int = 1,
-                bindings: dict | None = None) -> list[tuple]:
-    """The [(idx, stack)] blocks of `to_dense(op, bath_dim, bindings)`, built
-    from the masks with no dense matrix.
-
-    A term links system states c and c ^ x, so the blocks are the
-    components of those links under `_connect`, each times the whole bath,
-    grouped and ordered as `_blocks` groups them.  This partition is never
-    finer than that of the exact nonzero pattern: it is coarser only where
-    terms cancel or a binding has zeros.  Each stack sums its terms in term
-    order with the values of `_term_entries`, so it is equal, entry for
-    entry, to the gathered block of `to_dense`.  Raises as `to_dense` does.
-    """
-    x, sign, vals = _term_entries(op, bath_dim, bindings)
-    n = 2 ** op.width
-    states = np.arange(n)
-    groups = _components(_connect(n, np.tile(states, len(x)),
-                                  (states ^ x[:, None]).ravel()))
-    # each system state's group, its block in the group and its place there
-    where = {}
-    for g, idx in enumerate(groups):
-        for k, row in enumerate(idx.tolist()):
-            where.update((c, (g, k, j)) for j, c in enumerate(row))
-    stacks = [np.zeros((count, m, bath_dim, m, bath_dim), dtype=complex)
-              for count, m in (idx.shape for idx in groups)]
-    for t, (xt, signs) in enumerate(zip(x.tolist(), sign.tolist())):
-        for c, s in enumerate(signs):
-            # the term's bath block in system row c ^ x and column c
-            g, k, j = where[c]
-            stacks[g][k, where[c ^ xt][2], :, j, :] += vals[t, s]
-    return [((idx[:, :, None] * bath_dim + np.arange(bath_dim)).reshape(len(idx), -1),
-             stack.reshape(len(idx), idx.shape[1] * bath_dim, -1))
-            for idx, stack in zip(groups, stacks)]
 
 
 def embed_sites(mat: np.ndarray, sites: tuple[int, ...], width: int) -> np.ndarray:

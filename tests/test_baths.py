@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -413,8 +414,8 @@ def test_suppression_scan_draws_once_and_matches_single_runs(monkeypatch, mode, 
     assert len(draws) == streams * n_traj
     for dt, row in zip(dt_grid, rows):
         n_cycles = max(4, math.ceil(t_max / (2 * dt)))
-        res = dephasing_run(symmetrize_pair(dt), noise, n_traj, n_cycles=n_cycles,
-                            mode=mode, record_every=max(1, n_cycles // 4000))
+        res = dephasing_run(symmetrize_pair(dt), noise, n_traj, n_cycles=n_cycles, mode=mode,
+                            record_every=max(1, n_cycles // baths_mod._SCAN_RECORDS))
         assert row.t2_pulsed == res.t2
 
 
@@ -427,7 +428,7 @@ def _full_runs(noise, n_traj, t_max):
     for dt in SCAN_GRID:
         n_cycles = max(4, math.ceil(t_max / (2 * dt)))
         runs.append(dephasing_run(symmetrize_pair(dt), noise, n_traj, n_cycles=n_cycles,
-                                  record_every=max(1, n_cycles // 4000)))
+                                  record_every=max(1, n_cycles // baths_mod._SCAN_RECORDS)))
     return runs
 
 
@@ -616,6 +617,17 @@ def test_spectral_noise_rejects_non_finite_or_negative(field, value):
     kw[field] = value
     with pytest.raises(ValueError):
         SpectralNoise(**kw)
+
+
+@pytest.mark.parametrize("alpha, omega_min", [(650.0, TWO_PI * 0.05), (1000.0, TWO_PI * 0.05),
+                                              (3.0, 1e-200)])
+def test_spectral_noise_rejects_a_spectrum_whose_weights_overflow(alpha, omega_min):
+    # sum omega^(1 - alpha) is infinite: the variances would be inf/inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha"):
+            SpectralNoise(alpha=alpha, omega_min=omega_min, omega_max=TWO_PI * 50.0,
+                          amplitude=TWO_PI * 200.0)
 
 
 # --- toggling-frame engine against the 4-dim state evolution

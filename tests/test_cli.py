@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,19 +13,24 @@ from hypothesis import given, settings, strategies as st
 
 from dfspulse.cli import (
     SCHEMAS, ConfigError, Scenario, main, parse_config, report, run_scenario,
-    serialize_config,
 )
 import dfspulse
 import dfspulse.cli as cli_mod
 from dfspulse.dfs import _block_residual, block_collective_residual
 from dfspulse.pauli import (
-    _CHECK_TOL, BathSlotError, _blocks, _log_blocks, _stacked, generator_of, kron_all,
-    to_dense,
+    _CHECK_TOL, BathSlotError, NonHermitianError, OperatorSum, _blocks, _log_blocks, _stacked,
+    generator_of, kron_all, to_dense,
 )
 from dfspulse.sequences import (
     EvolutionModel, _propagator_blocks, propagator, symmetrize_block4,
 )
-from dfspulse.verification import CheckResult, _rand_herm
+from dfspulse.verification import CheckResult
+
+
+def serialize_config(scenarios: list[Scenario]) -> str:
+    """The normalized config text of `scenarios`, which `parse_config` reads back."""
+    return json.dumps([sc.normalized() for sc in scenarios],
+                      indent=2, sort_keys=True) + "\n"
 
 
 def test_parse_minimal_scenario_gets_defaults():
@@ -179,6 +185,16 @@ def test_parse_reports_syntax_error_line():
     assert "line 2" in where
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,  # nested past the recursion limit
+    '[{"name": "a", "kind": "formulas", "seed": ' + "9" * 5000 + "}]",  # past the digit limit
+])
+def test_parse_rejects_what_json_cannot_read_at_top_level(text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert [where for where, _, _ in err.value.errors] == ["top level"]
+
+
 def test_config_round_trip_fixed_point():
     text = ('[{"name": "scan", "kind": "dt-scan", "seed": 3, '
             '"parameters": {"alpha": 1.0, "n_traj": 10}}]')
@@ -232,10 +248,25 @@ def _block4(seed, d):
                                      "parameters": {"bath_factor_dim": d}}]))[0]
 
 
+def _block4_sum(sc):
+    # the scenario's Hamiltonian sum_q Z_q (x) b_q as a Pauli sum, with its
+    # bath dimension and bindings: b_q is the q-th of four bath factors,
+    # drawn as the scenario draws them and placed by the kron formula
+    rng = np.random.default_rng(sc.seed)
+    d = sc.parameters["bath_factor_dim"]
+    bindings = {}
+    for q in range(4):
+        mats = [np.eye(d, dtype=complex)] * 4
+        mats[q] = cli_mod._rand_herm(rng, d)
+        bindings[f"b{q}"] = kron_all(*mats)
+    h = sum((OperatorSum.single(4, q, "Z", 1.0, f"b{q}") for q in range(4)),
+            OperatorSum.zero(4))
+    return h, d ** 4, bindings
+
+
 def _dense_block4(sc):
-    # the dense model of the scenario's sum and bindings: the oracle of the
-    # blocks the CLI builds from the masks
-    h, bdim, bindings = cli_mod._block4_hamiltonian(sc)
+    # the dense model of the scenario: the oracle of the blocks the CLI builds
+    h, bdim, bindings = _block4_sum(sc)
     return (EvolutionModel(4, bdim, to_dense(h, bdim, bindings)),
             symmetrize_block4(sc.parameters["tau"], 4))
 
@@ -269,11 +300,13 @@ def test_block4_residual_equals_the_dense_chain(d):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_block4_blocks_from_masks_equal_the_dense_blocks(d):
-    for seed in range(4):
+def test_block4_blocks_equal_the_dense_blocks(d):
+    # one block per system state, equal entry for entry to the dense
+    # matrix's, whose bindings follow the kron formula
+    for seed in range(6):
         sc = _block4(seed, d)
         static = cli_mod._block4_model(sc)
-        h, bdim, bindings = cli_mod._block4_hamiltonian(sc)
+        h, bdim, bindings = _block4_sum(sc)
         dense = to_dense(h, bdim, bindings)
         groups = _blocks(dense)
         assert [idx.shape for idx in groups] == [(16, d ** 4)]
@@ -283,23 +316,10 @@ def test_block4_blocks_from_masks_equal_the_dense_blocks(d):
             assert np.array_equal(stack, dense[_stacked(want)])
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_block4_bindings_equal_the_kron_formula(d):
-    # each ion's bath factor b_q is the q-th of four bath factors
-    for seed in (0, 5):
-        _, bdim, bindings = cli_mod._block4_hamiltonian(_block4(seed, d))
-        rng = np.random.default_rng(seed)
-        assert bdim == d ** 4 and list(bindings) == ["b0", "b1", "b2", "b3"]
-        for q in range(4):
-            mats = [np.eye(d, dtype=complex)] * 4
-            mats[q] = _rand_herm(rng, d)
-            assert np.array_equal(bindings[f"b{q}"], kron_all(*mats))
-
-
 def test_block4_model_memory_at_d3():
     # the dense 1296^2 h_static alone is 27 MB; its 16 blocks of 81 are 1.7 MB
     sc = _block4(5, 3)
-    h, bdim, bindings = cli_mod._block4_hamiltonian(sc)
+    h, bdim, bindings = _block4_sum(sc)
 
     def peak(build):
         tracemalloc.start()
@@ -357,11 +377,18 @@ def test_block4_propagator_and_residual_stages_at_d3():
 
 
 def test_block4_model_rejects_a_non_finite_bath(monkeypatch):
-    # the shared binding check rejects it in the symbolic and the dense model
+    # the model takes the bath factors as drawn, so a NaN reaches the first
+    # exponential, whose Hermitian test rejects it before any arithmetic:
+    # NonHermitianError and no RuntimeWarning.  The dense oracle's binding
+    # check rejects it in to_dense
     monkeypatch.setattr(cli_mod, "_rand_herm", lambda rng, d: np.full((d, d), np.nan))
-    for build in (cli_mod._block4_model, _dense_block4):
-        with pytest.raises(BathSlotError, match=r"binding for 'b\d' must be finite"):
-            build(_block4(0, 2))
+    sc = _block4(0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonHermitianError):
+            cli_mod._run_block4(sc)
+    with pytest.raises(BathSlotError, match=r"binding for 'b\d' must be finite"):
+        _dense_block4(sc)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -583,6 +610,20 @@ def test_dtscan_gain_rule_with_unbounded_gains(tmp_path, params, rc):
     gains = [float(row.split(",")[3]) for row in
              (tmp_path / "scan.csv").read_text().splitlines()[1:]]
     assert any(np.isinf(gains)) and report["passed"] == (rc == 0)
+
+
+def test_storage_sim_with_a_steep_spectrum_fails_with_no_pass(tmp_path, capsys):
+    # alpha 1000 overflows the spectral weights at the default band: the
+    # scenario ends in one ERROR line, never in a T2 of null and a passing gain
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"name": "steep", "kind": "storage-sim",
+                                "parameters": {"alpha": 1000.0, "n_traj": 4}}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "ERROR steep: alpha 1000" in err
+    assert json.loads((tmp_path / "steep.json").read_text())["partial"] is True
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 import dfspulse.pauli as pauli_mod
 from dfspulse.pauli import (
     BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
-    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _dense, _embed,
-    _from_masks, _log_blocks, _slabs, _stacked, _sum_blocks, commutator, commutes,
-    embed_sites, expm_i, generator_of, is_hermitian_matrix, is_unitary, kron_all,
-    pauli_mul, spectral_norm, to_dense, SIGMA,
+    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _embed, _log_blocks,
+    _slabs, commutator, commutes, embed_sites, expm_i, generator_of, is_hermitian_matrix,
+    is_unitary, kron_all, pauli_mul, spectral_norm, to_dense, SIGMA,
 )
 
 LABELS1 = ["I", "X", "Y", "Z"]
@@ -119,6 +121,13 @@ def test_coefficient_of_a_slot_that_is_no_name_is_zero():
     assert op.coefficient("XY", "a") == 2.0
     assert op.coefficient("XY", ["a"]) == 0j
     assert op.coefficient("XY", 5) == 0j
+
+
+def test_a_term_with_a_bath_slot_survives_pickle_and_deepcopy():
+    t = PauliTerm.from_label("XYZI", 0.5 - 2j, "b1")
+    for back in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert back == t and back is not t and hash(back) == hash(t)
+        assert (back.x, back.z, back.bath_slot) == (t.x, t.z, "b1")
 
 
 def test_hermiticity_decidable():
@@ -639,51 +648,7 @@ def test_to_dense_equals_the_kron_chain(case):
                           _kron_chain(op, bath_dim, bindings))
 
 
-# --- blocks built from the masks against the dense matrix
-
-
-@st.composite
-def _masked_sums(draw):
-    # random x/z masks; each term its own binding, or slots shared and free
-    width = draw(st.integers(1, 4))
-    bath_dim = draw(st.integers(1, 3))
-    own = draw(st.booleans())
-    mask = st.integers(0, 2 ** width - 1)
-    coefficient = st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0)
-    slot = st.just(None) if own else st.sampled_from([None, "b1", "b2"])
-    terms = draw(st.lists(st.tuples(mask, mask, coefficient, slot), min_size=own, max_size=6))
-    items = [((x, z, f"t{k}" if own else s), c) for k, (x, z, c, s) in enumerate(terms)]
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    bindings = {key[2]: hidden_blocks(rng, (bath_dim,))
-                for key, _ in items + [((0, 0, "b1"), 0), ((0, 0, "b2"), 0)] if key[2]}
-    return _from_masks(width, items), bath_dim, bindings, own
-
-
-@settings(max_examples=300, deadline=None)
-@given(_masked_sums())
-def test_sum_blocks_are_the_blocks_of_to_dense(case):
-    op, bath_dim, bindings, own = case
-    dim = 2 ** op.width * bath_dim
-    dense = to_dense(op, bath_dim, bindings)
-    blocks = _sum_blocks(op, bath_dim, bindings)
-    assert np.array_equal(_dense(blocks, dim), dense)
-    label = np.full(dim, -1)
-    for k, (idx, stack) in enumerate(blocks):
-        assert np.array_equal(stack, dense[_stacked(idx)])
-        assert (np.diff(idx, axis=1) > 0).all()
-        label[idx] = k * dim + np.arange(len(idx))[:, None]
-    assert (label >= 0).all()
-    # every exact component lies in one block; with a dense binding on every
-    # term nothing cancels, and the partitions are equal
-    exact = _blocks(dense)
-    assert all((label[idx] == label[idx[:, :1]]).all() for idx in exact)
-    if own:
-        assert len(blocks) == len(exact)
-        for (idx, _), want in zip(blocks, exact):
-            np.testing.assert_array_equal(idx, want)
-
-
-def test_sum_blocks_reject_what_to_dense_rejects():
+def test_to_dense_rejects_a_bad_binding():
     op = OperatorSum.single(2, 0, "Z", 1j, "b") + OperatorSum.single(2, 1, "X")
     for bindings, match in (
             ({}, "unbound"), ({"c": np.eye(2)}, "unbound"), ({"b": np.eye(3)}, "shape"),
@@ -693,10 +658,9 @@ def test_sum_blocks_reject_what_to_dense_rejects():
             ({"b": [[1, 1j], [1j, 1]]}, "must be Hermitian"),
             ({"b": [[np.nan, 0], [0, 1]]}, "must be finite"),
             ({"b": [[1, np.inf], [0, 1]]}, "must be finite")):
-        for build in (to_dense, _sum_blocks):
-            for which in (op, op.dagger()):
-                with pytest.raises(BathSlotError, match=match):
-                    build(which, 2, bindings)
+        for which in (op, op.dagger()):
+            with pytest.raises(BathSlotError, match=match):
+                to_dense(which, 2, bindings)
         to_dense(OperatorSum.single(2, 1, "X"), 2, bindings)  # an unused binding is not read
 
 

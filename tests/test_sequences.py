@@ -15,7 +15,7 @@ from dfspulse.dfs import (
 from dfspulse.gates import SmGateSpec, dfs_restrict
 from dfspulse.pauli import (
     NonUnitaryError, OperatorSum, SIGMA, _blocks, _dense, _expm_blocks, _gather, _log_blocks,
-    _norm_blocks, _sum_blocks, expm_i, generator_of, spectral_norm, to_dense,
+    _norm_blocks, expm_i, generator_of, spectral_norm, to_dense,
 )
 from dfspulse.sequences import (
     PULSE_LABELS, Drive, EvolutionModel, Free, NamedPulse, PulseSequence,
@@ -243,6 +243,19 @@ def _block4_baths(rng, factor_dim):
             out = np.kron(out, m)
         embedded.append(out)
     return baths, embedded
+
+
+def _diagonal_blocks(embedded):
+    # the [(idx, stack)] blocks of sum_q Z_q (x) embedded[q]: the sum is
+    # diagonal in the ions' states, so state s has the one block
+    # sum_q z_q(s) embedded[q], z_q(s) = +-1 from bit 3 - q of s
+    bdim = len(embedded[0])
+    z = 1 - 2 * (np.arange(16)[:, None] >> np.arange(3, -1, -1) & 1)
+    stack = np.zeros((16, bdim, bdim), dtype=complex)
+    for s in range(16):
+        for q in range(4):
+            stack[s] += z[s, q] * embedded[q]
+    return [(np.arange(16 * bdim).reshape(16, bdim), stack)]
 
 
 def _block4_model(rng, factor_dim=2):
@@ -518,6 +531,27 @@ def test_euler_rotation_hits_random_targets():
         phase = np.trace(target.conj().T @ blk)
         phase /= abs(phase)
         assert np.abs(blk - phase * target).max() < 1e-8
+
+
+@pytest.mark.parametrize("target", [np.diag([1, -1]), np.diag([1j, -1j])])
+def test_euler_angles_of_a_target_off_diagonal_after_the_axis_swap(target):
+    # H target H has a zero diagonal: the extraction's last branch
+    alpha, beta, gamma = euler_angles_xyx(target)
+
+    def gx(a):
+        return np.cos(a) * SIGMA["I"] - 1j * np.sin(a) * SIGMA["X"]
+
+    rebuilt = gx(alpha) @ (np.cos(beta) * SIGMA["I"] + 1j * np.sin(beta) * SIGMA["Y"]) @ gx(gamma)
+    phase = np.trace(target.conj().T @ rebuilt) / 2
+    assert abs(abs(phase) - 1) < 1e-12
+    assert np.abs(rebuilt - phase * target).max() < 1e-12
+
+
+def test_sequence_product_concatenates_the_events():
+    a, b = symmetrize_pair(0.1), four_pulse_cycle(0.2)
+    assert (a * b).events == a.events + b.events
+    assert (a * b).cycle_time == pytest.approx(a.cycle_time + b.cycle_time)
+    assert (a * PulseSequence(())).events == a.events
 
 
 # --- serialization
@@ -977,14 +1011,11 @@ def test_block_scan_memory_at_d3():
 
 def test_block4_chain_memory_at_d3():
     # the dense chain makes 1296^2 matrices of 27 MB each and peaks near 93 MB;
-    # the block chain, its model built from the masks, keeps 16 blocks of 81
+    # the block chain, its model built block by block, keeps 16 blocks of 81
     _, embedded = _block4_baths(np.random.default_rng(5), 3)
-    h = sum((OperatorSum.single(4, q, "Z", 1.0, f"b{q}") for q in range(4)),
-            OperatorSum.zero(4))
-    bindings = {f"b{q}": b for q, b in enumerate(embedded)}
     tracemalloc.start()
     try:
-        static = _sum_blocks(h, 81, bindings)
+        static = _diagonal_blocks(embedded)
         u = _propagator_blocks(symmetrize_block4(0.05, 4), 4, 81, static)
         g = _log_blocks(u, 0.2)[0]
         resid = _block_residual(g, 4, 81, ((0, 1, 2, 3),))
@@ -1006,10 +1037,7 @@ def _seam_case(case):
         return _gather(h), symmetrize_block4(0.05, 4), 4, 2, ((0, 1), (2, 3))
     d = int(case[-1])
     _, embedded = _block4_baths(rng, d)
-    h = sum((OperatorSum.single(4, q, "Z", 1.0, f"b{q}") for q in range(4)),
-            OperatorSum.zero(4))
-    static = _sum_blocks(h, d ** 4, {f"b{q}": b for q, b in enumerate(embedded)})
-    return static, symmetrize_block4(0.05, 4), 4, d ** 4, ((0, 1, 2, 3),)
+    return _diagonal_blocks(embedded), symmetrize_block4(0.05, 4), 4, d ** 4, ((0, 1, 2, 3),)
 
 
 def _block_chain(static, seq, width, bath_dim, sites):
