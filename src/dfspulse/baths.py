@@ -40,8 +40,9 @@ full run's.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -260,13 +261,26 @@ class SpectralNoise:
             raise ValueError("require 0 < omega_min < omega_max")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
-        # the weights of `variances`: a steep spectrum overflows them
         with np.errstate(over="ignore", invalid="ignore"):
-            total = (self.frequencies() ** (1.0 - self.alpha)).sum()
-        if not 0 < total < math.inf:
-            raise ValueError(f"alpha {self.alpha:g}: the spectral weights omega^(1 - alpha) "
-                             f"over [omega_min, omega_max] sum to {total}, not a finite "
-                             "positive number")
+            # a band wider than the float range overflows the grid
+            om = self.frequencies()
+            if not np.isfinite(om).all():
+                raise ValueError(f"omega_max / omega_min = {self.omega_max / self.omega_min:g}: "
+                                 "the log-spaced grid over [omega_min, omega_max] is not finite")
+            # the weights of `variances`: a steep spectrum overflows them
+            total = (om ** (1.0 - self.alpha)).sum()
+            if not 0 < total < math.inf:
+                raise ValueError(f"alpha {self.alpha:g}: the spectral weights omega^(1 - alpha) "
+                                 f"over [omega_min, omega_max] sum to {total}, not a finite "
+                                 "positive number")
+            try:
+                finite = np.isfinite(self.variances()).all()
+            except OverflowError:  # amplitude ** 2 is past the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"amplitude {self.amplitude:g}: the per-harmonic variances "
+                                 "2 amplitude^2 omega^(1 - alpha) / sum omega^(1 - alpha) "
+                                 "are not finite")
 
     def frequencies(self) -> np.ndarray:
         """Deterministic log-spaced grid over [omega_min, omega_max]."""
@@ -297,14 +311,16 @@ class SpectralNoise:
 
     def trajectory_rng(self, traj_index: int, stream: int = 0) -> np.random.Generator:
         """Per-trajectory generator seeded by (seed, stream, traj_index), so
-        independent of execution order: np.random.default_rng([seed, stream,
-        traj_index]), with the seed words built directly."""
-        words = _seed_words((self.seed, _integer(stream, "stream", 0),
-                             _integer(traj_index, "traj_index", 0)))
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        independent of execution order.  Its draws are those of
+        np.random.default_rng([seed, stream, traj_index]), bit for bit; it is
+        the batch of one of `_trajectory_rngs`, which seeds all of a stream's
+        generators in one pass."""
+        index = _integer(traj_index, "traj_index", 0)
+        return next(_trajectory_rngs(self.seed, _integer(stream, "stream", 0),
+                                     range(index, index + 1)))
 
 
-def _seed_words(values: tuple[int, ...]) -> np.ndarray:
+def _seed_words(values: tuple[int, ...]) -> list[int]:
     """The entropy np.random.SeedSequence makes of a list of nonnegative
     ints: each int's 32-bit words, least significant first, 0 being one."""
     words = []
@@ -313,7 +329,91 @@ def _seed_words(values: tuple[int, ...]) -> np.ndarray:
         while v > 0xFFFFFFFF:
             v >>= 32
             words.append(v & 0xFFFFFFFF)
-    return np.array(words, dtype=np.uint32)
+    return words
+
+
+def _seed_states(seed: int, stream: int, indices: Sequence[int]) -> np.ndarray:
+    """np.random.SeedSequence([seed, stream, i]).generate_state(4, np.uint64)
+    for each index i, as one C-ordered (len(indices), 4) uint64 array.
+
+    SeedSequence hashes the 32-bit words of its entropy (`_seed_words`) into
+    a pool of 4 words, then hashes the pool into the state.  Its hash
+    constants do not depend on the data, so every trajectory goes through the
+    same uint32 array steps: 4 pool words, each mixed into the other three,
+    then each entropy word past the 4th mixed into all four, in the rows that
+    have it.  A missing pool word hashes as the word 0, so a row with fewer
+    than 4 words is padded with zeros."""
+    mask = 0xFFFFFFFF
+    # numpy/random/bit_generator.pyx: the multiplier chains of the pool and of
+    # the output hash, and the two multipliers of `mix`
+    init_a, mult_a, init_b, mult_b = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+    mix_l, mix_r = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+    prefix = _seed_words((seed, stream))
+    # a row's entropy: the prefix, then its index's words, least significant first
+    bits = np.array([i.bit_length() for i in indices])
+    lengths = len(prefix) + (np.maximum(bits, 1) + 31) // 32
+    n_words = lengths.max()
+    entropy = np.zeros((len(indices), max(4, n_words)), dtype=np.uint32)
+    entropy[:, :len(prefix)] = prefix
+    for k in range(n_words - len(prefix)):
+        entropy[:, len(prefix) + k] = [i >> 32 * k & mask for i in indices]
+
+    def chain(init: int, mult: int, n: int) -> np.ndarray:
+        # init * mult^k for k = 0..n, modulo 2^32
+        return np.cumprod(np.array([init] + [mult] * n, dtype=np.uint32), dtype=np.uint32)
+
+    def hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:
+        # one hash per column j: xor with const[j], multiply by const[j + 1]
+        value = (value ^ const[:-1]) * const[1:]
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = x * mix_l - y * mix_r
+        return x ^ (x >> 16)
+
+    a = chain(init_a, mult_a, 16 + 4 * (entropy.shape[1] - 4))
+    pool = hashmix(entropy[:, :4], a[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src:src + 1], a[4 + 3 * src:8 + 3 * src]))
+    for col in range(4, entropy.shape[1]):
+        k = 16 + 4 * (col - 4)
+        mixed = mix(pool, hashmix(entropy[:, col:col + 1], a[k:k + 5]))
+        pool = np.where((lengths > col)[:, None], mixed, pool)
+    state = hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], chain(init_b, mult_b, 8))
+    # as SeedSequence does: pairs of words read as little-endian uint64s.  PCG64
+    # reads a state through its data pointer, so the rows must be contiguous
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@cache
+def _state_seed() -> type:
+    """A numpy.random ISeedSequence that holds one precomputed PCG64 state,
+    the one request PCG64 makes of its seed.  Made on first use, so that
+    importing the package leaves numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("this seed holds only the 4 uint64 words of a PCG64 state")
+            return self.state
+
+    return StateSeed
+
+
+def _trajectory_rngs(seed: int, stream: int, indices: Sequence[int]):
+    """The generator of each trajectory index in `indices`, in order; each
+    draws as np.random.default_rng([seed, stream, index]) does, bit for bit.
+    The states are computed in one pass (`_seed_states`), so a generator
+    costs only its PCG64 and Generator objects."""
+    state_seed = _state_seed()
+    for state in _seed_states(seed, stream, indices):
+        yield np.random.Generator(np.random.PCG64(state_seed(state)))
 
 
 def sample_1f_trajectory(s: SpectralNoise, horizon: float,
@@ -378,7 +478,9 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
 def _rate_coefficients(noise: SpectralNoise, n_traj: int,
                        mode: str) -> tuple[np.ndarray, np.ndarray]:
     """The harmonic frequencies, and per trajectory the coefficients of the
-    antiderivative of the rate difference c1 - c2 on [sin wt | cos wt]."""
+    antiderivative of the rate difference c1 - c2 on [sin wt | cos wt].
+    Trajectory i of a stream draws from `SpectralNoise.trajectory_rng(i,
+    stream)`, bit for bit; a stream's generators are seeded in one pass."""
     if mode not in _NOISE_MODES:
         raise ValueError(f"unknown noise mode {mode!r}")
     n_traj = _integer(n_traj, "n_traj", 1)
@@ -387,10 +489,13 @@ def _rate_coefficients(noise: SpectralNoise, n_traj: int,
     def coefficients(stream: int) -> np.ndarray:
         # a sin(wt + phi) / w = [sin wt | cos wt] . [a cos phi | a sin phi] / w
         amps, phases = np.empty((n_traj, om.size)), np.empty((n_traj, om.size))
-        for i in range(n_traj):
-            noise.draw(noise.trajectory_rng(i, stream), (amps[i], phases[i]))
-        weights = amps / om
-        return np.hstack([weights * np.cos(phases), weights * np.sin(phases)])
+        for i, rng in enumerate(_trajectory_rngs(noise.seed, stream, range(n_traj))):
+            noise.draw(rng, (amps[i], phases[i]))
+        coef = np.empty((n_traj, 2, om.size))
+        np.cos(phases, out=coef[:, 0])
+        np.sin(phases, out=coef[:, 1])
+        coef *= (amps / om)[:, None]
+        return coef.reshape(n_traj, -1)
 
     if mode == "independent":
         return om, coefficients(1) - coefficients(2)

@@ -608,6 +608,43 @@ def test_rate_coefficients_rows_are_the_trajectory_draws(seed, mode):
             noise.trajectory_rng(i, s)
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 70 + 3])
+@pytest.mark.parametrize("stream", [0, 2, 2 ** 40])
+def test_seed_states_are_numpy_seed_sequence_states(seed, stream):
+    # entropy of 3 to 6 words, and rows of different lengths in one batch
+    indices = [0, 199, 2 ** 32 + 1]
+    states = baths_mod._seed_states(seed, stream, indices)
+    assert states.dtype == np.uint64 and states.flags.c_contiguous
+    for i, state, rng in zip(indices, states,
+                             baths_mod._trajectory_rngs(seed, stream, indices), strict=True):
+        assert np.array_equal(
+            state, np.random.SeedSequence([seed, stream, i]).generate_state(4, np.uint64))
+        want = np.random.default_rng([seed, stream, i])
+        assert np.array_equal(rng.standard_normal(8), want.standard_normal(8))
+        assert np.array_equal(rng.random(8), want.random(8))
+    # the seed a generator holds answers only the request of PCG64
+    seed_seq = SpectralNoise(1.0, 1.0, 100.0, 1.0, seed=seed).trajectory_rng(
+        199, stream).bit_generator.seed_seq
+    assert np.array_equal(seed_seq.generate_state(4, np.uint64), states[1])
+    with pytest.raises(ValueError, match="PCG64"):
+        seed_seq.generate_state(8)
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(omega_min=1e-300, omega_max=1e300), "omega_max / omega_min"),
+    (dict(amplitude=1e200), "amplitude"),
+    (dict(amplitude=1e154), "amplitude"),
+])
+def test_spectral_noise_rejects_a_grid_or_variances_that_overflow(kw, name):
+    # every grid frequency would be inf, or 2 amplitude^2 past the float range
+    kw = dict(dict(alpha=1.0, omega_min=1.0, omega_max=100.0, amplitude=1.0), **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=name):
+            SpectralNoise(**kw)
+    assert np.isfinite(SpectralNoise(1.0, 1.0, 100.0, 1e150).variances()).all()
+
+
 @pytest.mark.parametrize("field, value", [
     ("alpha", math.nan), ("alpha", math.inf), ("amplitude", -1.0),
     ("amplitude", math.nan), ("amplitude", math.inf), ("omega_max", math.inf),

@@ -431,6 +431,20 @@ def test_runtime_needs_no_scipy(tmp_path):
         assert json.loads((tmp_path / f"{name}.json").read_text())["passed"] is True
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # importing numpy.random costs setup time, so only the first draw loads it
+    script = ("import sys, dfspulse.cli\n"
+              "assert 'numpy.random' not in sys.modules\n"
+              "dfspulse.baths.SpectralNoise(1.0, 1.0, 100.0, 1.0).trajectory_rng(0)\n"
+              "assert 'numpy.random' in sys.modules\n")
+    src = str(Path(dfspulse.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+
+
 def test_gate_scenario(tmp_path):
     sc = parse_config(
         '[{"name": "g", "kind": "gate-sim", "seed": 2, '
@@ -624,6 +638,24 @@ def test_storage_sim_with_a_steep_spectrum_fails_with_no_pass(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "PASS" not in out and "ERROR steep: alpha 1000" in err
     assert json.loads((tmp_path / "steep.json").read_text())["partial"] is True
+
+
+@pytest.mark.parametrize("kind", ["storage-sim", "dt-scan"])
+@pytest.mark.parametrize("params, name", [
+    ({"alpha": 1.0, "omega_min": 1e-300, "omega_max": 1e300}, "omega_max / omega_min"),
+    ({"amplitude": 1e200}, "amplitude"),
+])
+def test_a_noise_that_overflows_fails_with_no_pass(tmp_path, capsys, kind, params, name):
+    # neither an infinite grid (every T2 inf, a passing gain) nor a bare
+    # OverflowError from a loud amplitude: one ERROR line naming the input
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"name": "loud", "kind": kind,
+                                "parameters": {**params, "n_traj": 4}}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and f"ERROR loud: {name}" in err
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):
