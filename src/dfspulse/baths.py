@@ -28,8 +28,9 @@ cycle parity, each shifted by its cycle's phasor e^{i w m T}; a matmul at
 the records alone applies the trajectories.  Collective noise has no rate
 difference, so it has no harmonics and every coherence is exactly 1.
 
-The engine walks the cycle ends in time order, a block at a time, and hands
-back each record's trajectory phases as soon as its block is done.
+The engine walks a cycle's events last to first, as they are applied, and
+the cycle ends in time order, a block at a time; it hands back a block's
+phases, one (records, trajectories) array, as soon as the block is done.
 `dephasing_run` reads every block; `suppression_scan` needs only T2, so each
 of its runs stops after the first block whose coherence falls below 1/e.  A
 scan run also skips the exponentials of each record that a lower bound from
@@ -56,7 +57,6 @@ from .sequences import Free, NamedPulse, PulseSequence, _named_action
 HBAR = 1.054571817e-34   # J s
 KB = 1.380649e-23        # J / K
 
-_TRAJ_CHUNK = 200        # trajectories per matmul; bounds memory in n_traj
 _CYCLE_BLOCK = 32        # cycle ends per engine block; bounds memory in n_cycles
                          # and sets how soon a scan run stops
 _T2_LEVEL = 1.0 / np.e   # T2 is the first crossing of this coherence
@@ -464,9 +464,9 @@ def dephasing_run(seq: PulseSequence, noise: SpectralNoise, n_traj: int,
     conjugates it, so after k segments its phase is Phi = sum_k s_k dI_k.
     At each record Phi is the filter F of `_record_filters` applied to the
     trajectory's coefficients.  Collective noise has no harmonics, so its
-    coherence is exactly 1.  The cycle ends are processed _CYCLE_BLOCK at a
-    time and the trajectories _TRAJ_CHUNK at a time, to bound peak memory;
-    F carries across blocks.
+    coherence is exactly 1.  A cycle is walked in application order, the
+    last event first.  The cycle ends are processed _CYCLE_BLOCK at a time,
+    to bound peak memory in n_cycles; F carries across blocks.
     """
     n_cycles = _integer(n_cycles, "n_cycles", 0)
     record_every = _integer(record_every, "record_every", 1)
@@ -505,16 +505,17 @@ def _rate_coefficients(noise: SpectralNoise, n_traj: int,
 
 
 def _sign_template(seq: PulseSequence, pair: tuple[int, int]) -> tuple[list, np.ndarray]:
-    """The free durations of one cycle, and the toggling sign of each free
-    segment over two cycles: -1 while the exact frame q of the pulses so far
-    (`sequences._named_action`, each op's pair mapped onto (0, 1) by its
-    orientation against `pair`) exchanges |0_L> and |1_L>.  An odd number of
-    swaps per cycle flips the pattern of the next cycle, so two cycles are
-    always a period."""
+    """The free durations of one cycle in the order they act, the last event
+    of `seq.events` first (as `sequences.propagator` applies them), and the
+    toggling sign of each free segment over two cycles: -1 while the exact
+    frame q of the pulses so far (`sequences._named_action`, each op's pair
+    mapped onto (0, 1) by its orientation against `pair`) exchanges |0_L>
+    and |1_L>.  An odd number of swaps per cycle flips the pattern of the
+    next cycle, so two cycles are always a period."""
     orient = {pair: (0, 1), pair[::-1]: (1, 0)}
     q = np.arange(4)
     frees, swapped = [], []
-    for e in seq.events:
+    for e in reversed(seq.events):
         if isinstance(e, Free):
             frees.append(e.tau)
             swapped.append(q[CODE_ZERO_INDEX] == CODE_ONE_INDEX)
@@ -581,38 +582,33 @@ def _block_phases(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
                   record_every: int, om: np.ndarray, coef: np.ndarray):
     """The toggling-frame engine: after each block of `_record_filters`,
     yield the times of the records it holds and their trajectory phases
-    Phi = [Im F | Re F] . coef, one (records, trajectories) matmul per
-    _TRAJ_CHUNK trajectories."""
+    Phi = [Im F | Re F] . coef, one (records, trajectories) matmul."""
     for times, f in _record_filters(seq, pair, n_cycles, record_every, om):
-        table = np.hstack([f.imag, f.real])
-        yield times, [table @ coef[start:start + _TRAJ_CHUNK].T
-                      for start in range(0, len(coef), _TRAJ_CHUNK)]
+        yield times, np.hstack([f.imag, f.real]) @ coef.T
 
 
-def _coherence(phases: list, n_traj: int) -> np.ndarray:
-    """|mean e^{-i Phi}| of each record from its per-chunk phases; the
-    chunks are summed in a fixed order, which fixes the sum."""
-    total = np.zeros(len(phases[0]), dtype=complex)
-    for phase in phases:
-        total += np.exp(-1j * phase).sum(axis=1)
-    return np.abs(total) / n_traj
+def _coherence(phases: np.ndarray) -> np.ndarray:
+    """|mean e^{-i Phi}| of each record, a row of `phases`."""
+    z = -1j * phases
+    np.exp(z, out=z)
+    return np.abs(z.sum(axis=1)) / phases.shape[1]
 
 
-def _coherence_bound(phases: list, n_traj: int) -> np.ndarray:
-    """A lower bound on each record's coherence, 1 - m2/2 + m4/24 - m6/720,
-    from the central moments m2, m4, m6 of its phases.  With x = Phi - mean
-    Phi, |mean e^{-i Phi}| >= mean cos x, and the degree-6 Taylor polynomial
-    of cos lies below it on all of R.  A bound that overflows is -inf or NaN
-    and certifies nothing."""
-    mean = sum(phase.sum(axis=1) for phase in phases) / n_traj
-    s2 = s4 = s6 = 0.0  # sums over the trajectories of the powers of Phi - mean
+def _coherence_bound(phases: np.ndarray) -> np.ndarray:
+    """A lower bound on each record's coherence (a row of `phases`),
+    1 - m2/2 + m4/24 - m6/720, from the central moments m2, m4, m6 of its
+    phases.  With x = Phi - mean Phi, |mean e^{-i Phi}| >= mean cos x, and
+    the degree-6 Taylor polynomial of cos lies below it on all of R.  A bound
+    that overflows is -inf or NaN and certifies nothing."""
+    n_traj = phases.shape[1]
+    mean = phases.sum(axis=1) / n_traj
     with np.errstate(over="ignore", invalid="ignore"):
-        for phase in phases:
-            x2 = phase - mean[:, None]
-            np.square(x2, out=x2)
-            x4 = np.square(x2)
-            s2, s4, s6 = s2 + x2.sum(axis=1), s4 + x4.sum(axis=1), s6 + (x4 * x2).sum(axis=1)
-        m2, m4, m6 = s2 / n_traj, s4 / n_traj, s6 / n_traj
+        x2 = phases - mean[:, None]
+        np.square(x2, out=x2)
+        x4 = np.square(x2)
+        m2, m4 = x2.sum(axis=1) / n_traj, x4.sum(axis=1) / n_traj
+        np.multiply(x4, x2, out=x4)
+        m6 = x4.sum(axis=1) / n_traj
         return 1 - m2 / 2 + m4 / 24 - m6 / 720
 
 
@@ -622,7 +618,7 @@ def _toggling_run(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
     With no harmonics (collective noise) every coherence is exactly 1, and
     no engine block is formed."""
     if om.size:
-        blocks = [(t, _coherence(phases, len(coef))) for t, phases
+        blocks = [(t, _coherence(phases)) for t, phases
                   in _block_phases(seq, pair, n_cycles, record_every, om, coef)]
         times = np.concatenate([t for t, _ in blocks])
         coherence = np.concatenate([c for _, c in blocks])
@@ -647,24 +643,22 @@ def _t2_search(seq: PulseSequence, pair: tuple[int, int], n_cycles: int,
     if not om.size:
         _sign_template(seq, pair)  # checks the pulses; with no harmonics nothing decays
         return math.inf
-    n_traj = len(coef)
-    last = None  # the time and phases of the last record read
+    last = None  # the time and phases of the last record read; a copy frees its block
     for times, phases in _block_phases(seq, pair, n_cycles, record_every, om, coef):
         if not times.size:
             continue
         # the records to compute: every one not certified, a NaN bound included
-        rows = np.flatnonzero(~(_coherence_bound(phases, n_traj) > _T2_LEVEL + _CERTIFY_MARGIN))
+        rows = np.flatnonzero(~(_coherence_bound(phases) > _T2_LEVEL + _CERTIFY_MARGIN))
         if rows.size:
-            coherence = _coherence([phase[rows] for phase in phases], n_traj)
+            coherence = _coherence(phases[rows])
             below = np.flatnonzero(coherence < _T2_LEVEL)
             if below.size:
                 k = rows[below[0]]
                 # record 0 has phase 0, so it is certified and never the crossing
-                t0, before = (times[k - 1], [phase[k - 1:k] for phase in phases]) if k else last
+                t0, before = (times[k - 1], phases[k - 1:k]) if k else last
                 return _t2_from_curve(np.array([t0, times[k]]),
-                                      np.array([_coherence(before, n_traj)[0],
-                                                coherence[below[0]]]))
-        last = times[-1], [phase[-1:] for phase in phases]
+                                      np.array([_coherence(before)[0], coherence[below[0]]]))
+        last = times[-1], phases[-1:].copy()
     return math.inf
 
 

@@ -520,7 +520,10 @@ class OperatorSum:
                 and self._keys == other._keys and self._coefs == other._coefs)
 
     def __hash__(self):
-        return hash((self.width, self.terms))
+        return hash((self.width, self._keys, self._coefs))
+
+    def __reduce__(self):  # pickle and copy past the raising __setattr__
+        return _new_sum, (self.width, self._keys, self._coefs)
 
     def __repr__(self):
         if not self._keys:

@@ -490,14 +490,15 @@ def test_suppression_scan_stops_each_run_after_its_crossing_block(monkeypatch):
 
 
 @pytest.mark.parametrize("name, period", [
-    ("pair", [1, -1, 1, -1]),
-    ("odd_swap", [1, -1]),
-    ("q_lam_pi", [1, -1, -1, 1, -1, -1]),
+    # application order: the last event of a sequence acts first
+    ("pair", [-1, 1, -1, 1]),
+    ("odd_swap", [-1, 1]),
+    ("q_lam_pi", [-1, -1, 1, -1, -1, 1]),
 ])
 def test_sign_template(name, period):
     seq = ORACLE_SEQUENCES[name]
     frees, signs = baths_mod._sign_template(seq, (0, 1))
-    assert frees == [e.tau for e in seq.events if isinstance(e, Free)]
+    assert frees == [e.tau for e in reversed(seq.events) if isinstance(e, Free)]
     assert signs.tolist() == period
 
 
@@ -521,7 +522,8 @@ def test_sign_template_matches_the_dense_code_block():
         s = -1 if _dense_swaps(ops) else 1
         seq = PulseSequence((Free(1e-3), NamedPulse(ops), Free(2e-3)))
         frees, signs = baths_mod._sign_template(seq, (0, 1))
-        assert frees == [1e-3, 2e-3] and signs.tolist() == [1, s, s, 1], ops
+        # Free(2e-3) acts first, then the pulse, then Free(1e-3)
+        assert frees == [2e-3, 1e-3] and signs.tolist() == [1, s, s, 1], ops
         # the same pulse stored on another pair of a wider register
         moved = tuple((label, (relabel[i], relabel[j])) for label, (i, j) in ops)
         seq = PulseSequence((Free(1e-3), NamedPulse(moved), Free(2e-3)))
@@ -674,11 +676,14 @@ _Z1_DIAG = np.array([1.0, 1.0, -1.0, -1.0])  # basis (uu, ud, du, dd)
 _Z2_DIAG = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def reference_coherence(seq, noise, n_traj, n_cycles, mode, record_every=1):
-    """Every trajectory's pair state evolved event by event: exact segment
-    integrals of each cosine, Z1/Z2 phases, dense named-pulse matrices."""
+def segment_phases(seq, noise, n_traj, n_cycles, mode):
+    """The Z1/Z2 phase of every free segment of `n_cycles` cycles, in the
+    order the segments act (the last event of `seq.events` first), for each
+    trajectory: the exact segment integrals of each cosine of the rates of
+    ion 1 and ion 2 against `_Z1_DIAG` and `_Z2_DIAG`.  Shape (n_traj,
+    segments, 4)."""
     om = noise.frequencies()
-    frees = [e.tau for e in seq.events if isinstance(e, Free)]
+    frees = [e.tau for e in reversed(seq.events) if isinstance(e, Free)]
     bounds = np.concatenate([[0.0], np.tile(frees, n_cycles)]).cumsum()
 
     def integrals(stream):
@@ -694,6 +699,14 @@ def reference_coherence(seq, noise, n_traj, n_cycles, mode, record_every=1):
     else:
         int1 = integrals(0)
         int2 = int1 if mode == "collective" else -int1
+    return (np.multiply.outer(int1, _Z1_DIAG) + np.multiply.outer(int2, _Z2_DIAG)) / 2
+
+
+def reference_coherence(seq, noise, n_traj, n_cycles, mode, record_every=1):
+    """Every trajectory's pair state evolved event by event, in the order
+    the events act: exact segment integrals of each cosine, Z1/Z2 phases,
+    dense named-pulse matrices."""
+    phase = segment_phases(seq, noise, n_traj, n_cycles, mode)
     psi = np.zeros((n_traj, 4), dtype=complex)
     psi[:, [CODE_ZERO_INDEX, CODE_ONE_INDEX]] = 1 / np.sqrt(2)
 
@@ -703,11 +716,9 @@ def reference_coherence(seq, noise, n_traj, n_cycles, mode, record_every=1):
     curve = [off_diagonal()]
     seg = 0
     for cyc in range(n_cycles):
-        for e in seq.events:
+        for e in reversed(seq.events):
             if isinstance(e, Free):
-                phase = (np.outer(int1[:, seg], _Z1_DIAG)
-                         + np.outer(int2[:, seg], _Z2_DIAG)) / 2
-                psi = psi * np.exp(-1j * phase)
+                psi = psi * np.exp(-1j * phase[:, seg])
                 seg += 1
             else:
                 mat = reduce(np.matmul, [named_pulse(label) for label, _ in e.ops])
@@ -736,7 +747,8 @@ ORACLE_SEQUENCES = {
 def test_dephasing_matches_state_evolution(name, mode):
     noise = storage_noise(alpha=1.0, amplitude=TWO_PI * 50.0, n_harmonics=16)
     seq = ORACLE_SEQUENCES[name]
-    for n_traj, n_cycles, record_every in ((37, 120, 3), (25, 40, 1)):
+    # 250 trajectories share each block's one phase array
+    for n_traj, n_cycles, record_every in ((37, 120, 3), (25, 40, 1), (250, 70, 1)):
         got = dephasing_run(seq, noise, n_traj, n_cycles=n_cycles, mode=mode,
                             record_every=record_every)
         want = reference_coherence(seq, noise, n_traj, n_cycles, mode, record_every)
@@ -765,6 +777,42 @@ def test_dephasing_matches_state_evolution_on_random_sequences(
     np.testing.assert_allclose(got.coherence, want, rtol=0, atol=1e-9)
     assert baths_mod._t2_search(seq, (0, 1), n_cycles, record_every,
                                 *baths_mod._rate_coefficients(noise, n_traj, mode)) == got.t2
+
+
+def propagator_coherence(seq, noise, n_traj, n_cycles, mode):
+    """Every trajectory's pair state carried by `sequences.propagator`, a
+    cycle at a time: each free segment becomes the diagonal RawPulse of its
+    exact Z1/Z2 phases over the time at which the propagator applies it."""
+    phase = segment_phases(seq, noise, n_traj, n_cycles, mode)
+    n_free = sum(isinstance(e, Free) for e in seq.events)
+    model = EvolutionModel(2)
+    psi0 = np.zeros(4, dtype=complex)
+    psi0[[CODE_ZERO_INDEX, CODE_ONE_INDEX]] = 1 / np.sqrt(2)
+    states = np.empty((n_cycles + 1, n_traj, 4), dtype=complex)
+    for i in range(n_traj):
+        psi = states[0, i] = psi0
+        for cyc in range(n_cycles):
+            # the segment phases in application order, matched to the free
+            # events from the last one in the list to the first
+            seg = iter(phase[i, cyc * n_free:(cyc + 1) * n_free])
+            applied = [RawPulse(np.diag(np.exp(-1j * next(seg)))) if isinstance(e, Free) else e
+                       for e in reversed(seq.events)]
+            psi = states[cyc + 1, i] = propagator(PulseSequence(tuple(applied[::-1])), model) @ psi
+    off = np.abs((states[..., CODE_ZERO_INDEX] * states[..., CODE_ONE_INDEX].conj()).sum(axis=1))
+    return off / off[0]
+
+
+@pytest.mark.parametrize("mode", ["differential", "independent"])
+def test_dephasing_matches_the_propagator_on_a_cycle_that_is_no_palindrome(mode):
+    # the events of a sequence act last to first; read first to last, this
+    # cycle is another one, and its coherence differs by about 0.05
+    seq = PulseSequence((Free(1e-3), _pulse("P"), Free(3e-3), _pulse("QDAG", pair=(1, 0)),
+                         Free(5e-4)))
+    noise = storage_noise(alpha=1.0, amplitude=TWO_PI * 50.0, n_harmonics=16, seed=4)
+    got = dephasing_run(seq, noise, 30, n_cycles=3, mode=mode)
+    want = propagator_coherence(seq, noise, 30, 3, mode)
+    np.testing.assert_allclose(got.coherence, want, rtol=0, atol=1e-9)
+    assert np.abs(want - reference_coherence(seq, noise, 30, 3, mode)).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ["pair", "odd_swap"])
@@ -797,15 +845,12 @@ def test_dephasing_run_of_no_cycles_is_its_start(mode):
     assert math.isinf(res.t2)
 
 
-@pytest.mark.parametrize("block, chunk, record_every", [(32, 200, 1), (1, 7, 1), (3, 7, 2),
-                                                       (3, 200, 5)])
+@pytest.mark.parametrize("block, record_every", [(32, 1), (1, 1), (3, 2), (3, 5)])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ["pair", "odd_swap", "q_lam_pi"])
-def test_t2_search_is_the_full_run_t2(name, mode, block, chunk, record_every, monkeypatch):
-    # blocks of 1 and 3 cycle ends put crossings at a block's first record,
-    # and chunks of 7 split the 20 trajectories at two seams
+def test_t2_search_is_the_full_run_t2(name, mode, block, record_every, monkeypatch):
+    # blocks of 1 and 3 cycle ends put crossings at a block's first record
     monkeypatch.setattr(baths_mod, "_CYCLE_BLOCK", block)
-    monkeypatch.setattr(baths_mod, "_TRAJ_CHUNK", chunk)
     noise = storage_noise(amplitude=TWO_PI * 800.0, n_harmonics=16)
     seq = ORACLE_SEQUENCES[name]
     full = dephasing_run(seq, noise, 20, n_cycles=150, mode=mode, record_every=record_every)
@@ -834,13 +879,11 @@ _PHASE_TABLES = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(phases=_PHASE_TABLES, chunk=st.integers(1, 300))
+@given(phases=_PHASE_TABLES)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_coherence_bound_never_exceeds_the_coherence(phases, chunk):
+def test_coherence_bound_never_exceeds_the_coherence(phases):
     # 1e-12 is rounding, far below the certification margin
-    n_traj = phases.shape[1]
-    chunks = [phases[:, i:i + chunk] for i in range(0, n_traj, chunk)]
-    bound = baths_mod._coherence_bound(chunks, n_traj)
+    bound = baths_mod._coherence_bound(phases)
     exact = np.abs(np.exp(-1j * phases).mean(axis=1))
     assert (bound <= exact + 1e-12).all()
     assert 1e-12 < baths_mod._CERTIFY_MARGIN

@@ -130,6 +130,37 @@ def test_a_term_with_a_bath_slot_survives_pickle_and_deepcopy():
         assert (back.x, back.z, back.bath_slot) == (t.x, t.z, "b1")
 
 
+def _copies(obj):
+    return pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)
+
+
+def test_a_sum_with_a_bath_slot_survives_pickle_copy_and_deepcopy():
+    op = OperatorSum.single(3, 1, "Y", 0.5 - 2j, "b1") + OperatorSum.from_label("XZI", -1.5)
+    for back in _copies(op):
+        assert back == op and hash(back) == hash(op)
+        assert back.terms == op.terms and back.width == 3
+    # equal sums hash alike, whichever way they were built
+    assert hash(OperatorSum(3, op.terms[::-1])) == hash(op)
+
+
+def test_a_drive_sequence_survives_pickle_copy_and_deepcopy():
+    from dfspulse.sequences import EvolutionModel, combined_gate, propagator
+    seq = combined_gate("Y", 1e-3, 2e3, pair=(1, 0), width=3)
+    model = EvolutionModel(3)
+    for back in _copies(seq):
+        assert back == seq
+        assert np.array_equal(propagator(back, model), propagator(seq, model))
+
+
+def test_an_error_decomposition_survives_pickle_copy_and_deepcopy():
+    from dfspulse.dfs import classify
+    h = (OperatorSum.single(2, 0, "Z", 1.0, "b") + OperatorSum.from_label("XY", 0.3)
+         + OperatorSum.single(2, 1, "X", -0.7))
+    dec = classify(h, (0, 1))
+    for back in _copies(dec):
+        assert back == dec and back.recomposed() == dec.recomposed()
+
+
 def test_hermiticity_decidable():
     h = OperatorSum(1, (PauliTerm.from_label("X", 0.3),
                         PauliTerm.from_label("Z", -1.2, "b")))
@@ -731,9 +762,11 @@ def _letter_terms(op):
 
 
 def _same_as_letters(op, want):
-    """op has the oracle's terms, in its order, and the same hash and repr."""
+    """op has the oracle's terms, in its order, and the same repr; the sum
+    built from those terms in reverse is equal to op and hashes alike."""
     assert _letter_terms(op) == want
-    assert hash(op) == hash((op.width, want))
+    rebuilt = OperatorSum(op.width, [PauliTerm(f, c, s) for f, c, s in reversed(want)])
+    assert rebuilt == op and hash(rebuilt) == hash(op)
     body = " + ".join(f"({c:+g})*{''.join(f)}{f'[{s}]' if s else ''}" for f, c, s in want)
     assert repr(op) == f"OperatorSum(width={op.width}, {body or 0})"
 
