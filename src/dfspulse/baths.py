@@ -60,9 +60,7 @@ KB = 1.380649e-23        # J / K
 _CYCLE_BLOCK = 32        # cycle ends per engine block; bounds memory in n_cycles
                          # and sets how soon a scan run stops
 _T2_LEVEL = 1.0 / np.e   # T2 is the first crossing of this coherence
-_SCAN_RECORDS = 4000     # a scan run records every max(1, n_cycles // this) cycle ends
-_SCAN_FIRST_HORIZON = 64  # the scan baseline's first horizon is t_max / this,
-_SCAN_GROWTH = 4         # and it grows by this factor up to t_max until it crosses
+_SCAN_RECORDS = 4000     # a pulsed scan run reads every max(1, n_cycles // this) cycle ends
 _CERTIFY_MARGIN = 1e-9   # a scan record whose coherence bound clears 1/e by this
                          # skips its exponentials; far above the bound's rounding
 _TIMESCALE_MARGIN = 10.0  # the "much less" of dt << min(1/omega_c, t_dec)
@@ -681,13 +679,13 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
                      t_max: float, mode: str = "differential") -> list[ScanRow]:
     """T2 gain of `seq_family(dt)` over a pulse-interval grid.
 
-    The baseline is pulse-free storage on a fine recording grid; t_max caps
-    every run's simulated horizon.  Every run sees the same `n_traj`
-    trajectories, drawn once.  Each run, and each step of the baseline's
-    horizon search, is a `_t2_search`: it stops at the engine block holding
-    its first 1/e crossing, and reads on to t_max only if it never crosses.
-    Every T2 equals the full `dephasing_run`'s, bit for bit.  t_max must be
-    finite and positive.
+    The baseline is pulse-free storage in steps of min(dt_grid), read at
+    every cycle end; a pulsed run reads every max(1, n_cycles //
+    _SCAN_RECORDS).  Every run sees the same `n_traj` trajectories, drawn
+    once, and is a `_t2_search` to t_max: it stops at the engine block
+    holding its first 1/e crossing, and reads on to t_max only if it never
+    crosses.  Every T2 equals the full `dephasing_run`'s, bit for bit.
+    t_max must be finite and positive.
     """
     if _finite(t_max, "t_max") <= 0:
         raise ValueError("t_max must be positive")
@@ -697,17 +695,8 @@ def suppression_scan(seq_family, dt_grid, noise: SpectralNoise, n_traj: int,
     # every run sees the same trajectories, so they are drawn once
     om, coef = _rate_coefficients(noise, n_traj, mode)
     dt_base = min(dt_grid)
-    base_seq = PulseSequence((Free(dt_base),))
-    # grow the pulse-free horizon until the 1/e crossing is resolved; with no
-    # harmonics there is none at any horizon
-    horizon = t_max / _SCAN_FIRST_HORIZON
-    while True:
-        n_base = max(4, int(math.ceil(horizon / dt_base)))
-        t2_base = _t2_search(base_seq, (0, 1), n_base, max(1, n_base // _SCAN_RECORDS),
-                             om, coef)
-        if math.isfinite(t2_base) or horizon >= t_max or not om.size:
-            break
-        horizon = min(t_max, _SCAN_GROWTH * horizon)
+    t2_base = _t2_search(PulseSequence((Free(dt_base),)), (0, 1),
+                         max(4, int(math.ceil(t_max / dt_base))), 1, om, coef)
     rows = []
     for dt in dt_grid:
         seq = seq_family(dt)

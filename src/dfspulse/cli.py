@@ -323,9 +323,8 @@ def _run_storage(sc: Scenario):
                                    pauli._CHECK_TOL)]
     else:
         checks = [CheckResult.at_least("t2_gain", gain, _GAIN_FLOOR)]
-    t = pulsed.times[:min(base.times.size, pulsed.times.size)]
-    rows = np.column_stack([t, np.interp(t, base.times, base.coherence),
-                            pulsed.coherence[:t.size]]).tolist()
+    # baseline record 2k lies at the time of pulsed record k: 2k dt = k (2 dt), bit for bit
+    rows = np.column_stack([pulsed.times, base.coherence[::2], pulsed.coherence]).tolist()
     table = (["t", "coherence_base", "coherence_pulsed"], rows)
     return checks, {"summary": summary}, table
 

@@ -113,8 +113,8 @@ def _embed_template(label: str, pair: tuple[int, int], width: int,
 def basis_operator(label: str, pair: tuple[int, int] = (0, 1),
                    width: int = 2) -> OperatorSum:
     """One of the 16 classification basis operators, embedded at `pair`."""
-    if label not in BASIS_TEMPLATES:
-        raise KeyError(f"unknown basis label {label!r}")
+    if not isinstance(label, str) or label not in BASIS_TEMPLATES:
+        raise ValueError(f"unknown basis label {label!r}")
     return _embed_template(label, pair, width)
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .dfs import DfsRegister, _pair_register, code_isometry, logical_operators
 from .pauli import (
     SIGMA, _CHECK_TOL, OperatorSum, PauliTerm, _finite, _integer, _ions, _matrix, _tuple,
-    embed_sites, expm_i, kron_all, to_dense,
+    embed_sites, expm_i, to_dense,
 )
 
 
@@ -179,7 +180,7 @@ def u4(spec: SmGateSpec) -> np.ndarray:
     """
     if len(spec.ions) != 4:
         raise ValueError("u4 needs 4 ions")
-    m = kron_all(*(x_phi_dense(p) for p in spec.phis))
+    m = reduce(np.kron, (x_phi_dense(p) for p in spec.phis))
     return np.cos(spec.theta) * np.eye(16, dtype=complex) - 1j * np.sin(spec.theta) * m
 
 
@@ -213,10 +214,7 @@ def u4_encoded(spec: SmGateSpec) -> np.ndarray:
     x12, y12, _ = (to_dense(op) for op in logical_operators((0, 1), 4))
     x34, y34, _ = (to_dense(op) for op in logical_operators((2, 3), 4))
     gen = _encoded_axis(spec.delta_phi, x12, y12) @ _encoded_axis(spec.delta_phi_34, x34, y34)
-    mat = expm_i(gen, spec.theta)
-    if spec.ions != (0, 1, 2, 3):
-        mat = embed_sites(mat, spec.ions, max(spec.ions) + 1)
-    return mat
+    return expm_i(gen, spec.theta)
 
 
 # ---------------------------------------------------------------------------

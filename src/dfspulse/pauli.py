@@ -544,13 +544,6 @@ def anticommutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:
 # dense backend
 
 
-def kron_all(*mats) -> np.ndarray:
-    out = np.array([[1]], dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
 def to_dense(op: OperatorSum, bath_dim: int = 1,
              bindings: dict | None = None) -> np.ndarray:
     """Dense matrix of `op` on the (2^width * bath_dim)-dimensional space.

@@ -45,6 +45,8 @@ _LABEL_GENERATOR = {
     "LAM": ("Ybar", -1, 0),
 }
 PULSE_LABELS = tuple(_LABEL_GENERATOR)
+_ZERO_ANGLE_TOL = 1e-15  # an Euler factor whose angle mod 2 pi lies this near 0 is elided
+_EULER_ENTRY_TOL = 1e-12  # a ZYZ entry |v00| or |v10| this small is taken as 0
 
 
 class SerializationError(ValueError):
@@ -137,7 +139,11 @@ class PulseSequence:
     events: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
+        events = _tuple(self.events, "events")
+        for e in events:
+            if not isinstance(e, (Free, NamedPulse, SmPulse, RawPulse, Drive)):
+                raise ValueError(f"events: only pulse sequence events are accepted, got {e!r}")
+        object.__setattr__(self, "events", events)
         timed = [e for e in self.events if isinstance(e, (Free, Drive))]
         if timed and self.cycle_time <= 0:
             raise ValueError("sequences with timed events need cycle_time > 0")
@@ -150,6 +156,8 @@ class PulseSequence:
         return sum(1 for e in self.events if not isinstance(e, Free))
 
     def __mul__(self, other: "PulseSequence") -> "PulseSequence":
+        if not isinstance(other, PulseSequence):
+            return NotImplemented
         return PulseSequence(self.events + other.events)
 
 
@@ -162,8 +170,8 @@ def named_pulse(label: str, pair: tuple[int, int] = (0, 1),
     sin t of `_LABEL_GENERATOR` every entry is 0, +-1 or +-i.  A `pair` that
     is not two distinct ions of the register raises ValueError.
     """
-    if label not in _LABEL_GENERATOR:
-        raise KeyError(f"unknown pulse label {label!r}")
+    if label not in PULSE_LABELS:
+        raise ValueError(f"unknown pulse label {label!r}")
     which, cos_t, sin_t = _LABEL_GENERATOR[label]
     xb, yb, _ = logical_operators(pair, width)
     g = xb if which == "Xbar" else yb
@@ -291,7 +299,7 @@ def euler_rotation(alpha: float, beta: float, gamma: float,
         angle = math.fmod(_finite(angle, what), 2 * np.pi)
         if angle < 0:
             angle += 2 * np.pi
-        if abs(angle) < 1e-15 or abs(angle - 2 * np.pi) < 1e-15:
+        if abs(angle) < _ZERO_ANGLE_TOL or abs(angle - 2 * np.pi) < _ZERO_ANGLE_TOL:
             continue
         events += combined_gate(axis, angle / omega_drive, omega_drive,
                                 pair, width).events
@@ -313,10 +321,10 @@ def euler_angles_xyx(target: np.ndarray) -> tuple[float, float, float]:
     v = had @ u @ had  # x <-> z axis swap
     # ZYZ extraction: v = Rz(a) Ry(b) Rz(c)
     b = 2 * np.arctan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[0, 0]) > 1e-12 and abs(v[1, 0]) > 1e-12:
+    if abs(v[0, 0]) > _EULER_ENTRY_TOL and abs(v[1, 0]) > _EULER_ENTRY_TOL:
         a = -np.angle(v[0, 0]) + np.angle(v[1, 0])
         c = -np.angle(v[0, 0]) - np.angle(v[1, 0])
-    elif abs(v[0, 0]) > 1e-12:
+    elif abs(v[0, 0]) > _EULER_ENTRY_TOL:
         a = -2 * np.angle(v[0, 0])
         c = 0.0
     else:
@@ -355,16 +363,13 @@ class EvolutionModel:
 
 def _pulse_unitary(event, width: int) -> np.ndarray:
     """System unitary S of an instantaneous pulse; it acts as S (x) I_B."""
-    if isinstance(event, NamedPulse):
-        sys = np.eye(2 ** width, dtype=complex)
-        for label, pair in event.ops:
-            sys = sys @ named_pulse(label, pair, width)
-    elif isinstance(event, SmPulse):
-        sys = sm_gate_dense(event.spec, width)
-    elif isinstance(event, RawPulse):
-        sys = _matrix(event.matrix, f"a pulse on a {width}-qubit register", (2 ** width,) * 2)
-    else:
-        raise TypeError(f"unknown event {event!r}")
+    if isinstance(event, SmPulse):
+        return sm_gate_dense(event.spec, width)
+    if isinstance(event, RawPulse):
+        return _matrix(event.matrix, f"a pulse on a {width}-qubit register", (2 ** width,) * 2)
+    sys = np.eye(2 ** width, dtype=complex)
+    for label, pair in event.ops:
+        sys = sys @ named_pulse(label, pair, width)
     return sys
 
 
@@ -565,6 +570,8 @@ def seq_from_text(text: str, width: int | None = None) -> PulseSequence:
     text names.  Raises ValueError for malformed text, missing fields and
     ions outside the register.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"sequence text must be a string, got {text!r}")
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError("sequence text must be bracketed")
@@ -605,7 +612,7 @@ def _event_from_text(token: str):
     if token.startswith("tau="):
         return Free(float(token[4:]))
     if token.startswith("DRIVE("):
-        fields = dict(kv.split("=", 1) for kv in token[6:-1].split(";"))
+        fields = _fields(token)
         pair = _pair(map(int, fields["pair"].split(":")), "drive ions")
         axis = fields["axis"]
         if axis not in ("X", "Y"):
@@ -614,7 +621,7 @@ def _event_from_text(token: str):
         return (axis, pair, float(fields["tau"]), float(fields["amp"]),
                 float(fields.get("phi", "0")))
     if token.startswith("SM("):
-        fields = dict(kv.split("=", 1) for kv in token[3:-1].split(";"))
+        fields = _fields(token)
         return SmPulse(SmGateSpec(
             float(fields["theta"]),
             tuple(float(x) for x in fields["phis"].split(",")),
@@ -626,6 +633,19 @@ def _event_from_text(token: str):
             raise ValueError(f"cannot parse pulse token {factor!r}")
         ops.append((m.group(1), (int(m.group(2)), int(m.group(3)))))
     return NamedPulse(tuple(ops))
+
+
+def _fields(token: str) -> dict[str, str]:
+    """The key=value fields of a ``NAME(key=value;...)`` token."""
+    if not token.endswith(")"):
+        raise ValueError(f"{token!r} is not closed by ')'")
+    fields = {}
+    for kv in token[token.index("(") + 1:-1].split(";"):
+        key, eq, value = kv.partition("=")
+        if not eq:
+            raise ValueError(f"{token!r} has the field {kv!r}, which is not key=value")
+        fields[key] = value
+    return fields
 
 
 def _split_top(body: str) -> list[str]:

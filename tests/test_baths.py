@@ -17,7 +17,7 @@ from dfspulse.dfs import (
     CODE_ONE_INDEX, CODE_ZERO_INDEX, basis_operator, bucket_norms, classify,
 )
 from dfspulse.gates import HardwareParams
-from dfspulse.pauli import OperatorSum, SIGMA, expm_i, generator_of, kron_all, to_dense
+from dfspulse.pauli import OperatorSum, SIGMA, expm_i, generator_of, to_dense
 from dfspulse.sequences import (
     PULSE_LABELS, EvolutionModel, Free, NamedPulse, PulseSequence, RawPulse,
     leak_elim_cycle, named_pulse, propagator, symmetrize_pair,
@@ -176,7 +176,8 @@ def test_vib_bindings_equal_the_kron_formulas(n, modes):
     num = a.conj().T @ a
 
     def kron_with(placed):
-        return kron_all(*(placed.get(k, np.eye(n, dtype=complex)) for k in range(1 + modes)))
+        return reduce(np.kron, (placed.get(k, np.eye(n, dtype=complex))
+                                for k in range(1 + modes)))
 
     layout, bindings = vib_bindings(v)
     assert layout == (n,) * (1 + modes)
@@ -450,6 +451,18 @@ def test_suppression_scan_t2_is_the_full_run_t2():
         assert row.t2_pulsed == res.t2
 
 
+def test_suppression_scan_baseline_is_the_full_run_read_at_every_cycle_end():
+    # a late baseline crossing: read in steps of t_max / 64 cycles, growing
+    # by 4, it was found at a horizon read at every 7th cycle end
+    noise = storage_noise(amplitude=0.5, seed=3, n_harmonics=16)
+    grid, t_max = [8e-4, 4e-4, 2e-4, 1e-4], 3.0
+    rows = suppression_scan(symmetrize_pair, grid, noise, 12, t_max)
+    full = dephasing_run(PulseSequence((Free(min(grid)),)), noise, 12,
+                         n_cycles=max(4, math.ceil(t_max / min(grid))))
+    assert 1.0 < full.t2 < t_max
+    assert all(row.t2_base == full.t2 for row in rows)
+
+
 def test_suppression_scan_t2_when_the_crossing_follows_a_block_seam(monkeypatch):
     monkeypatch.setattr(baths_mod, "_CYCLE_BLOCK", 3)
     noise = storage_noise(amplitude=TWO_PI * 800.0, n_harmonics=16)
@@ -478,7 +491,7 @@ def test_suppression_scan_stops_each_run_after_its_crossing_block(monkeypatch):
     monkeypatch.setattr(baths_mod, "_record_filters", filters)
     block = baths_mod._CYCLE_BLOCK
     full = _full_runs(noise, 12, 6.0)
-    # the baseline crosses in its first horizon step, then one run per dt
+    # one baseline search, then one run per dt
     assert len(calls) == 1 + len(SCAN_GRID)
     want = [_crossing_cycles(res)[1] // block + 1 for res in full]
     assert calls[1:] == want
@@ -938,7 +951,7 @@ def test_dephasing_rejects_non_monomial_pulse(monkeypatch):
 
 def test_collective_runs_form_no_engine_block(monkeypatch):
     # no harmonics: every coherence is exactly 1 without an engine block,
-    # the pulses are still checked, and the scan baseline takes one step
+    # the pulses are still checked, and the scan baseline is one search
     def no_block(*args):
         raise AssertionError("a run without harmonics formed an engine block")
 

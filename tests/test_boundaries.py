@@ -17,10 +17,11 @@ from dfspulse.baths import (
 )
 from dfspulse.dfs import (
     DfsRegister, basis_operator, block_collective_residual, bucket_norms, bucket_operators,
-    encode, leakage_probability, logical_operators,
+    classify, encode, leakage_probability, logical_operators,
 )
 from dfspulse.gates import (
-    HardwareParams, SmGateSpec, cancellation_constraints, dfs_restrict, x_phi, x_phi_dense,
+    HardwareParams, SmGateSpec, cancellation_constraints, dfs_restrict, logical_gate,
+    sm_decompose, sm_unitary, u4, u4_encoded, x_phi, x_phi_dense,
 )
 from dfspulse.pauli import (
     BathSlotError, NonHermitianError, NonUnitaryError, OperatorSum, PauliTerm, commutes,
@@ -29,7 +30,7 @@ from dfspulse.pauli import (
 from dfspulse.sequences import (
     Drive, EvolutionModel, Free, NamedPulse, PulseSequence, RawPulse, _drive_hamiltonian,
     combined_gate, euler_angles_xyx, euler_rotation, named_pulse, parity_kick, seq_from_text,
-    symmetrize_block4, symmetrize_pair,
+    seq_to_text, symmetrize_block4, symmetrize_pair,
 )
 
 BAD = [math.nan, math.inf, -math.inf, -1, 0, 2.5, "1", None, [1, 2], True, np.bool_(True)]
@@ -118,6 +119,7 @@ _GRID = [8e-3, 4e-3, 2e-3, 1e-3]
 _REG = DfsRegister(((0, 1),), 2)
 _CODE_STATE = np.eye(4)[2]
 _NAN4 = np.full((4, 4), math.nan)
+_GATE2, _GATE4 = SmGateSpec(**_GATE), SmGateSpec(0.3, (0.1, 0.2, 0.3, 0.4), (0, 1, 2, 3))
 
 
 @pytest.mark.parametrize("call, what", [
@@ -213,6 +215,27 @@ _NAN4 = np.full((4, 4), math.nan)
     (lambda: encode([math.nan, 1], _REG), "^logical_state "),
     (lambda: embed_sites(None, (0, 1), 3), "^mat "),
     (lambda: euler_angles_xyx(np.zeros((2, 2))), "unitary target"),
+    (lambda: PulseSequence(5), "^events:"),
+    (lambda: PulseSequence(("x",)), "^events:"),
+    (lambda: seq_from_text("[DRIVE(axisX)]"), "'axisX'"),
+    (lambda: named_pulse("Z"), "unknown pulse label"),
+    (lambda: basis_operator("QQ"), "unknown basis label"),
+    (lambda: timescale_check(-1e-9, 1.0, 1.0), "^require dt > 0"),
+    (lambda: DfsRegister(((1, 0),), 2), "ordered"),
+    (lambda: classify(OperatorSum.from_label("XXX")), "cannot infer the pair"),
+    (lambda: SmGateSpec(0.1, (0.0,) * 3, (0, 1, 2)), "2 or 4 ions"),
+    (lambda: SmGateSpec(0.1, (0.0,), (0, 1)), "one phase per ion"),
+    (lambda: _GATE2.delta_phi_34, "second pair"),
+    (lambda: sm_unitary(_GATE4), "two-ion gate"),
+    (lambda: sm_decompose(_GATE4), "two-ion gate"),
+    (lambda: u4(_GATE2), "u4 needs 4 ions"),
+    (lambda: u4_encoded(_GATE2), "u4_encoded needs 4 ions"),
+    (lambda: logical_gate("W", 0.1), "axis must be X, Y, or Z"),
+    (lambda: PauliTerm("XQ"), "unknown Pauli label 'Q'"),
+    (lambda: PauliTerm(("X", "YZ")), "unknown Pauli label in"),
+    (lambda: OperatorSum(3, (PauliTerm("XX"),)), "term width 2"),
+    *[(lambda t=t: combined_gate("X", t, 1.0), "t must be positive") for t in (0.0, -1.0)],
+    (lambda: seq_to_text(PulseSequence((Drive(**_DRIVE),))), "generic drives"),
 ], ids=["n_cycles", "record_every", "n_traj", "embed_sites", "symmetrize_block4",
         "to_dense-1.5", "to_dense-0", "seq_from_text", "m-1.5", "m-nan", "m-True",
         "k_prime", "dt_sample-0", "dt_sample-negative",
@@ -239,7 +262,13 @@ _NAN4 = np.full((4, 4), math.nan)
         "commutes-str", "isclose-int", "PauliTerm-int", "from_label-int", "to_dense-str",
         "leakage-column", "leakage-4x3", "bch_bound-vector", "bch_bound-nan-matrix",
         "bucket_norms-nan", "block_residual-nan", "DephasingBath-shapes", "encode-nan",
-        "embed_sites-None", "euler-zeros"])
+        "embed_sites-None", "euler-zeros", "PulseSequence-int", "PulseSequence-str-event",
+        "seq_from_text-field", "named_pulse-label", "basis_operator-label", "timescale-range",
+        "DfsRegister-unordered", "classify-no-pair", "SmGateSpec-3-ions",
+        "SmGateSpec-phase-count", "delta_phi_34-2-ions", "sm_unitary-4-ions",
+        "sm_decompose-4-ions", "u4-2-ions", "u4_encoded-2-ions", "logical_gate-axis",
+        "PauliTerm-letter", "PauliTerm-factor", "OperatorSum-term-width",
+        "combined_gate-t-0", "combined_gate-t-negative", "seq_to_text-generic-drive"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_bad_function_argument_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
@@ -301,11 +330,19 @@ def test_a_matrix_argument_takes_a_nested_list_and_rejects_a_bad_matrix(site, ba
 
 @pytest.mark.parametrize("call", [
     lambda: _XZ + 1, lambda: _XZ - 1, lambda: _XZ @ 1, lambda: _XZ + "XZ",
-    lambda: _XZ @ PauliTerm("XZ"),
-], ids=["add-int", "sub-int", "matmul-int", "add-str", "matmul-term"])
+    lambda: _XZ @ PauliTerm("XZ"), lambda: _FREE * 5,
+], ids=["add-int", "sub-int", "matmul-int", "add-str", "matmul-term", "sequence-mul-int"])
 def test_an_operand_that_is_not_an_operator_sum_raises_type_error(call):
     with pytest.raises(TypeError):
         call()
+
+
+@pytest.mark.parametrize("obj, field", [
+    (PauliTerm("XY"), "x"), (PauliTerm("XY"), "coefficient"), (_XZ, "width"), (_XZ, "_coefs"),
+], ids=["PauliTerm.x", "PauliTerm.coefficient", "OperatorSum.width", "OperatorSum._coefs"])
+def test_a_pauli_term_or_sum_rejects_assignment(obj, field):
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(obj, field, 0)
 
 
 def _matrix(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:

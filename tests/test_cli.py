@@ -5,6 +5,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import dfspulse.cli as cli_mod
 from dfspulse.dfs import _block_residual, block_collective_residual
 from dfspulse.pauli import (
     _CHECK_TOL, BathSlotError, NonHermitianError, OperatorSum, _blocks, _log_blocks, _stacked,
-    generator_of, kron_all, to_dense,
+    generator_of, to_dense,
 )
 from dfspulse.sequences import (
     EvolutionModel, _propagator_blocks, propagator, symmetrize_block4,
@@ -79,6 +80,8 @@ def _param_errors(kind, params_json):
     ("dt-scan", '{"dt_grid": 0.5}', "dt_grid"),
     ("gate-sim", '{"gamma_grid": [true]}', "gamma_grid"),
     ("gate-sim", '{"gamma_grid": [0.01, -Infinity]}', "gamma_grid"),
+    ("dt-scan", '{"mode": 5}', "mode"),
+    ("dt-scan", '5', "parameters"),
 ])
 def test_parse_rejects_non_finite_and_non_numeric(kind, params_json, key):
     assert _param_errors(kind, params_json) == {key}
@@ -258,7 +261,7 @@ def _block4_sum(sc):
     for q in range(4):
         mats = [np.eye(d, dtype=complex)] * 4
         mats[q] = cli_mod._rand_herm(rng, d)
-        bindings[f"b{q}"] = kron_all(*mats)
+        bindings[f"b{q}"] = reduce(np.kron, mats)
     h = sum((OperatorSum.single(4, q, "Z", 1.0, f"b{q}") for q in range(4)),
             OperatorSum.zero(4))
     return h, d ** 4, bindings
@@ -496,10 +499,12 @@ def test_storage_scenario_draws_once_and_matches_single_runs(tmp_path, monkeypat
                       ("final_coherence_base", base.coherence[-1]),
                       ("final_coherence_pulsed", pulsed.coherence[-1])):
         assert summary[key] == (want if np.isfinite(want) else None)
+    # the table reads baseline record 2k beside pulsed record k, at one time
+    assert base.times[::2].tobytes() == pulsed.times.tobytes()
     # 17 significant digits round-trip every float exactly
     table = np.loadtxt(tmp_path / "st.csv", delimiter=",", skiprows=1)
     assert np.array_equal(table[:, 0], pulsed.times)
-    assert np.array_equal(table[:, 1], np.interp(pulsed.times, base.times, base.coherence))
+    assert np.array_equal(table[:, 1], base.coherence[::2])
     assert np.array_equal(table[:, 2], pulsed.coherence)
 
 

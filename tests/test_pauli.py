@@ -1,5 +1,6 @@
 import copy
 import pickle
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dfspulse.pauli import (
     BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
     OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _embed, _log_blocks,
     _slabs, commutator, commutes, embed_sites, expm_i, generator_of, is_hermitian_matrix,
-    is_unitary, kron_all, pauli_mul, spectral_norm, to_dense, SIGMA,
+    is_unitary, pauli_mul, spectral_norm, to_dense, SIGMA,
 )
 
 LABELS1 = ["I", "X", "Y", "Z"]
@@ -18,7 +19,7 @@ LABELS2 = [a + b for a in LABELS1 for b in LABELS1]
 
 
 def dense(label, coeff=1.0):
-    return coeff * kron_all(*(SIGMA[c] for c in label))
+    return coeff * reduce(np.kron, (SIGMA[c] for c in label))
 
 
 def test_single_site_products():
@@ -225,7 +226,7 @@ def _kron_oracle(mat, axes, dims):
         for a, r, c in zip(axes, ri, cj):
             factors[a] = np.zeros((dims[a], dims[a]), dtype=complex)
             factors[a][r, c] = 1
-        out = out + m * kron_all(*factors)
+        out = out + m * reduce(np.kron, factors)
     return out
 
 
@@ -653,7 +654,8 @@ def _kron_chain(op, bath_dim=1, bindings=None):
     for t in op.terms:
         bath = (np.eye(bath_dim, dtype=complex) if t.bath_slot is None
                 else np.asarray(bindings[t.bath_slot], dtype=complex))
-        out += t.coefficient * np.kron(kron_all(*(SIGMA[f] for f in t.factors)), bath)
+        # the bath is the last factor, so a width-0 term is coefficient * bath
+        out += t.coefficient * reduce(np.kron, (*(SIGMA[f] for f in t.factors), bath))
     return out
 
 

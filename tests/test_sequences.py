@@ -587,6 +587,10 @@ def test_text_roundtrip_sm_pulse():
     ("[P@0:7]", 2),
     ("[PI@0:1*Q@2:3]", 3),
     ("[X@0:1]", None),
+    (5, None),
+    ("[DRIVE(axis=X;pair=0:1;tau=0.1;amp=1.0]", None),
+    ("tau=0.1", None),
+    ("[P@0]", None),
 ])
 def test_text_boundary_rejects_bad_input(text, width):
     with pytest.raises(ValueError):
