@@ -390,12 +390,13 @@ def _run_block4(sc: Scenario):
     u = sequences._propagator_blocks(sequences.symmetrize_block4(p["tau"], 4), 4, bdim,
                                      _block4_model(sc))
     block_sizes = [len(row) for idx, _ in u for row in idx]
-    g, margin, selfcheck = pauli._log_blocks(u, 4 * p["tau"], overwrite=True)
+    g, margin, selfcheck, unitarity = pauli._log_blocks(u, 4 * p["tau"], overwrite=True)
     resid = dfs._block_residual(g, 4, bdim, ((0, 1, 2, 3),))
     checks = [CheckResult.error_below("block4_residual", resid, pauli._CHECK_TOL)]
     return checks, {"residual": resid, "dim": 16 * bdim,
                     "block_sizes": block_sizes,
-                    "branch_margin": margin, "log_selfcheck": selfcheck}, None
+                    "branch_margin": margin, "log_selfcheck": selfcheck,
+                    "unitarity": unitarity}, None
 
 
 def _run_dtscan(sc: Scenario):

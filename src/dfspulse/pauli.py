@@ -30,18 +30,21 @@ pattern or of a join of partitions, comes from one kernel,
 `sequences.propagator` share one blockwise exponential core,
 `_expm_blocks`, which takes the [(idx, stack)] blocks that `_gather` cuts
 from a dense matrix, or that a caller builds directly, as `cli` builds the
-diagonal blocks of `block4-sim`.  `spectral_norm` takes `eigvalsh` on each
-exactly Hermitian stack and `svd` on any other.  `generator_of`
-diagonalizes a unitary through its Cayley transform, a Hermitian matrix
-with the same eigenvectors, so `eigh` serves for both exponential and
-logarithm.
+diagonal blocks of `block4-sim`.  It exponentiates a stack of blocks below
+`_TAYLOR_MIN_SIZE` through `eigh`, and a larger one by a scaled and squared
+Taylor series, matrix products only, which cost less than `eigh` at that
+size.  `spectral_norm` takes `eigvalsh` on each exactly Hermitian stack and
+`svd` on any other.  `generator_of` diagonalizes a unitary through its
+Cayley transform, a Hermitian matrix with the same eigenvectors, so the
+logarithm needs the one `eigh` call per slab.
 
 The block kernels (`_expm_blocks`, `_log_blocks`, `_norm_blocks`, and the
 products of `sequences` and the residual of `dfs` that use them) work slab
 by slab: `_slabs` cuts each (count, b, b) stack into consecutive runs of at
 most `_SLAB_BYTES`, and each kernel runs its checks, LAPACK calls and
 products on one slab at a time into one preallocated output stack.  Each
-slab makes the same per-matrix call as the whole stack would, so the slab
+slab makes the same per-matrix call as the whole stack would, and the
+Taylor path picks each matrix's scaling from that matrix alone, so the slab
 bound changes no result.
 
 So a stage of the block pipeline (`sequences._propagator_blocks`,
@@ -96,6 +99,15 @@ _SELFCHECK_TOL = 1e-8  # largest max|T - diag e^{i phase}| the log accepts
 _COEF_TOL = 1e-12      # relative bound on coefficient checks and comparisons
 
 _SLAB_BYTES = 1 << 18  # bytes of one slab of a block kernel; bounds its temporaries
+
+# The exponential's Taylor path: blocks of at least _TAYLOR_MIN_SIZE take it,
+# where its matrix products cost less than `eigh`; each matrix is scaled to a
+# 1-norm below _TAYLOR_NORM, where the degree-_TAYLOR_DEGREE remainder is
+# below a rounding unit.
+_TAYLOR_MIN_SIZE = 32
+_TAYLOR_DEGREE = 18
+_TAYLOR_NORM = 1.0
+_TAYLOR_COEF = tuple(1 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1))
 
 
 def _complex(x, what: str) -> complex:
@@ -679,12 +691,20 @@ def _hermitian(stacks) -> bool:
         max_abs(m - m.conj().swapaxes(1, 2)) <= bound for m in slabs)
 
 
+def _unitarity(stacks) -> float:
+    """max|g g^+ - 1| of the direct sum of the (count, b, b) `stacks`, taken
+    slab by slab; inf unless `_finite_slabs` accepts them."""
+    slabs = _finite_slabs(stacks)
+    if slabs is None:
+        return math.inf
+    return max([0.0] + [max_abs(g @ g.conj().swapaxes(1, 2) - np.eye(g.shape[1]))
+                        for g in slabs])
+
+
 def _unitary(stacks) -> bool:
     """True when the direct sum of the (count, b, b) `stacks` is unitary:
-    max|g g^+ - 1| <= `_CHECK_TOL`, taken slab by slab."""
-    slabs = _finite_slabs(stacks)
-    return slabs is not None and all(
-        max_abs(g @ g.conj().swapaxes(1, 2) - np.eye(g.shape[1])) <= _CHECK_TOL for g in slabs)
+    `_unitarity` <= `_CHECK_TOL`."""
+    return _unitarity(stacks) <= _CHECK_TOL
 
 
 def is_hermitian_matrix(m: np.ndarray) -> bool:
@@ -811,7 +831,9 @@ def _dense(blocks, dim: int) -> np.ndarray:
 
 
 def expm_i(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via eigendecomposition (exact, unitary)."""
+    """exp(-i h t) for Hermitian h, unitary to rounding: by eigendecomposition
+    on blocks below `_TAYLOR_MIN_SIZE`, by scaled and squared Taylor series
+    on larger ones.  ValueError naming `t` when |t| ||h||_1 overflows."""
     h = _matrix(h, "expm_i requires a Hermitian generator h; it", error=NonHermitianError)
     return _dense(_expm_blocks(_gather(h), t), h.shape[0])
 
@@ -819,10 +841,14 @@ def expm_i(h: np.ndarray, t: float) -> np.ndarray:
 def _expm_blocks(blocks, t: float) -> list[tuple]:
     """exp(-i h t) of the complex Hermitian h with [(idx, stack)] blocks, as
     blocks on the same components: the (count, size, size) stack of
-    exponentials of each stack, filled slab by slab.
+    exponentials of each stack, filled slab by slab.  A stack of blocks
+    below `_TAYLOR_MIN_SIZE` is exponentiated through `eigh`, a larger one
+    by `_expm_taylor`, which needs only matrix products.
 
     h - h^+ is exactly zero between blocks, so the Hermitian test run on
-    the blocks is the dense test.
+    the blocks is the dense test; and the 1-norm of h is the largest of its
+    blocks', so |t| ||h||_1, which bounds every entry and eigenvalue of
+    t h, is checked block by block before any arithmetic with t.
     """
     if not _hermitian([s for _, s in blocks]):
         raise NonHermitianError("expm_i requires a Hermitian generator h")
@@ -832,6 +858,13 @@ def _expm_blocks(blocks, t: float) -> list[tuple]:
         u = np.empty(hs.shape, dtype=complex)
         for sl in _slabs(hs):
             hb = hs[sl]
+            norms = np.abs(hb).sum(axis=1).max(axis=1)
+            # a Python float overflows to inf, with no warning
+            if not math.isfinite(abs(t) * float(norms.max())):
+                raise ValueError(f"t: |t| ||h||_1 overflows the float range at t = {t!r}")
+            if hs.shape[1] >= _TAYLOR_MIN_SIZE:
+                _expm_taylor(hb, t, abs(t) * norms, u[sl])
+                continue
             # numpy's eigh takes longer on a stack of one than on its matrix
             vals, vecs = np.linalg.eigh(hb[0] if len(hb) == 1 else hb)
             phase = np.exp(-1j * vals * t)[..., None, :]
@@ -840,24 +873,79 @@ def _expm_blocks(blocks, t: float) -> list[tuple]:
     return out
 
 
+def _expm_taylor(h: np.ndarray, t: float, norms: np.ndarray, out: np.ndarray) -> None:
+    """exp(-i t h) of each matrix of the Hermitian (count, b, b) stack h,
+    given |t| ||h||_1 of each as `norms`, into `out` by scaling and
+    squaring; `out` serves as one of its two work stacks.
+
+    Each matrix gets its own scaling A = -i t h / 2^s, s the least integer
+    >= 0 with ||A||_1 < `_TAYLOR_NORM`, so no matrix's bits depend on its
+    neighbours in the stack or on the slab bound.  exp(A) is the degree
+    `_TAYLOR_DEGREE` Taylor polynomial, whose remainder at ||A||_1 < 1 is
+    below 1e-17, evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2,
+    60 (1973)): from A^2, A^3 and A^4, Horner's rule in A^4 over blocks of
+    four coefficients, 3 + degree // 4 products in all.  The result is
+    squared s times, and a matrix that was squared takes one Newton-Schulz
+    polar step U (3 - U^+ U) / 2, which brings max|U U^+ - 1| from about
+    2^s rounding units back to a few (Al-Mohy and Higham, SIAM J. Matrix
+    Anal. Appl. 31, 970 (2009), for scaling and squaring).
+    """
+    count, b = h.shape[:2]
+    s = np.maximum(np.frexp(norms / _TAYLOR_NORM)[1], 0)
+    a = h * (-1j * t * np.ldexp(1.0, -s))[:, None, None]
+    a2 = a @ a
+    powers = (None, a, a2, a2 @ a)
+    a4 = a2 @ a2
+    p, q = out, np.empty_like(a)
+    diagonal = (slice(None), slice(None, None, b + 1))
+    top = _TAYLOR_DEGREE // 4
+    for j in range(top, -1, -1):
+        # p becomes p A^4 + B_j, the coefficients of B_j being 1/(4j + i)!;
+        # q, free once p A^4 is formed, holds each term
+        if j == top:
+            p[...] = 0
+        else:
+            np.matmul(p, a4, out=q)
+            p, q = q, p
+        for i in range(min(3, _TAYLOR_DEGREE - 4 * j), 0, -1):
+            p += np.multiply(powers[i], _TAYLOR_COEF[4 * j + i], out=q)
+        p.reshape(count, -1)[diagonal] += _TAYLOR_COEF[4 * j]
+    del a, a2, a4, powers, q
+    for k in range(int(s.max())):
+        squared = s > k
+        v = p[squared]
+        p[squared] = v @ v
+    squared = s > 0
+    if squared.any():
+        v = p[squared]
+        w = v.conj().swapaxes(1, 2) @ v
+        w *= -0.5
+        w.reshape(len(w), -1)[diagonal] += 1.5
+        p[squared] = v @ w
+    if p is not out:
+        out[...] = p
+
+
 def generator_of(u: np.ndarray, total_time: float) -> np.ndarray:
     """Effective Hermitian generator H with u = exp(-i H total_time).
 
     Uses the principal matrix logarithm; eigenphases must stay at least
     `_BRANCH_TOL` (1e-6) away from the +-pi branch cut.  u is split into its
-    blocks and each is taken by `_log_blocks`.
+    blocks and each is taken by `_log_blocks`.  ValueError naming
+    `total_time` when H's entries, up to max|phase| / |total_time|, overflow.
     """
     u = _matrix(u, "generator_of requires a unitary input u; it", error=NonUnitaryError)
     return _dense(_log_blocks(_gather(u), total_time)[0], u.shape[0])
 
 
 def _log_blocks(blocks, total_time: float,
-                overwrite: bool = False) -> tuple[list[tuple], float, float]:
+                overwrite: bool = False) -> tuple[list[tuple], float, float, float]:
     """The generator of a block-diagonal unitary, blockwise.
 
     Takes and returns [(idx, stack)] blocks, each filled slab by slab, and
-    returns with them the branch margin min(pi - |phase|) and the
-    self-check max|T - diag e^{i phase}| over all blocks.  The generator
+    returns with them the branch margin min(pi - |phase|), the self-check
+    max|T - diag e^{i phase}| and the unitarity max|g g^+ - 1| of its
+    input test, each over all blocks.  The generator
     goes into new stacks, or, with `overwrite`, over the input stacks, slab
     by slab once each slab is read: only a caller that owns the blocks may
     ask for that.  Each block g is diagonalized through its
@@ -869,10 +957,14 @@ def _log_blocks(blocks, total_time: float,
     g - exp(-i H total_time) = Q (T - diag e^{i phase}) Q^+.  The basis
     loses accuracy as 1/(pi - |phase|), to about 1e-9 in H at the branch
     margin `_BRANCH_TOL`.  A margin below it raises BranchCutError, and a
-    self-check above `_SELFCHECK_TOL` raises ArithmeticError.
+    self-check above `_SELFCHECK_TOL` raises ArithmeticError.  The
+    generator's entries reach max|phase| / |total_time|, so ValueError
+    names `total_time` when that, with headroom for the symmetrization,
+    overflows.
     """
     # u u^+ - 1 is exactly zero between blocks, so this is the dense test
-    if not _unitary([g for _, g in blocks]):
+    unitarity = _unitarity([g for _, g in blocks])
+    if not unitarity <= _CHECK_TOL:
         raise NonUnitaryError("generator_of requires a unitary input u")
     total_time = _finite(total_time, "total_time")
     if total_time == 0:
@@ -892,14 +984,21 @@ def _log_blocks(blocks, total_time: float,
             qh = q.conj().swapaxes(1, 2)
             tmat = qh @ g @ q
             phases = np.angle(np.diagonal(tmat, axis1=1, axis2=2))
-            margin = min(margin, float((np.pi - np.abs(phases)).min()))
+            # rounding is monotone, so pi - max|phase| is min(pi - |phase|)
+            top = float(np.abs(phases).max())
+            margin = min(margin, np.pi - top)
             if margin < _BRANCH_TOL:
                 raise BranchCutError(
                     f"eigenphase within {_BRANCH_TOL:g} of +-pi; shorten total_time")
+            # hg + hg^+ below reaches twice that, and rounding a little
+            # more; a Python float overflows to inf, with no warning
+            if not math.isfinite(4 * top / abs(total_time)):
+                raise ValueError("total_time: max|phase| / |total_time| overflows the float "
+                                 f"range at total_time = {total_time!r}")
             selfcheck = max(selfcheck, max_abs(tmat - np.exp(1j * phases)[:, :, None] * one))
             if selfcheck > _SELFCHECK_TOL:
                 raise ArithmeticError("principal log failed to reproduce the unitary")
             hg = (q * (-phases / total_time)[:, None, :]) @ qh
             h[sl] = 0.5 * (hg + hg.conj().swapaxes(1, 2))
         out.append((idx, h))
-    return out, margin, selfcheck
+    return out, margin, selfcheck, unitarity

@@ -289,6 +289,11 @@ def test_block4_report_sizes_and_health(tmp_path):
     phases = np.angle(np.linalg.eigvals(propagator(seq, model)))
     assert rep["branch_margin"] == pytest.approx(np.min(np.pi - np.abs(phases)), abs=1e-9)
     assert 0 <= rep["log_selfcheck"] <= 1e-8
+    # the log's unitary test of the cycle propagator, as the dense one reads it
+    u = propagator(seq, model)
+    dense = np.abs(u @ u.conj().T - np.eye(len(u))).max()
+    assert rep["unitarity"] == pytest.approx(dense, abs=1e-14)
+    assert 0 < rep["unitarity"] <= _CHECK_TOL
 
 
 @pytest.mark.parametrize("d", [2, 3])

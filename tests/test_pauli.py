@@ -1,5 +1,6 @@
 import copy
 import pickle
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 import dfspulse.pauli as pauli_mod
 from dfspulse.pauli import (
     BathSlotError, BranchCutError, NonHermitianError, NonUnitaryError,
-    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _embed, _log_blocks,
-    _slabs, commutator, commutes, embed_sites, expm_i, generator_of, is_hermitian_matrix,
-    is_unitary, pauli_mul, spectral_norm, to_dense, SIGMA,
+    OperatorSum, PauliTerm, WidthMismatchError, _blocks, _connect, _embed, _expm_blocks,
+    _log_blocks, _slabs, commutator, commutes, embed_sites, expm_i, generator_of,
+    is_hermitian_matrix, is_unitary, pauli_mul, spectral_norm, to_dense, SIGMA,
 )
 
 LABELS1 = ["I", "X", "Y", "Z"]
@@ -475,6 +476,67 @@ def test_dense_kernels_reject_non_finite_times(bad):
         generator_of(expm_i(h, 0.2), bad)
     with pytest.raises(ValueError, match="finite"):
         expm_i(h, bad)
+
+
+@pytest.mark.parametrize("case", ["expm eigh", "expm taylor", "log"])
+def test_dense_kernels_reject_an_overflowing_time(case):
+    # a finite time whose product with h, or quotient into the eigenphases,
+    # leaves the float range is named before any arithmetic warns
+    call, name = {
+        "expm eigh": (lambda: expm_i(np.diag([1e10, 1.0]), 1e300), "t"),
+        "expm taylor": (lambda: expm_i(np.full((40, 40), 1e10), 1e300), "t"),
+        "log": (lambda: generator_of(np.diag(np.exp(-1j * np.array([0.5, -0.3]))), 1e-320),
+                "total_time"),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            call()
+        # with no eigenphase, no time overflows
+        np.testing.assert_array_equal(generator_of(np.eye(3), 1e-320), np.zeros((3, 3)))
+        np.testing.assert_array_equal(expm_i(np.zeros((40, 40)), 1e300), np.eye(40))
+
+
+def _eigh_reference(blocks, t, monkeypatch):
+    """`_expm_blocks` with every block size on the `eigh` path."""
+    with monkeypatch.context() as m:
+        m.setattr(pauli_mod, "_TAYLOR_MIN_SIZE", np.inf)
+        return _expm_blocks(blocks, t)
+
+
+@pytest.mark.parametrize("b", [32, 81, 256])
+def test_taylor_exponential_matches_the_eigh_one(b, monkeypatch):
+    # at any |t| ||h||_1 the Taylor path, scaled and squared, stays within a
+    # few rounding units per unit of norm of the eigh path, and unitary to
+    # rounding after its polar step; it makes no eigh call
+    rng = np.random.default_rng(b)
+    h = hidden_blocks(rng, (b,))
+    h /= np.abs(h).sum(axis=0).max()
+    blocks = [(np.arange(b)[None], h[None])]
+    for norm in (1e-8, 1e-3, 0.75, 1.0, 3.0, 1e2, 1e4, 1e6):
+        want = _eigh_reference(blocks, norm, monkeypatch)[0][1][0]
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", None)
+            [(_, got)] = _expm_blocks(blocks, norm)
+        assert np.abs(got[0] - want).max() <= 64 * 2.0 ** -52 * max(1.0, norm)
+        assert np.abs(got[0] @ got[0].conj().T - np.eye(b)).max() <= 1e-14
+
+
+def test_taylor_exponential_of_a_stack_is_each_matrix_alone():
+    # each matrix has its own scaling, so its squaring count and polar step
+    # do not depend on its neighbours: a stack of norms 1e-3 .. 1e5 in one
+    # slab equals each matrix exponentiated on its own, bit for bit
+    rng = np.random.default_rng(70)
+    count, b = 7, 40
+    norms = rng.permutation(np.geomspace(1e-3, 1e5, count))
+    stack = np.array([hidden_blocks(rng, (b,)) for _ in range(count)])
+    stack *= (norms / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+    idx = np.arange(count * b).reshape(count, b)
+    assert len(_slabs(stack)) == 1
+    [(_, together)] = _expm_blocks([(idx, stack)], 1.0)
+    for k in range(count):
+        [(_, alone)] = _expm_blocks([(idx[k:k + 1], stack[k:k + 1])], 1.0)
+        assert np.array_equal(alone[0], together[k])
 
 
 # --- generator_of against a Schur-form oracle

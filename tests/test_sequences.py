@@ -1039,27 +1039,36 @@ def _seam_case(case):
         xbar = to_dense(logical_operators((0, 1), 4)[0])
         h = model.h_static + np.kron(xbar, rand_herm(rng, 2))
         return _gather(h), symmetrize_block4(0.05, 4), 4, 2, ((0, 1), (2, 3))
-    d = int(case[-1])
+    d = int(case[len("block4 d=")])
     _, embedded = _block4_baths(rng, d)
-    return _diagonal_blocks(embedded), symmetrize_block4(0.05, 4), 4, d ** 4, ((0, 1, 2, 3),)
+    static = _diagonal_blocks(embedded)
+    if case.endswith("mixed norms"):
+        # each block scaled by its own factor: the Taylor path scales each
+        # matrix by its own power of two, so a slab mixes squaring counts,
+        # and some matrices take the polar step while others do not
+        [(idx, stack)] = static
+        scale = rng.permutation(np.geomspace(1e-3, 30.0, len(stack)))
+        static = [(idx, stack * scale[:, None, None])]
+    return static, symmetrize_block4(0.05, 4), 4, d ** 4, ((0, 1, 2, 3),)
 
 
 def _block_chain(static, seq, width, bath_dim, sites):
     exp = _expm_blocks(static, 0.3)
     u = _propagator_blocks(seq, width, bath_dim, static)
-    g, margin, selfcheck = _log_blocks(u, seq.cycle_time)
+    g, margin, selfcheck, unitarity = _log_blocks(u, seq.cycle_time)
     arrays = [a for blocks in (exp, u, g) for pair in blocks for a in pair]
-    floats = [margin, selfcheck, _block_residual(g, width, bath_dim, sites),
+    floats = [margin, selfcheck, unitarity, _block_residual(g, width, bath_dim, sites),
               _norm_blocks(s for _, s in g), _norm_blocks(s for _, s in u)]
-    # the margin, self-check and norm reduce over every slab: with the
-    # matrices of each stack in reverse order they read the same
+    # the margin, self-check, unitarity and norm reduce over every slab:
+    # with the matrices of each stack in reverse order they read the same
     turned = [(idx[::-1], np.ascontiguousarray(s[::-1])) for idx, s in u]
     assert [*_log_blocks(turned, seq.cycle_time)[1:], _norm_blocks(s for _, s in turned)] == [
-        margin, selfcheck, floats[-1]]
+        margin, selfcheck, unitarity, floats[-1]]
     return arrays, floats
 
 
-@pytest.mark.parametrize("case", ["block4 d=2", "block4 d=3", "mixed"])
+@pytest.mark.parametrize("case", ["block4 d=2", "block4 d=3", "block4 d=3 mixed norms",
+                                  "mixed"])
 def test_block_kernels_are_bitwise_equal_at_every_slab_bound(case, monkeypatch):
     # each slab makes the per-matrix calls of the whole stack, so one matrix
     # per slab, the default bound and one slab per stack agree bit for bit
