@@ -30,13 +30,13 @@ pattern or of a join of partitions, comes from one kernel,
 `sequences.propagator` share one blockwise exponential core,
 `_expm_blocks`, which takes the [(idx, stack)] blocks that `_gather` cuts
 from a dense matrix, or that a caller builds directly, as `cli` builds the
-diagonal blocks of `block4-sim`.  It exponentiates a stack of blocks below
-`_TAYLOR_MIN_SIZE` through `eigh`, and a larger one by a scaled and squared
-Taylor series, matrix products only, which cost less than `eigh` at that
-size.  `spectral_norm` takes `eigvalsh` on each exactly Hermitian stack and
-`svd` on any other.  `generator_of` diagonalizes a unitary through its
-Cayley transform, a Hermitian matrix with the same eigenvectors, so the
-logarithm needs the one `eigh` call per slab.
+diagonal blocks of `block4-sim`.  It exponentiates a matrix of a block of
+at least `_TAYLOR_MIN_SIZE` with ||t h||_1 < 1 by a Taylor series, matrix
+products only, which cost less than `eigh` there, and any other matrix
+through `eigh`.  `spectral_norm` takes `eigvalsh` on each exactly
+Hermitian stack and `svd` on any other.  `generator_of` diagonalizes a
+unitary through its Cayley transform, a Hermitian matrix with the same
+eigenvectors, so the logarithm needs the one `eigh` call per slab.
 
 The block kernels (`_expm_blocks`, `_log_blocks`, `_norm_blocks`, and the
 products of `sequences` and the residual of `dfs` that use them) work slab
@@ -44,8 +44,8 @@ by slab: `_slabs` cuts each (count, b, b) stack into consecutive runs of at
 most `_SLAB_BYTES`, and each kernel runs its checks, LAPACK calls and
 products on one slab at a time into one preallocated output stack.  Each
 slab makes the same per-matrix call as the whole stack would, and the
-Taylor path picks each matrix's scaling from that matrix alone, so the slab
-bound changes no result.
+exponential picks each matrix's path from that matrix's norm alone, so the
+slab bound changes no result.
 
 So a stage of the block pipeline (`sequences._propagator_blocks`,
 `_log_blocks`, `dfs._block_residual`) holds at most two (count, b, b)
@@ -100,13 +100,13 @@ _COEF_TOL = 1e-12      # relative bound on coefficient checks and comparisons
 
 _SLAB_BYTES = 1 << 18  # bytes of one slab of a block kernel; bounds its temporaries
 
-# The exponential's Taylor path: blocks of at least _TAYLOR_MIN_SIZE take it,
-# where its matrix products cost less than `eigh`; each matrix is scaled to a
-# 1-norm below _TAYLOR_NORM, where the degree-_TAYLOR_DEGREE remainder is
-# below a rounding unit.
+# The exponential's Taylor path: a matrix of a block of at least
+# _TAYLOR_MIN_SIZE with ||t h||_1 < 1 takes it, where its matrix products
+# cost less than `eigh` and the degree-_TAYLOR_DEGREE remainder is below a
+# rounding unit; the degree is 4 k + 3, so Horner's rule in A^4 takes whole
+# blocks of four coefficients.
 _TAYLOR_MIN_SIZE = 32
-_TAYLOR_DEGREE = 18
-_TAYLOR_NORM = 1.0
+_TAYLOR_DEGREE = 19
 _TAYLOR_COEF = tuple(1 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1))
 
 
@@ -831,9 +831,10 @@ def _dense(blocks, dim: int) -> np.ndarray:
 
 
 def expm_i(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, unitary to rounding: by eigendecomposition
-    on blocks below `_TAYLOR_MIN_SIZE`, by scaled and squared Taylor series
-    on larger ones.  ValueError naming `t` when |t| ||h||_1 overflows."""
+    """exp(-i h t) for Hermitian h, unitary to rounding: by Taylor series on
+    a block of at least `_TAYLOR_MIN_SIZE` with ||t h||_1 < 1, by
+    eigendecomposition on any other.  ValueError naming `t` when
+    |t| ||h||_1 overflows."""
     h = _matrix(h, "expm_i requires a Hermitian generator h; it", error=NonHermitianError)
     return _dense(_expm_blocks(_gather(h), t), h.shape[0])
 
@@ -841,9 +842,10 @@ def expm_i(h: np.ndarray, t: float) -> np.ndarray:
 def _expm_blocks(blocks, t: float) -> list[tuple]:
     """exp(-i h t) of the complex Hermitian h with [(idx, stack)] blocks, as
     blocks on the same components: the (count, size, size) stack of
-    exponentials of each stack, filled slab by slab.  A stack of blocks
-    below `_TAYLOR_MIN_SIZE` is exponentiated through `eigh`, a larger one
-    by `_expm_taylor`, which needs only matrix products.
+    exponentials of each stack, filled slab by slab.  A matrix of a block of
+    at least `_TAYLOR_MIN_SIZE` with |t| ||h||_1 < 1 is exponentiated by
+    `_expm_taylor`, which needs only matrix products; any other through
+    `eigh`.  Each matrix's path is read from that matrix alone.
 
     h - h^+ is exactly zero between blocks, so the Hermitian test run on
     the blocks is the dense test; and the 1-norm of h is the largest of its
@@ -857,73 +859,71 @@ def _expm_blocks(blocks, t: float) -> list[tuple]:
     for idx, hs in blocks:
         u = np.empty(hs.shape, dtype=complex)
         for sl in _slabs(hs):
-            hb = hs[sl]
-            norms = np.abs(hb).sum(axis=1).max(axis=1)
+            hb, ub = hs[sl], u[sl]
+            sums = np.abs(hb).sum(axis=1)
             # a Python float overflows to inf, with no warning
-            if not math.isfinite(abs(t) * float(norms.max())):
+            if not math.isfinite(abs(t) * float(sums.max())):
                 raise ValueError(f"t: |t| ||h||_1 overflows the float range at t = {t!r}")
-            if hs.shape[1] >= _TAYLOR_MIN_SIZE:
-                _expm_taylor(hb, t, abs(t) * norms, u[sl])
+            if hs.shape[1] < _TAYLOR_MIN_SIZE:
+                _expm_eigh(hb, t, ub)
                 continue
-            # numpy's eigh takes longer on a stack of one than on its matrix
-            vals, vecs = np.linalg.eigh(hb[0] if len(hb) == 1 else hb)
-            phase = np.exp(-1j * vals * t)[..., None, :]
-            u[sl] = (vecs * phase) @ vecs.conj().swapaxes(-1, -2)
+            taylor = abs(t) * sums.max(axis=1) < 1
+            for path, kernel in ((taylor, _expm_taylor), (~taylor, _expm_eigh)):
+                if path.all():
+                    kernel(hb, t, ub)
+                elif path.any():
+                    part = hb[path]
+                    ub[path] = kernel(part, t, np.empty(part.shape, dtype=complex))
         out.append((idx, u))
     return out
 
 
-def _expm_taylor(h: np.ndarray, t: float, norms: np.ndarray, out: np.ndarray) -> None:
-    """exp(-i t h) of each matrix of the Hermitian (count, b, b) stack h,
-    given |t| ||h||_1 of each as `norms`, into `out` by scaling and
-    squaring; `out` serves as one of its two work stacks.
+def _expm_eigh(h: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+    """exp(-i t h) of each matrix of the Hermitian (count, b, b) stack h
+    through `eigh`, into and returning `out`."""
+    # numpy's eigh takes longer on a stack of one than on its matrix
+    vals, vecs = np.linalg.eigh(h[0] if len(h) == 1 else h)
+    phase = np.exp(-1j * vals * t)[..., None, :]
+    out[...] = (vecs * phase) @ vecs.conj().swapaxes(-1, -2)
+    return out
 
-    Each matrix gets its own scaling A = -i t h / 2^s, s the least integer
-    >= 0 with ||A||_1 < `_TAYLOR_NORM`, so no matrix's bits depend on its
-    neighbours in the stack or on the slab bound.  exp(A) is the degree
-    `_TAYLOR_DEGREE` Taylor polynomial, whose remainder at ||A||_1 < 1 is
-    below 1e-17, evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2,
-    60 (1973)): from A^2, A^3 and A^4, Horner's rule in A^4 over blocks of
-    four coefficients, 3 + degree // 4 products in all.  The result is
-    squared s times, and a matrix that was squared takes one Newton-Schulz
-    polar step U (3 - U^+ U) / 2, which brings max|U U^+ - 1| from about
-    2^s rounding units back to a few (Al-Mohy and Higham, SIAM J. Matrix
-    Anal. Appl. 31, 970 (2009), for scaling and squaring).
+
+def _expm_taylor(h: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+    """exp(-i t h) of each matrix of the Hermitian (count, b, b) stack h,
+    each with |t| ||h||_1 < 1, into and returning `out`, which serves as
+    one of its two work stacks.
+
+    A = -i t (h + h^+) / 2 is anti-Hermitian, so a residue h - h^+ that
+    `_hermitian` accepts does not take the result off unitarity.  exp(A) is
+    the degree `_TAYLOR_DEGREE` Taylor polynomial, whose remainder at
+    ||A||_1 < 1 is below 1e-18, evaluated by Paterson and Stockmeyer (SIAM
+    J. Comput. 2, 60 (1973)): from A^2, A^3 and A^4, Horner's rule in A^4
+    over blocks of four coefficients, 3 + degree // 4 products in all.
     """
     count, b = h.shape[:2]
-    s = np.maximum(np.frexp(norms / _TAYLOR_NORM)[1], 0)
-    a = h * (-1j * t * np.ldexp(1.0, -s))[:, None, None]
+    a = np.conjugate(h.swapaxes(1, 2), order="C")
+    a += h
+    a *= -0.5j * t
     a2 = a @ a
-    powers = (None, a, a2, a2 @ a)
+    powers = (a, a2, a2 @ a)
     a4 = a2 @ a2
     p, q = out, np.empty_like(a)
     diagonal = (slice(None), slice(None, None, b + 1))
     top = _TAYLOR_DEGREE // 4
     for j in range(top, -1, -1):
-        # p becomes p A^4 + B_j, the coefficients of B_j being 1/(4j + i)!;
-        # q, free once p A^4 is formed, holds each term
+        # p becomes p A^4 + sum_i A^i / (4j + i)!, i = 0..3; q, free once
+        # p A^4 is formed, holds each term
         if j == top:
             p[...] = 0
         else:
             np.matmul(p, a4, out=q)
             p, q = q, p
-        for i in range(min(3, _TAYLOR_DEGREE - 4 * j), 0, -1):
-            p += np.multiply(powers[i], _TAYLOR_COEF[4 * j + i], out=q)
+        for i in (3, 2, 1):
+            p += np.multiply(powers[i - 1], _TAYLOR_COEF[4 * j + i], out=q)
         p.reshape(count, -1)[diagonal] += _TAYLOR_COEF[4 * j]
-    del a, a2, a4, powers, q
-    for k in range(int(s.max())):
-        squared = s > k
-        v = p[squared]
-        p[squared] = v @ v
-    squared = s > 0
-    if squared.any():
-        v = p[squared]
-        w = v.conj().swapaxes(1, 2) @ v
-        w *= -0.5
-        w.reshape(len(w), -1)[diagonal] += 1.5
-        p[squared] = v @ w
     if p is not out:
         out[...] = p
+    return out
 
 
 def generator_of(u: np.ndarray, total_time: float) -> np.ndarray:

@@ -504,31 +504,42 @@ def _eigh_reference(blocks, t, monkeypatch):
         return _expm_blocks(blocks, t)
 
 
-@pytest.mark.parametrize("b", [32, 81, 256])
-def test_taylor_exponential_matches_the_eigh_one(b, monkeypatch):
-    # at any |t| ||h||_1 the Taylor path, scaled and squared, stays within a
-    # few rounding units per unit of norm of the eigh path, and unitary to
-    # rounding after its polar step; it makes no eigh call
+@pytest.mark.parametrize("b, residue", [(32, 0.0), (81, 0.0), (256, 0.0), (40, 2e-11)])
+def test_taylor_exponential_matches_the_eigh_one(b, residue, monkeypatch):
+    # below |t| ||h||_1 = 1 a block of 32 or more takes the Taylor path, with
+    # no eigh call, within a few rounding units of the eigh path; at and above
+    # it, the eigh path itself.  Both are finite and unitary to rounding at any
+    # norm, also for an h off Hermitian by a residue the Hermitian test accepts
     rng = np.random.default_rng(b)
     h = hidden_blocks(rng, (b,))
     h /= np.abs(h).sum(axis=0).max()
+    h += residue * np.abs(h).max() * rng.normal(size=(b, b))
     blocks = [(np.arange(b)[None], h[None])]
-    for norm in (1e-8, 1e-3, 0.75, 1.0, 3.0, 1e2, 1e4, 1e6):
+    # eigh reads one triangle of h, the Taylor path its Hermitian part
+    offset = b * np.abs(h - h.conj().T).max()
+    for norm in (1e-8, 1e-3, 0.75, 0.999, 1.001, 3.0, 1e2, 1e6, 1e12, 1e16, 1e20):
         want = _eigh_reference(blocks, norm, monkeypatch)[0][1][0]
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, "eigh", None)
+            if norm < 1:
+                m.setattr(np.linalg, "eigh", None)
             [(_, got)] = _expm_blocks(blocks, norm)
-        assert np.abs(got[0] - want).max() <= 64 * 2.0 ** -52 * max(1.0, norm)
+        assert np.isfinite(got).all()
+        if norm < 1:
+            assert np.abs(got[0] - want).max() <= 64 * 2.0 ** -52 + norm * offset
+        else:
+            assert np.array_equal(got, want[None])
         assert np.abs(got[0] @ got[0].conj().T - np.eye(b)).max() <= 1e-14
 
 
-def test_taylor_exponential_of_a_stack_is_each_matrix_alone():
-    # each matrix has its own scaling, so its squaring count and polar step
-    # do not depend on its neighbours: a stack of norms 1e-3 .. 1e5 in one
-    # slab equals each matrix exponentiated on its own, bit for bit
+def test_exponential_of_a_mixed_norm_stack_is_each_matrix_alone():
+    # each matrix's path is read from its own norm, so it does not depend on
+    # its neighbours: a stack of norms 1e-3 .. 1e5 in one slab, some on the
+    # Taylor path and some on eigh, equals each matrix exponentiated on its
+    # own, bit for bit
     rng = np.random.default_rng(70)
     count, b = 7, 40
     norms = rng.permutation(np.geomspace(1e-3, 1e5, count))
+    assert 0 < (norms < 1).sum() < count
     stack = np.array([hidden_blocks(rng, (b,)) for _ in range(count)])
     stack *= (norms / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
     idx = np.arange(count * b).reshape(count, b)

@@ -1043,9 +1043,8 @@ def _seam_case(case):
     _, embedded = _block4_baths(rng, d)
     static = _diagonal_blocks(embedded)
     if case.endswith("mixed norms"):
-        # each block scaled by its own factor: the Taylor path scales each
-        # matrix by its own power of two, so a slab mixes squaring counts,
-        # and some matrices take the polar step while others do not
+        # each block scaled by its own factor, so ||t h||_1 spans 1 and a
+        # slab holds matrices on both exponential paths, Taylor and eigh
         [(idx, stack)] = static
         scale = rng.permutation(np.geomspace(1e-3, 30.0, len(stack)))
         static = [(idx, stack * scale[:, None, None])]
