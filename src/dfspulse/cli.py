@@ -360,6 +360,12 @@ def _run_gate(sc: Scenario):
     return checks, {}, (["gamma_sb", "infidelity", "bound"], rows)
 
 
+def _block4_factors(sc: Scenario) -> list:
+    """The four d x d bath factors b_q of block4-sim, drawn from its seed."""
+    rng = np.random.default_rng(sc.seed)
+    return [_rand_herm(rng, sc.parameters["bath_factor_dim"]) for _ in range(4)]
+
+
 def _block4_model(sc: Scenario) -> list:
     """The [(idx, stack)] blocks of the block4-sim Hamiltonian sum_q Z_q (x)
     b_q, each ion's own random bath factor b_q embedded as the q-th of four.
@@ -367,9 +373,8 @@ def _block4_model(sc: Scenario) -> list:
     block sum_q z_q(s) b_q, with z_q(s) = +-1 its Z_q eigenvalue.  The terms
     are added in the sum's canonical order, q = 3, 2, 1, 0, into a zero
     block, so every entry rounds as in `to_dense`."""
-    rng = np.random.default_rng(sc.seed)
     d = sc.parameters["bath_factor_dim"]
-    b = [pauli._embed(_rand_herm(rng, d), (q,), (d,) * 4) for q in range(4)]
+    b = [pauli._embed(b_q, (q,), (d,) * 4) for q, b_q in enumerate(_block4_factors(sc))]
     stack = np.zeros((16, d ** 4, d ** 4), dtype=complex)
     for s, block in enumerate(stack):
         for q in (3, 2, 1, 0):
@@ -383,10 +388,24 @@ def _block4_model(sc: Scenario) -> list:
 def _run_block4(sc: Scenario):
     p = sc.parameters
     bdim = p["bath_factor_dim"] ** 4
+    # the symmetrized generator is sum_q (Zsum / 4) (x) b_q, so the cycle's
+    # largest |eigenphase| is 4 tau ||B||, with B = sum_q b_q the block of
+    # the all-up state, whose extreme eigenvalues are the sums of the
+    # factors'; the principal log wraps from pi on.  A factor that is not
+    # finite is left to the first exponential, whose Hermitian test rejects it
+    factors = _block4_factors(sc)
+    if all(np.isfinite(b).all() for b in factors):
+        ends = [np.linalg.eigvalsh(b)[[0, -1]].tolist() for b in factors]
+        norm = max(abs(sum(lo for lo, _ in ends)), abs(sum(hi for _, hi in ends)))
+        if 4 * p["tau"] * norm >= math.pi:
+            raise ValueError(f"tau {p['tau']!r}: the cycle's eigenphases reach 4 tau ||B|| "
+                             f">= pi; tau must stay below pi / (4 ||B||) = "
+                             f"{math.pi / (4 * norm)!r}")
     # the private cores hand the blocks on: no dense matrix, no scan.  Each
     # stage's input is released once used: the model's blocks go in unnamed,
-    # so the product drops them once every event's action is known, and the
-    # log writes the generator over u, which nothing else holds
+    # so the product drops them once every event's action is known, the log
+    # writes the generator over u and the residual over the generator.  The
+    # pulses permute the states, so every block holds whole system states
     u = sequences._propagator_blocks(sequences.symmetrize_block4(p["tau"], 4), 4, bdim,
                                      _block4_model(sc))
     block_sizes = [len(row) for idx, _ in u for row in idx]

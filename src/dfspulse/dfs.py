@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
-    OperatorSum, _components, _connect, _edges, _from_masks, _gather, _integer, _ions, _layout,
-    _masks, _matrix, _norm_blocks, _pair, _place, _slabs, _tuple, spectral_norm, to_dense,
+    OperatorSum, _components, _connect, _from_masks, _integer, _ions, _masks, _matrix,
+    _norm_blocks, _pair, _place, _stacked, _tuple, spectral_norm, to_dense,
 )
 
 CODE_ZERO_INDEX = 2  # |down, up>
@@ -299,63 +299,53 @@ def block_collective_residual(h: np.ndarray, width: int, bath_dim: int,
     the Z sums of the groups trace-orthogonal, so that removing the
     projection onto each removes their whole span.  Repeated or overlapping
     sites raise ValueError, as does an h that is not (2^width * bath_dim)
-    square.  h is split into its blocks and taken by `_block_residual`.
+    square.  h is copied over the groups of system states that its nonzero
+    (s, t) blocks link, and taken by `_block_residual`.
     """
     width, bath_dim = _integer(width, "width", 0), _integer(bath_dim, "bath_dim", 1)
     h = _matrix(h, "h", (2 ** width * bath_dim,) * 2)
-    return _block_residual(_gather(h), width, bath_dim, blocks)
+    dim_sys = 2 ** width
+    link = (h.reshape(dim_sys, bath_dim, dim_sys, bath_dim) != 0).any(axis=(1, 3))
+    # each index labelled with the first index of its group's smallest state
+    lab = np.repeat(_connect(dim_sys, *link.nonzero()) * bath_dim, bath_dim)
+    return _block_residual([(idx, h[_stacked(idx)]) for idx in _components(lab)],
+                           width, bath_dim, blocks)
 
 
 def _block_residual(hblocks: list[tuple], width: int, bath_dim: int,
                     blocks: tuple[tuple[int, ...], ...]) -> float:
-    """`block_collective_residual` of the operator with [(idx, stack)] blocks.
+    """`block_collective_residual` of the operator with [(idx, stack)] blocks,
+    each holding whole system states, each state's bath indices in a row; the
+    residual is written over the stacks.
 
     The identity and the Z sums p are diagonal, so p (x) B_p is p[s, s] B_p
     on the (s, s) system block and zero elsewhere, and
     B_p = sum_s conj(p[s, s]) h_ss / Tr(p^+ p) needs only those blocks h_ss.
-    They are gathered from h's blocks slab by slab, every B_p is taken, and
-    they are dropped.  The residual is block diagonal over the join of h's
-    blocks with the system states: h is laid out over that join, each
-    p[s, s] B_p is subtracted from the (s, s) sub-blocks, in the order and
-    with the products of the Kronecker form, and its norm is taken slab by
-    slab.  So the pass holds h, one stack of h_ss or of the residual, and
-    one slab of temporaries.
+    The (s, s) block of the j-th state s of a block's row k is its (j, j)
+    sub-block.  The h_ss are copied into one stack, every B_p is taken, the
+    stack is dropped, and each p[s, s] B_p is subtracted from its sub-block
+    in the order and with the products of the Kronecker form.  The norm is
+    taken slab by slab.
     """
     _ions([q for block in blocks for q in block], "sites of disjoint site blocks", width)
     if not all(blocks):
         raise ValueError(f"site blocks {blocks} must be nonempty, disjoint groups")
     dim_sys = 2 ** width
-    dim = dim_sys * bath_dim
     states = np.arange(dim_sys)
     ps = [np.ones(dim_sys, dtype=complex)] + [
         sum(1 - 2 * (states >> (width - 1 - q) & 1) for q in block).astype(complex)
         for block in blocks]
-    # entry (i, k) of h lies in the (s, s) block when i and k share the state s
+    held = [(idx[:, ::bath_dim] // bath_dim, stack) for idx, stack in hblocks]
+    cut = [slice(j * bath_dim, (j + 1) * bath_dim) for j in range(dim_sys)]
     hss = np.zeros((dim_sys, bath_dim, bath_dim), dtype=complex)
-    for idx, stack in hblocks:
-        for sl in _slabs(stack):
-            sys, bath = np.divmod(idx[sl], bath_dim)
-            same = sys[:, :, None] == sys[:, None, :]
-            pos = (sys * bath_dim + bath)[:, :, None] * bath_dim + bath[:, None, :]
-            hss.reshape(-1)[pos[same]] = stack[sl][same]
+    for sys, stack in held:
+        for j in range(sys.shape[1]):
+            hss[sys[:, j]] = stack[:, cut[j], cut[j]]
     bs = [np.einsum("s,sab->ab", p.conj(), hss) / np.vdot(p, p).real for p in ps]
     del hss
-    groups = _components(_connect(dim, *_edges(
-        [idx for idx, _ in hblocks] + [np.arange(dim).reshape(dim_sys, bath_dim)])))
-    start, col, spans, size = _layout(groups, dim)
-    flat = np.zeros(size, dtype=complex)
-    for idx, stack in hblocks:
-        for sl in _slabs(stack):
-            ix = idx[sl]
-            flat[start[ix][..., None] + col[ix][..., None, :]] = stack[sl]
-    # a joined block holds m whole system states, ascending; its (j, j)
-    # sub-block is the (s, s) block of its j-th state s
-    for idx, (at, count, b) in zip(groups, spans):
-        d = flat[at:at + count * b * b].reshape(count, b // bath_dim, bath_dim,
-                                                b // bath_dim, bath_dim)
-        for k, row in enumerate(idx[:, ::bath_dim] // bath_dim):
+    for sys, stack in held:
+        for k, row in enumerate(sys):
             for j, s in enumerate(row):
                 for p, b_p in zip(ps, bs):
-                    d[k, j, :, j, :] -= p[s] * b_p
-    return _norm_blocks(flat[at:at + count * b * b].reshape(count, b, b)
-                        for at, count, b in spans)
+                    stack[k, cut[j], cut[j]] -= p[s] * b_p
+    return _norm_blocks(stack for _, stack in hblocks)

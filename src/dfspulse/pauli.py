@@ -48,11 +48,12 @@ exponential picks each matrix's path from that matrix's norm alone, so the
 slab bound changes no result.
 
 So a stage of the block pipeline (`sequences._propagator_blocks`,
-`_log_blocks`, `dfs._block_residual`) holds at most two (count, b, b)
-stacks at any moment, its input and its output or one stack of
-intermediates, plus one slab of temporaries.  A kernel writes over its
-input only where its caller owns it and says so: `_log_blocks` with
-`overwrite`, which `cli` passes for the propagator it drops.  Public
+`_log_blocks`, `dfs._block_residual`) holds at most its input and its
+output or one stack of intermediates (the residual: one (2^width, bath_dim,
+bath_dim) array of h_ss), plus one slab of temporaries.  A kernel writes
+over its input only where its caller owns it: `_log_blocks` with
+`overwrite`, which `cli` passes for the propagator it drops, and
+`dfs._block_residual`, which `cli` hands the generator it drops.  Public
 functions never write over their array inputs; `_gather` hands the cores
 a view of a matrix with one component.
 

@@ -305,6 +305,56 @@ def test_block4_residual_equals_the_dense_chain(d):
         g = generator_of(propagator(seq, model), 4 * sc.parameters["tau"])
         assert payload["residual"] == block_collective_residual(
             g, 4, model.bath_dim, ((0, 1, 2, 3),))
+        # the symmetrized generator is sum_q (Zsum / 4) (x) b_q, so the
+        # cycle's largest |eigenphase| is 4 tau ||B||, B the all-up block
+        [(_, stack)] = cli_mod._block4_model(sc)
+        norm = np.abs(np.linalg.eigvalsh(stack[0])).max()
+        assert payload["branch_margin"] == pytest.approx(
+            np.pi - 4 * sc.parameters["tau"] * norm, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, tau", [(3, 0.1), (3, 0.2), (4, 0.2), (4, 0.1)])
+def test_block4_rejects_a_tau_whose_eigenphases_wrap(d, tau):
+    # at seed 4 each read a residual of pi / (4 tau) and a false FAIL: the
+    # cycle's eigenphases passed pi, and the principal log shifted them
+    sc = parse_config(json.dumps([{"name": "b4", "kind": "block4-sim", "seed": 4,
+                                   "parameters": {"bath_factor_dim": d, "tau": tau}}]))[0]
+    with pytest.raises(ValueError, match=rf"^tau {tau}: .* tau must stay below pi / \(4 "):
+        cli_mod._run_block4(sc)
+
+
+def test_block4_with_a_wrapping_tau_fails_with_no_pass(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"name": "wrap", "kind": "block4-sim", "seed": 4,
+                                "parameters": {"bath_factor_dim": 3, "tau": 0.1}}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert err.count("ERROR") == 1 and "ERROR wrap: tau 0.1" in err
+    assert json.loads((tmp_path / "wrap.json").read_text())["partial"] is True
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block4_residual_gets_whole_system_states(d, monkeypatch):
+    # `_block_residual` reads each (s, s) block as a diagonal sub-block, so
+    # every block it is handed lists whole system states, each state's bath
+    # indices s * bath_dim + (0, ..., bath_dim - 1) in a row
+    handed = []
+
+    def spy(hblocks, width, bath_dim, blocks):
+        handed.append([idx.copy() for idx, _ in hblocks])
+        return _block_residual(hblocks, width, bath_dim, blocks)
+
+    monkeypatch.setattr(cli_mod.dfs, "_block_residual", spy)
+    cli_mod._run_block4(_block4(4, d))
+    [groups] = handed
+    bdim = d ** 4
+    runs = np.concatenate([idx.reshape(-1, bdim) for idx in groups])
+    np.testing.assert_array_equal(runs, runs[:, :1] + np.arange(bdim))
+    assert (runs[:, 0] % bdim == 0).all()
+    assert sorted(runs[:, 0] // bdim) == list(range(16))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -359,7 +409,7 @@ def test_block4_pass_working_set_at_d3():
 def test_block4_propagator_and_residual_stages_at_d3():
     # the product releases the model's blocks once every event's action is
     # known, and then holds the free segments' exponential, D and one slab;
-    # the residual holds the h_ss stack or the residual, never both.  Each
+    # the residual holds the h_ss stack and writes over the generator.  Each
     # peak is taken above what the stage holds on entry
     sc = _block4(5, 3)
     seq = symmetrize_block4(sc.parameters["tau"], 4)

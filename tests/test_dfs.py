@@ -281,11 +281,17 @@ def test_block_collective_residual_equals_the_kronecker_form(width, blocks, bath
     states = np.arange(dim) // bath_dim
     sparse = (states[:, None] == states[None, :]) & (
         (states[:, None] % 2 == 0) | np.eye(dim, dtype=bool))
+    # the (s, s) blocks and those between 01 and 10 of the first two ions,
+    # as Xbar links them: groups of one state and of two
+    pair = (states >> (width - 2)) % 3 != 0
+    linked = (states[:, None] == states[None, :]) | pair[:, None] & pair[None, :] & (
+        states[:, None] % (2 ** (width - 2)) == states[None, :] % (2 ** (width - 2)))
     for _ in range(5):
         h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert block_collective_residual(h, width, bath_dim, blocks) == kron_form(h)
-        h = np.where(sparse, h, 0)
-        assert block_collective_residual(h, width, bath_dim, blocks) == kron_form(h)
+        for pattern in (sparse, linked):
+            part = np.where(pattern, h, 0)
+            assert block_collective_residual(part, width, bath_dim, blocks) == kron_form(part)
 
 
 @pytest.mark.parametrize("blocks", [((0, 1), (1, 2)), ((1, 2), (0, 1)), ((0, 0),),

@@ -1056,7 +1056,9 @@ def _block_chain(static, seq, width, bath_dim, sites):
     u = _propagator_blocks(seq, width, bath_dim, static)
     g, margin, selfcheck, unitarity = _log_blocks(u, seq.cycle_time)
     arrays = [a for blocks in (exp, u, g) for pair in blocks for a in pair]
-    floats = [margin, selfcheck, unitarity, _block_residual(g, width, bath_dim, sites),
+    # the residual is written over its blocks, so it takes a copy of g's
+    resid = _block_residual([(idx, s.copy()) for idx, s in g], width, bath_dim, sites)
+    floats = [margin, selfcheck, unitarity, resid,
               _norm_blocks(s for _, s in g), _norm_blocks(s for _, s in u)]
     # the margin, self-check, unitarity and norm reduce over every slab:
     # with the matrices of each stack in reverse order they read the same
