@@ -391,16 +391,19 @@ def _run_block4(sc: Scenario):
     # the symmetrized generator is sum_q (Zsum / 4) (x) b_q, so the cycle's
     # largest |eigenphase| is 4 tau ||B||, with B = sum_q b_q the block of
     # the all-up state, whose extreme eigenvalues are the sums of the
-    # factors'; the principal log wraps from pi on.  A factor that is not
-    # finite is left to the first exponential, whose Hermitian test rejects it
+    # factors'; the principal log accepts none within `_BRANCH_TOL` of pi.
+    # A factor that is not finite is left to the first exponential, whose
+    # Hermitian test rejects it
+    tol = pauli._BRANCH_TOL
+    wrap = (f"tau {p['tau']!r}: the cycle's eigenphases, up to 4 tau ||B||, come within "
+            f"{tol:g} of pi, where the principal log stops; tau must stay below "
+            f"(pi - {tol:g}) / (4 ||B||)")
     factors = _block4_factors(sc)
     if all(np.isfinite(b).all() for b in factors):
         ends = [np.linalg.eigvalsh(b)[[0, -1]].tolist() for b in factors]
         norm = max(abs(sum(lo for lo, _ in ends)), abs(sum(hi for _, hi in ends)))
-        if 4 * p["tau"] * norm >= math.pi:
-            raise ValueError(f"tau {p['tau']!r}: the cycle's eigenphases reach 4 tau ||B|| "
-                             f">= pi; tau must stay below pi / (4 ||B||) = "
-                             f"{math.pi / (4 * norm)!r}")
+        if 4 * p["tau"] * norm >= math.pi - tol:
+            raise ValueError(f"{wrap} = {(math.pi - tol) / (4 * norm)!r}")
     # the private cores hand the blocks on: no dense matrix, no scan.  Each
     # stage's input is released once used: the model's blocks go in unnamed,
     # so the product drops them once every event's action is known, the log
@@ -409,7 +412,12 @@ def _run_block4(sc: Scenario):
     u = sequences._propagator_blocks(sequences.symmetrize_block4(p["tau"], 4), 4, bdim,
                                      _block4_model(sc))
     block_sizes = [len(row) for idx, _ in u for row in idx]
-    g, margin, selfcheck, unitarity = pauli._log_blocks(u, 4 * p["tau"], overwrite=True)
+    try:
+        g, margin, selfcheck, unitarity = pauli._log_blocks(u, 4 * p["tau"], overwrite=True)
+    except pauli.BranchCutError:
+        # the product's rounding can carry the eigenphases of a tau just
+        # below the bound to within `_BRANCH_TOL` of pi
+        raise ValueError(wrap) from None
     resid = dfs._block_residual(g, 4, bdim, ((0, 1, 2, 3),))
     checks = [CheckResult.error_below("block4_residual", resid, pauli._CHECK_TOL)]
     return checks, {"residual": resid, "dim": 16 * bdim,

@@ -10,10 +10,14 @@ The sampled gate and Pauli checks build all their samples as (n, d, d)
 stacks and call each kernel once per stage: `gates._sm_stack` for the
 gates, one `pauli._expm_blocks` call for their exponentials,
 `gates._restrict_stack` for their code-space blocks, and one stacked
-matmul for the 256 Pauli products.  The pair-symmetrization check runs its
-20 sampled baths, each scaled by its interval, as the blocks of two
-direct-sum baths, with one `propagator` and one `expm_i` call each.  Their
-cost is then a fixed number of numpy calls, not a number per sample.
+matmul for the 256 Pauli products.  The generator round trip, BCH and
+pair-symmetrization checks scale each sample's generator by its own time
+and take all of them as the blocks of one direct sum at unit time: one
+`pauli._expm_blocks` call for every exponential of a check, one
+`pauli._log_blocks` call for the round trip's logs, and one
+`sequences._propagator_blocks` call for the 20 symmetrized baths, whose
+target is exponentiated on the propagator's own blocks.  Their cost is then
+a fixed number of numpy calls, not a number per sample.
 """
 from __future__ import annotations
 
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dfs, gates, pauli, sequences
-from .baths import DephasingBath, bch_bound
-from .pauli import OperatorSum, expm_i, generator_of, to_dense
+from .baths import bch_bound
+from .pauli import OperatorSum, to_dense
 
 
 # The bound of each check, defined once and listed in the README's Conventions
@@ -169,26 +173,31 @@ def check_classification() -> list[CheckResult]:
 
 
 def check_symmetrization() -> list[CheckResult]:
-    # exp(-i H tau) = exp(-i (tau H) 1): each half of the 20 samples, every
-    # bath scaled by its tau, is one direct-sum bath under a unit interval.
-    # Halves, since the dense matrices grow as the square of a sum's size:
-    # one sum of all 20 (320 x 320 matrices) took longer and raised the
-    # peak RSS of a run by 3.6 MB.
+    # exp(-i H tau) = exp(-i (tau H) 1): the 20 sampled baths, each scaled by
+    # its tau, are the blocks of one bath under a unit interval.  Index
+    # 80 s + 4 k + j is bath state j of sample k beside system state s, and
+    # the model's (s, k) block is z1(s) b1_k + z2(s) b2_k
     rng = np.random.default_rng(13)
     samples = [(_rand_herm(rng, 4), _rand_herm(rng, 4), rng.uniform(0.05, 0.4))
                for _ in range(20)]
     b1, b2, tau = (np.array(x) for x in zip(*samples))
     b1, b2 = b1 * tau[:, None, None], b2 * tau[:, None, None]
-    zsum = to_dense(OperatorSum.single(2, 0, "Z") + OperatorSum.single(2, 1, "Z"))
-    blocks = np.arange(40).reshape(10, 4)
-    worst = 0.0
-    for half in (slice(0, 10), slice(10, 20)):
-        bath = DephasingBath(pauli._dense([(blocks, b1[half])], 40),
-                             pauli._dense([(blocks, b2[half])], 40))
-        u = sequences.propagator(sequences.symmetrize_pair(1.0),
-                                 sequences.EvolutionModel(2, 40, bath.hamiltonian()))
-        u -= expm_i(np.kron(zsum, bath.b_col), 2.0)
-        worst = max(worst, np.abs(u).max())
+    z1, z2 = (np.diagonal(to_dense(OperatorSum.single(2, q, "Z")))[:, None, None, None]
+              for q in (0, 1))
+    h = (z1 * b1 + z2 * b2).reshape(80, 4, 4)
+    u = sequences._propagator_blocks(sequences.symmetrize_pair(1.0), 2, 80,
+                                     [(np.arange(320).reshape(80, 4), h)])
+    # the target exp(-2i Zsum (x) b_col) on the propagator's blocks, which
+    # join the blocks of states 01 and 10: each entry of a generator's block
+    # is its (s, k) block's entry, and zero between those blocks
+    col = ((z1 + z2) * ((b1 + b2) / 2)).reshape(80, 4, 4)
+    gen = []
+    for idx, _ in u:
+        cell, j = np.divmod(idx, 4)
+        same = cell[:, :, None] == cell[:, None, :]
+        gen.append((idx, np.where(same, col[cell[:, :, None], j[:, :, None], j[:, None, :]], 0)))
+    target = pauli._expm_blocks(gen, 2.0)
+    worst = max(np.abs(us - ts).max() for (_, us), (_, ts) in zip(u, target))
     return [CheckResult.error_below("pair_symmetrization_exact_20", worst, _PROPAGATOR_TOL)]
 
 
@@ -255,12 +264,15 @@ def check_formulas() -> list[CheckResult]:
 
 def check_generator_roundtrip() -> list[CheckResult]:
     rng = np.random.default_rng(23)
-    worst = 0.0
-    for _ in range(20):
-        h = _rand_herm(rng, 6)
-        t = rng.uniform(0.05, 2.5) / max(1.0, pauli.spectral_norm(h))
-        h2 = generator_of(expm_i(h, t), t)
-        worst = max(worst, np.abs(h2 - h).max())
+    samples = [(_rand_herm(rng, 6), rng.uniform(0.05, 2.5)) for _ in range(20)]
+    h, scale = (np.array(x) for x in zip(*samples))
+    # each h is exactly Hermitian, so its spectral norm is its largest |eigenvalue|
+    t = scale / np.maximum(1.0, np.abs(np.linalg.eigvalsh(h)).max(axis=1))
+    # exp(-i h t) = exp(-i (t h) 1): every generator, scaled by its own t, is
+    # a block of one direct sum, exponentiated and taken back at unit time
+    blocks = [(np.arange(6 * len(h)).reshape(-1, 6), t[:, None, None] * h)]
+    [(_, g)] = pauli._log_blocks(pauli._expm_blocks(blocks, 1.0), 1.0, overwrite=True)[0]
+    worst = np.abs(g / t[:, None, None] - h).max()
     return [CheckResult.error_below("generator_roundtrip_20", worst, _ROUNDTRIP_TOL)]
 
 
@@ -272,15 +284,16 @@ def check_bch() -> list[CheckResult]:
     h_sb = np.kron(to_dense(dfs.basis_operator("ZY")), b) * 0.2
     h_b = np.kron(np.eye(4), _rand_herm(rng, 2)) * 0.3
     pi = np.kron(sequences.named_pulse("PI"), np.eye(2))
-    ok_scaling = True
-    for t in (0.2, 0.1, 0.05):
-        u = expm_i(h_s + h_sb + h_b, t) @ pi @ expm_i(h_s + h_sb + h_b, t) @ pi
-        ideal = expm_i(h_s + h_b, 2 * t)
-        diff = pauli.spectral_norm(u - ideal)
-        bnd = bch_bound(h_s, h_sb, h_b, t)["bound"]
-        if diff > _BCH_FACTOR * bnd:
-            ok_scaling = False
-    return [CheckResult.flag("bch_residual_within_bound", ok_scaling)]
+    ts = (0.2, 0.1, 0.05)
+    t = np.array(ts)[:, None, None]
+    # each interval's exp(-i H t) and its ideal exp(-i (h_s + h_b) 2t): six
+    # blocks of one direct sum at unit time
+    gen = np.concatenate((t * (h_s + h_sb + h_b), 2 * t * (h_s + h_b)))
+    [(_, e)] = pauli._expm_blocks([(np.arange(8 * len(gen)).reshape(-1, 8), gen)], 1.0)
+    u = e[:3] @ pi @ e[:3] @ pi
+    diff = np.linalg.svd(u - e[3:], compute_uv=False)[:, 0]
+    bnd = np.array([bch_bound(h_s, h_sb, h_b, ti)["bound"] for ti in ts])
+    return [CheckResult.flag("bch_residual_within_bound", (diff <= _BCH_FACTOR * bnd).all())]
 
 
 SUITES = {

@@ -19,8 +19,8 @@ import dfspulse
 import dfspulse.cli as cli_mod
 from dfspulse.dfs import _block_residual, block_collective_residual
 from dfspulse.pauli import (
-    _CHECK_TOL, BathSlotError, NonHermitianError, OperatorSum, _blocks, _log_blocks, _stacked,
-    generator_of, to_dense,
+    _BRANCH_TOL, _CHECK_TOL, BathSlotError, NonHermitianError, OperatorSum, _blocks, _log_blocks,
+    _stacked, generator_of, to_dense,
 )
 from dfspulse.sequences import (
     EvolutionModel, _propagator_blocks, propagator, symmetrize_block4,
@@ -313,14 +313,55 @@ def test_block4_residual_equals_the_dense_chain(d):
             np.pi - 4 * sc.parameters["tau"] * norm, rel=0, abs=1e-12)
 
 
+def _block4_at(d, tau):
+    return parse_config(json.dumps([{"name": "b4", "kind": "block4-sim", "seed": 4,
+                                     "parameters": {"bath_factor_dim": d, "tau": tau}}]))[0]
+
+
 @pytest.mark.parametrize("d, tau", [(3, 0.1), (3, 0.2), (4, 0.2), (4, 0.1)])
 def test_block4_rejects_a_tau_whose_eigenphases_wrap(d, tau):
     # at seed 4 each read a residual of pi / (4 tau) and a false FAIL: the
     # cycle's eigenphases passed pi, and the principal log shifted them
-    sc = parse_config(json.dumps([{"name": "b4", "kind": "block4-sim", "seed": 4,
-                                   "parameters": {"bath_factor_dim": d, "tau": tau}}]))[0]
-    with pytest.raises(ValueError, match=rf"^tau {tau}: .* tau must stay below pi / \(4 "):
-        cli_mod._run_block4(sc)
+    with pytest.raises(ValueError,
+                       match=rf"^tau {tau}: .* tau must stay below \(pi - 1e-06\) / \(4 "):
+        cli_mod._run_block4(_block4_at(d, tau))
+
+
+def _block4_bound(d):
+    # the bound (pi - _BRANCH_TOL) / (4 ||B||) that a wrapping tau's error names
+    with pytest.raises(ValueError) as info:
+        cli_mod._run_block4(_block4_at(d, 1.0))
+    return float(str(info.value).rsplit(" = ", 1)[1])
+
+
+def test_block4_bound_is_the_log_branch_margin():
+    bound = _block4_bound(3)
+    [(_, stack)] = cli_mod._block4_model(_block4_at(3, 0.05))
+    norm = np.abs(np.linalg.eigvalsh(stack[0])).max()
+    assert bound == pytest.approx((np.pi - _BRANCH_TOL) / (4 * norm), rel=1e-14)
+    assert bound == pytest.approx(0.09970194860513173, rel=1e-12)  # as the README states
+
+
+@pytest.mark.parametrize("tau", [
+    "above",  # bound (1 + 1e-12)
+    "below",  # the largest float below the bound: its eigenphase, with the
+              # product's rounding, comes within _BRANCH_TOL of pi in the log
+    0.09970196,  # below pi / (4 ||B||) = 0.09970198 but within _BRANCH_TOL of it
+])
+def test_block4_rejects_a_tau_at_the_branch_margin_naming_tau(tau):
+    bound = _block4_bound(3)
+    tau = {"above": bound * (1 + 1e-12), "below": float(np.nextafter(bound, 0))}.get(tau, tau)
+    with pytest.raises(ValueError) as info:
+        cli_mod._run_block4(_block4_at(3, tau))
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"tau {tau!r}: ")
+    assert "total_time" not in str(info.value)
+
+
+def test_block4_runs_just_below_the_branch_margin():
+    bound = _block4_bound(3)
+    _, payload, _ = cli_mod._run_block4(_block4_at(3, bound * (1 - 1e-12)))
+    assert payload["branch_margin"] == pytest.approx(_BRANCH_TOL, rel=1e-4)
 
 
 def test_block4_with_a_wrapping_tau_fails_with_no_pass(tmp_path, capsys):
